@@ -10,7 +10,7 @@ Subcommands:
 * ``report``    render the condition table plus a run summary
 
 Exit codes: 0 success, 1 malformed input, 2 hypothesis failure, 3 divergence,
-4 belief-validity violation.  ``CC_LAB_THREADS`` caps ensemble parallelism.
+4 belief-validity violation.
 """
 
 from __future__ import annotations
@@ -130,17 +130,13 @@ def _run_ensemble(args: argparse.Namespace) -> int:
         theorem = theorem or doc.get("theorem")
         seed = seed if seed is not None else doc.get("seed")
         horizon = horizon or doc.get("horizon")
+    if args.ensemble < 1:
+        raise ConfigError(f"--ensemble needs at least 1 instance, got {args.ensemble}")
     if theorem is None:
         raise ConfigError("--theorem required for ensemble runs")
     if seed is None:
         raise ConfigError("--seed required for ensemble runs")
-    summary = run_ensemble(
-        theorem,
-        count=args.ensemble,
-        seed=seed,
-        horizon=horizon,
-        workers=args.workers,
-    )
+    summary = run_ensemble(theorem, count=args.ensemble, seed=seed, horizon=horizon)
     print(render_ensemble(summary))
     if args.out:
         write_json(
@@ -190,7 +186,7 @@ def _write_run_artifacts(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.ensemble:
+    if args.ensemble is not None:
         return _run_ensemble(args)
     if not args.config:
         raise ConfigError("--config required (or use --ensemble)")
@@ -374,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="reconcile N seeded random instances instead of one config run",
     )
-    p.add_argument("--workers", type=int, help="ensemble worker threads")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen", help="emit a scenario config")

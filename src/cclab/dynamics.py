@@ -16,8 +16,9 @@ clusters for generic data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .signals import ClusterOffsets, PeriodicInput, Signal, eval_u, partial_sum_
 from .stochastic import (
     MatrixSchedule,
     power_limit,
-    state_diameter,
     validate,
 )
 
@@ -113,9 +113,14 @@ class Trajectory:
         return self.states.shape[1]
 
     def diameter_series(self, clustering: Clustering) -> np.ndarray:
-        return np.array(
-            [state_diameter(x, clustering) for x in self.states]
+        """:func:`state_diameter` of every row, one reduction per cluster."""
+        order = np.concatenate(clustering.clusters)
+        starts = np.cumsum((0,) + clustering.sizes[:-1])
+        grouped = self.states[:, order]
+        spread = np.maximum.reduceat(grouped, starts, axis=1) - np.minimum.reduceat(
+            grouped, starts, axis=1
         )
+        return spread.max(axis=1, initial=0.0)
 
     def max_norm(self) -> float:
         return float(np.abs(self.states).max())
@@ -132,6 +137,71 @@ def step(sys: System, x: np.ndarray, t: int) -> np.ndarray:
     return nxt
 
 
+def _couplings(sys: System) -> tuple[np.ndarray, ...]:
+    if isinstance(sys.coupling, MatrixSchedule):
+        return sys.coupling.matrices
+    return (sys.coupling,)
+
+
+def _drive(sigma: np.ndarray, signals: Sequence[Signal], horizon: int) -> np.ndarray:
+    """Input terms ``sigma u(t)`` of a batch, one per phase, shape (P, B, n, 1).
+
+    ``sigma`` has shape (B, n). P is the least common period of the signals,
+    or the horizon when a signal is not periodic or the period is longer.
+    """
+    periods = [s.period if isinstance(s, PeriodicInput) else horizon for s in signals]
+    phases = min(math.lcm(*periods), horizon)
+    u = np.array([[eval_u(s, t) for s in signals] for t in range(phases)])
+    return (sigma * u[:, :, None])[..., None]
+
+
+def _advance(
+    couplings: Sequence[np.ndarray],
+    drive: Optional[np.ndarray],
+    x0: np.ndarray,
+    horizon: int,
+    first: int,
+) -> np.ndarray:
+    """The step loop ``x(t+1) = A(t) x(t) + sigma u(t)`` over a batch of states.
+
+    ``x0`` has shape (B, n). ``couplings[t % len(couplings)]`` is ``A(t)``,
+    either one (n, n) matrix shared by the batch or a (B, n, n) stack; the
+    arrays are read as given, never copied. ``drive[t % len(drive)]`` is the
+    input term (see :func:`_drive`), or ``drive`` is None for an undriven
+    batch. Returns the states after ``first..horizon`` steps as an array of
+    shape (horizon + 1 - first, B, n).
+
+    Finiteness is not checked: callers test the rows they keep once, at the
+    end. Overflow and invalid-value warnings are silenced because a
+    diverging state keeps stepping until then.
+    """
+    rows = np.empty((horizon + 1 - first,) + x0.shape + (1,))
+    spare = np.empty((2,) + x0.shape + (1,))
+    x = x0[..., None]
+    if first == 0:
+        rows[0] = x
+    n_couplings = len(couplings)
+    n_drives = 0 if drive is None else len(drive)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            out = rows[t + 1 - first] if t + 1 >= first else spare[t % 2]
+            np.matmul(couplings[t % n_couplings], x, out=out)
+            if n_drives:
+                out += drive[t % n_drives]
+            x = out
+    return rows[..., 0]
+
+
+def _checked(states: np.ndarray) -> Trajectory:
+    """The trajectory, or :class:`DivergenceError` at its first non-finite
+    step."""
+    bad = ~np.isfinite(states[1:]).all(axis=1)
+    if bad.any():
+        t = int(bad.argmax())
+        raise DivergenceError(t, partial=states[: t + 1].copy())
+    return Trajectory(states)
+
+
 def simulate(sys: System, x0: np.ndarray, horizon: int) -> Trajectory:
     """Roll the system forward ``horizon`` steps from ``x0``."""
     if horizon < 1:
@@ -139,17 +209,41 @@ def simulate(sys: System, x0: np.ndarray, horizon: int) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.n,):
         raise ValueError(f"initial state must have shape ({sys.n},)")
-    states = np.empty((horizon + 1, sys.n))
-    states[0] = x0
-    sigma = sys.offsets.vector() if sys.driven() else None
-    for t in range(horizon):
-        nxt = sys.coupling_at(t) @ states[t]
-        if sigma is not None:
-            nxt += sigma * eval_u(sys.signal, t)
-        if not np.all(np.isfinite(nxt)):
-            raise DivergenceError(t, partial=states[: t + 1].copy())
-        states[t + 1] = nxt
-    return Trajectory(states)
+    drive = None
+    if sys.driven():
+        drive = _drive(sys.offsets.vector()[None], [sys.signal], horizon)
+    return _checked(_advance(_couplings(sys), drive, x0[None], horizon, 0)[:, 0])
+
+
+def simulate_batch(
+    systems: Sequence[System], x0: np.ndarray, horizon: int, first: int
+) -> np.ndarray:
+    """Advance driven systems of one size together.
+
+    ``x0`` has shape (B, n), one row per system. Returns the states after
+    ``first..horizon`` steps, shape (horizon + 1 - first, B, n); row ``i``
+    of system ``b`` equals ``simulate(systems[b], x0[b], horizon)`` at step
+    ``first + i`` bit for bit, because a stack of matrix-vector products runs
+    the same BLAS kernel per system as a single one. Finiteness is not
+    checked: a non-finite state stays non-finite under stochastic couplings,
+    so a caller that finds one in the kept rows replays that system through
+    :func:`simulate` for its :class:`DivergenceError`.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if not 0 <= first <= horizon:
+        raise ValueError("first kept step must lie in 0..horizon")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (len(systems), systems[0].n):
+        raise ValueError("need one initial state per system, all of one size")
+    if not all(s.driven() for s in systems):
+        raise ValueError("batched runs need driven systems")
+    mats = [_couplings(s) for s in systems]
+    phases = math.lcm(*(len(m) for m in mats))
+    couplings = [np.stack([m[t % len(m)] for m in mats]) for t in range(phases)]
+    sigma = np.stack([s.offsets.vector() for s in systems])
+    drive = _drive(sigma, [s.signal for s in systems], horizon)
+    return _advance(couplings, drive, x0, horizon, first)
 
 
 def quotient_simulate(
@@ -170,16 +264,8 @@ def quotient_simulate(
     alpha = offsets.reduced()
     if alpha.shape != (k,):
         raise ValueError("offsets do not match the reduced dimension")
-    states = np.empty((horizon + 1, k))
-    states[0] = y0
-    for t in range(horizon):
-        nxt = b @ states[t]
-        if sig is not None:
-            nxt += alpha * eval_u(sig, t)
-        if not np.all(np.isfinite(nxt)):
-            raise DivergenceError(t, partial=states[: t + 1].copy())
-        states[t + 1] = nxt
-    return Trajectory(states)
+    drive = None if sig is None else _drive(alpha[None], [sig], horizon)
+    return _checked(_advance((b,), drive, y0[None], horizon, 0)[:, 0])
 
 
 @dataclass(frozen=True)
@@ -192,11 +278,20 @@ class PeriodicLimit:
     residual: float
 
 
+def limit_window_start(length: int, period: int) -> int:
+    """First step :func:`detect_periodic_limit` compares in a run of
+    ``length`` states: the final quarter, or more to hold two full periods
+    of comparisons."""
+    last = length - 1
+    return max(min((3 * length) // 4, last - 3 * period + 1), 0)
+
+
 def detect_periodic_limit(
     traj: Trajectory,
     clustering: Clustering,
     period: int,
     tol: float = 1e-8,
+    first: int = 0,
 ) -> Optional[PeriodicLimit]:
     """Check the trajectory tail for a ``period``-periodic limit.
 
@@ -205,18 +300,23 @@ def detect_periodic_limit(
     worst residual below ``tol``.  On success the per-cluster cycle is read
     off the last full period, each phase sample averaged over the cluster
     members; returns None when the tail has not settled.
+
+    ``traj`` may hold only the end of a run: ``first`` is then the step of
+    ``traj.states[0]``, at most :func:`limit_window_start` of the run.
     """
     if period < 1:
         raise ValueError("period must be at least 1")
-    length = traj.states.shape[0]
+    length = first + traj.states.shape[0]
     if length < 4 * period:
         raise ValueError(
             f"trajectory too short for period {period}: need at least {4 * period} states"
         )
     last = length - 1
-    start = min((3 * length) // 4, last - 3 * period + 1)
-    start = max(start, 0)
-    diffs = traj.states[start + period : last + 1] - traj.states[start : last + 1 - period]
+    start = limit_window_start(length, period)
+    if start < first:
+        raise ValueError(f"states from step {start} needed, trajectory starts at {first}")
+    window = traj.states[start - first :]
+    diffs = window[period:] - window[:-period]
     residual = float(np.abs(diffs).max())
     if residual >= tol:
         return None
@@ -226,7 +326,7 @@ def detect_periodic_limit(
         t = last - offset
         theta = t % period
         for p, members in enumerate(clustering.clusters):
-            cycles[p, theta] = float(traj.states[t, list(members)].mean())
+            cycles[p, theta] = float(traj.states[t - first, list(members)].mean())
     return PeriodicLimit(period=period, cycles=cycles, residual=residual)
 
 

@@ -290,36 +290,3 @@ def power_limit(
         cur = cur @ a
         errors[t] = float(np.abs(cur - limit).sum(axis=1).max())
     return PowerLimit(limit=limit, rate=_fit_rate(errors), steps=steps, errors=errors)
-
-
-def diameter_growth_rate(
-    schedule: MatrixSchedule, clustering: Clustering, horizon: int
-) -> float:
-    """Empirical growth rate of ``hajnal_diameter`` along running products.
-
-    Fits the slope of ``log diam(A(t-1)...A(0))`` against ``t`` over the
-    tail half of the horizon and exponentiates.  Rates below one certify
-    geometric intra-cluster contraction empirically; a diameter that hits
-    exact zero short-circuits to 0.0 (finite-time consensus).
-    """
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    diams = np.empty(horizon)
-    acc = schedule.at(0).copy()
-    diams[0] = hajnal_diameter(acc, clustering)
-    for t in range(1, horizon):
-        acc = schedule.at(t) @ acc
-        if t % RENORM_EVERY == 0:
-            sums = acc.sum(axis=1)
-            drift = float(np.abs(sums - 1.0).max())
-            if drift > RENORM_DRIFT_LIMIT:
-                raise ArithmeticError(f"row-sum drift {drift:.3e} at step {t}")
-            acc /= sums[:, None]
-        diams[t] = hajnal_diameter(acc, clustering)
-        if diams[t] == 0.0:
-            return 0.0
-    tail = np.arange(horizon // 2, horizon)
-    if np.any(diams[tail] == 0.0):
-        return 0.0
-    slope = np.polyfit(tail + 1, np.log(diams[tail]), 1)[0]
-    return float(np.exp(slope))

@@ -21,8 +21,6 @@ the separation collapsed for this data).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -33,8 +31,10 @@ from .dynamics import (
     System,
     Trajectory,
     detect_periodic_limit,
+    limit_window_start,
     separation_metric,
     simulate,
+    simulate_batch,
 )
 from .generate import GeneratorSpec, gen_common_influence_matrix, gen_graph_with_cluster_trees, gen_switching_schedule
 from .graph import (
@@ -469,6 +469,8 @@ def reconcile(
     limit: Optional[PeriodicLimit] = None,
     thresholds: Thresholds = Thresholds(),
 ) -> ReconcileResult:
+    """Status of one run; reads only the initial state ``traj.states[0]``
+    and the final state ``traj.states[-1]`` of the trajectory."""
     clus = sys.clustering
     final_diam = state_diameter(traj.states[-1], clus)
     sync_thr = thresholds.sync_threshold(traj.states[0])
@@ -539,15 +541,6 @@ class EnsembleSummary:
         return self.counts.get(status, 0) / self.total if self.total else 0.0
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("CC_LAB_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def _distinct_alphas(rng: np.random.Generator, k: int) -> tuple[float, ...]:
     gaps = rng.uniform(0.3, 1.0, size=k)
     vals = rng.uniform(-1.0, 1.0) + np.cumsum(gaps)
@@ -562,73 +555,154 @@ def _random_sizes(rng: np.random.Generator, min_tree_edges: int = 0) -> tuple[in
             return sizes
 
 
+@dataclass(frozen=True)
+class EnsembleInstance:
+    """One seeded ensemble instance: the system, its checked hypotheses and
+    the initial state."""
+
+    system: System
+    report: HypothesisReport
+    x0: np.ndarray
+
+
+def ensemble_instance(
+    theorem: int,
+    seed: int,
+    horizon: int,
+    thresholds: Thresholds = Thresholds(),
+) -> EnsembleInstance:
+    """Generate and check one random instance built to satisfy the
+    hypotheses of the given claim (1-4), everything drawn from ``seed``."""
+    switching = theorem in (3, 4)
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 4)) if switching else 1
+    sizes = _random_sizes(rng, min_tree_edges=2 if switching else 0)
+    spec = GeneratorSpec(
+        cluster_sizes=sizes,
+        seed=int(rng.integers(2**62)),
+        entry_floor=0.05,
+        density=float(rng.uniform(0.4, 0.9)),
+    )
+    clus = spec.clustering()
+    if switching:
+        coupling = gen_switching_schedule(spec, m=m, window=m)
+    else:
+        coupling = gen_common_influence_matrix(
+            spec, gen_graph_with_cluster_trees(spec)
+        )
+    T = int(rng.integers(2, 5))
+    free = rng.uniform(0.4, 1.6, size=T - 1) * rng.choice([-1.0, 1.0], size=T - 1)
+    sig = PeriodicInput(T, tuple(free))
+    offsets = ClusterOffsets(clus, _distinct_alphas(rng, clus.k))
+    sys = System(coupling=coupling, clustering=clus, offsets=offsets, signal=sig)
+    if theorem == 1:
+        report = check_theorem_static_sync(sys, horizon=horizon, thresholds=thresholds)
+    elif theorem == 2:
+        report = check_theorem_static_consensus(sys, thresholds=thresholds)
+    elif theorem == 3:
+        report = check_switching(sys, window=m, horizon=horizon, thresholds=thresholds)
+        report = replace(report, predicted="intra-sync" if report.sync_ok else "no-guarantee")
+    else:
+        report = check_switching(sys, window=m, horizon=horizon, thresholds=thresholds)
+    x0 = rng.uniform(-1.0, 1.0, size=clus.n)
+    return EnsembleInstance(sys, report, x0)
+
+
+def _detects_limit(inst: EnsembleInstance) -> bool:
+    return inst.report.predicted == "cluster-consensus"
+
+
+def _instance_status(
+    inst: EnsembleInstance,
+    tail: np.ndarray,
+    first: int,
+    horizon: int,
+    thresholds: Thresholds,
+) -> str:
+    """Verdict of one instance from its states after ``first..horizon`` steps."""
+    sys = inst.system
+    traj = Trajectory(tail)
+    if not np.isfinite(tail).all():
+        # A non-finite state stays non-finite, so the reference run raises
+        # DivergenceError at the first non-finite step.
+        traj, first = simulate(sys, inst.x0, horizon), 0
+    limit = None
+    if _detects_limit(inst):
+        limit = detect_periodic_limit(
+            traj, sys.clustering, sys.signal.period, tol=thresholds.periodic, first=first
+        )
+    # reconcile reads the initial and the final state only.
+    ends = Trajectory(np.stack([inst.x0, traj.states[-1]]))
+    return reconcile(inst.report, sys, ends, limit, thresholds).status
+
+
+def _run_batch(
+    insts: list[EnsembleInstance], horizon: int, thresholds: Thresholds
+) -> list:
+    """Advance same-size instances together, keeping only the rows their
+    verdicts read; returns each instance's status or exception."""
+    first = min(
+        (
+            limit_window_start(horizon + 1, inst.system.signal.period)
+            for inst in insts
+            if _detects_limit(inst)
+        ),
+        default=horizon,
+    )
+    try:
+        rows = simulate_batch(
+            [inst.system for inst in insts], np.stack([inst.x0 for inst in insts]), horizon, first
+        )
+    except Exception as exc:  # surfaced in the summary for every instance
+        return [exc] * len(insts)
+    return [
+        _safe(_instance_status, inst, rows[:, b], first, horizon, thresholds)
+        for b, inst in enumerate(insts)
+    ]
+
+
 def run_ensemble(
     theorem: int,
     count: int,
     seed: int,
     horizon: Optional[int] = None,
-    workers: Optional[int] = None,
     thresholds: Thresholds = Thresholds(),
 ) -> EnsembleSummary:
     """Reconcile ``count`` seeded random instances built to satisfy the
-    hypotheses of the given claim (1-4); returns status counts."""
+    hypotheses of the given claim (1-4); returns status counts.
+
+    Every instance is built first, each from its own seed; instances with
+    the same number of agents then advance as one batch.
+    """
     if theorem not in (1, 2, 3, 4):
         raise ValueError("claim number must be 1, 2, 3 or 4")
-    switching = theorem in (3, 4)
-    span = horizon if horizon is not None else (5000 if switching else 2000)
+    span = horizon if horizon is not None else (5000 if theorem in (3, 4) else 2000)
     seeds = np.random.default_rng(seed).integers(2**62, size=count)
-
-    def one(inst_seed: int) -> str:
-        rng = np.random.default_rng(inst_seed)
-        m = int(rng.integers(2, 4)) if switching else 1
-        sizes = _random_sizes(rng, min_tree_edges=2 if switching else 0)
-        spec = GeneratorSpec(
-            cluster_sizes=sizes,
-            seed=int(rng.integers(2**62)),
-            entry_floor=0.05,
-            density=float(rng.uniform(0.4, 0.9)),
-        )
-        clus = spec.clustering()
-        if switching:
-            coupling = gen_switching_schedule(spec, m=m, window=m)
+    results: list = [None] * count
+    batches: dict[int, list[tuple[int, EnsembleInstance]]] = {}
+    for i, inst_seed in enumerate(seeds):
+        inst = _safe(ensemble_instance, theorem, int(inst_seed), span, thresholds)
+        if isinstance(inst, Exception):
+            results[i] = inst
         else:
-            coupling = gen_common_influence_matrix(
-                spec, gen_graph_with_cluster_trees(spec)
-            )
-        T = int(rng.integers(2, 5))
-        free = rng.uniform(0.4, 1.6, size=T - 1) * rng.choice([-1.0, 1.0], size=T - 1)
-        sig = PeriodicInput(T, tuple(free))
-        offsets = ClusterOffsets(clus, _distinct_alphas(rng, clus.k))
-        sys = System(coupling=coupling, clustering=clus, offsets=offsets, signal=sig)
-        if theorem == 1:
-            report = check_theorem_static_sync(sys, horizon=span, thresholds=thresholds)
-        elif theorem == 2:
-            report = check_theorem_static_consensus(sys, thresholds=thresholds)
-        elif theorem == 3:
-            report = check_switching(sys, window=m, horizon=span, thresholds=thresholds)
-            report = replace(report, predicted="intra-sync" if report.sync_ok else "no-guarantee")
-        else:
-            report = check_switching(sys, window=m, horizon=span, thresholds=thresholds)
-        x0 = rng.uniform(-1.0, 1.0, size=clus.n)
-        traj = simulate(sys, x0, span)
-        limit = None
-        if report.predicted == "cluster-consensus":
-            limit = detect_periodic_limit(traj, clus, T, tol=thresholds.periodic)
-        return reconcile(report, sys, traj, limit, thresholds).status
+            batches.setdefault(inst.system.n, []).append((i, inst))
+    for batch in batches.values():
+        statuses = _run_batch([inst for _, inst in batch], span, thresholds)
+        for (i, _), status in zip(batch, statuses):
+            results[i] = status
 
     counts: dict[str, int] = {}
     errors: list[str] = []
-    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
-        for result in pool.map(lambda s: _safe(one, int(s)), seeds):
-            if isinstance(result, Exception):
-                errors.append(repr(result))
-            else:
-                counts[result] = counts.get(result, 0) + 1
+    for result in results:
+        if isinstance(result, Exception):
+            errors.append(repr(result))
+        else:
+            counts[result] = counts.get(result, 0) + 1
     return EnsembleSummary(total=count, counts=counts, exceptions=tuple(errors))
 
 
-def _safe(fn, arg):
+def _safe(fn, *args):
     try:
-        return fn(arg)
+        return fn(*args)
     except Exception as exc:  # surfaced in the summary, not swallowed
         return exc

@@ -149,7 +149,7 @@ def test_ensemble_mode(tmp_path, capsys):
     code = main(
         [
             "simulate", "--ensemble", "6", "--theorem", "2", "--seed", "11",
-            "--workers", "2", "--out", str(out),
+            "--out", str(out),
         ]
     )
     assert code == 0
@@ -158,6 +158,13 @@ def test_ensemble_mode(tmp_path, capsys):
     assert doc["instances"] == 6
     assert doc["counts"].get("PASS", 0) == 6
     assert doc["errors"] == []
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_ensemble_count_below_one_is_an_input_error(count, capsys):
+    assert main(["simulate", "--ensemble", count, "--theorem", "2", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --ensemble needs at least 1 instance, got {count}\n"
 
 
 def test_ensemble_requires_theorem_and_seed(capsys):

@@ -9,6 +9,7 @@ from cclab.dynamics import (
     Trajectory,
     boundedness_report,
     detect_periodic_limit,
+    limit_window_start,
     quotient_simulate,
     separation_metric,
     simulate,
@@ -24,6 +25,7 @@ from cclab.generate import (
     example_signal,
     random_common_influence,
 )
+from cclab.config import build_scenario, example_config
 from cclab.graph import Clustering
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
 from cclab.stochastic import quotient_matrix, state_diameter, validate
@@ -191,6 +193,22 @@ def test_periodic_limit_rejects_unsettled_tails():
         detect_periodic_limit(traj, sys.clustering, period=0)
 
 
+def test_periodic_limit_from_the_tail_alone():
+    sys = example_system_static()
+    traj = simulate(sys, X0, 2000)
+    start = limit_window_start(2001, 2)
+    full = detect_periodic_limit(traj, sys.clustering, period=2)
+    tail = detect_periodic_limit(
+        Trajectory(traj.states[start:]), sys.clustering, period=2, first=start
+    )
+    assert np.array_equal(tail.cycles, full.cycles)
+    assert tail.residual == full.residual
+    with pytest.raises(ValueError):
+        detect_periodic_limit(
+            Trajectory(traj.states[start + 1 :]), sys.clustering, period=2, first=start + 1
+        )
+
+
 def test_separation_metric_peak_gaps():
     from cclab.dynamics import PeriodicLimit
 
@@ -284,3 +302,19 @@ def test_intra_cluster_diameter_contracts_to_the_float_floor():
     assert diam[-1] < 1e-12
     assert diam[200:].max() < 1e-12
     assert state_diameter(traj.states[-1], sys.clustering) == diam[-1]
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_diameter_series_equals_per_row_state_diameter(which):
+    scenario = build_scenario(example_config(which))
+    clus = scenario.system.clustering
+    traj = simulate(scenario.system, scenario.x0, scenario.horizon)
+    expected = np.array([state_diameter(x, clus) for x in traj.states])
+    assert np.array_equal(traj.diameter_series(clus), expected)
+
+
+def test_diameter_series_on_a_non_contiguous_clustering():
+    clus = Clustering(7, ((0, 3, 5), (1,), (2, 4, 6)))
+    traj = Trajectory(np.random.default_rng(3).normal(size=(40, 7)))
+    expected = np.array([state_diameter(x, clus) for x in traj.states])
+    assert np.array_equal(traj.diameter_series(clus), expected)

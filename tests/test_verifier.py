@@ -1,9 +1,20 @@
 """Hypothesis checkers, prediction/observation reconciliation, ensembles."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from cclab.dynamics import PeriodicLimit, System, simulate
+from cclab.dynamics import (
+    DivergenceError,
+    PeriodicLimit,
+    System,
+    detect_periodic_limit,
+    limit_window_start,
+    simulate,
+    simulate_batch,
+)
 from cclab.generate import examples
 from cclab.graph import Clustering
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
@@ -15,8 +26,10 @@ from cclab.verifier import (
     check_switching,
     check_theorem_static_consensus,
     check_theorem_static_sync,
+    ensemble_instance,
     reconcile,
     run_ensemble,
+    _run_batch,
 )
 
 STATIC, SWITCHING = examples()
@@ -299,7 +312,7 @@ def test_report_to_dict_structure():
 
 @pytest.mark.parametrize("theorem", [1, 2, 3, 4])
 def test_small_ensembles_pass_each_claim(theorem):
-    summary = run_ensemble(theorem, count=10, seed=2024, workers=2)
+    summary = run_ensemble(theorem, count=10, seed=2024)
     assert summary.total == 10
     assert summary.exceptions == ()
     assert summary.counts.get("PASS", 0) == 10
@@ -311,11 +324,73 @@ def test_run_ensemble_rejects_unknown_claims():
         run_ensemble(5, count=1, seed=0)
 
 
-def test_ensemble_worker_env_override(monkeypatch):
-    from cclab.verifier import _worker_count
+def test_ensemble_with_a_short_horizon_reports_in_seed_order():
+    summary = run_ensemble(2, count=10, seed=3, horizon=9)
+    assert summary.total == 10
+    assert summary.counts == {"FAIL": 1}
+    assert summary.exceptions == tuple(
+        f"ValueError('trajectory too short for period {T}: need at least {4 * T} states')"
+        for T in (3, 3, 4, 4, 4, 4, 3, 4, 3)
+    )
 
-    monkeypatch.setenv("CC_LAB_THREADS", "3")
-    assert _worker_count(None) == 3
-    monkeypatch.delenv("CC_LAB_THREADS")
-    assert _worker_count(5) == 5
-    assert _worker_count(None) >= 1
+
+def _batches(theorem, seed, count, horizon):
+    """Seeded ensemble instances grouped by agent count."""
+    seeds = np.random.default_rng(seed).integers(2**62, size=count)
+    groups = {}
+    for s in seeds:
+        inst = ensemble_instance(theorem, int(s), horizon)
+        groups.setdefault(inst.system.n, []).append(inst)
+    assert max(len(g) for g in groups.values()) >= 2
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+@pytest.mark.parametrize("theorem", [1, 2, 3, 4])
+def test_batched_rows_equal_simulate(theorem, seed):
+    horizon = 5000 if theorem in (3, 4) else 2000
+    first = limit_window_start(horizon + 1, 4)
+    for group in _batches(theorem, seed, 12, horizon):
+        x0 = np.stack([inst.x0 for inst in group])
+        rows = simulate_batch([inst.system for inst in group], x0, horizon, first)
+        for b, inst in enumerate(group):
+            ref = simulate(inst.system, inst.x0, horizon).states
+            assert np.array_equal(rows[:, b], ref[first:])
+
+
+def _break_signal(inst, horizon):
+    sig = SequenceInput(tuple(np.inf if t == 5 else 0.0 for t in range(horizon)))
+    return dataclasses.replace(inst, system=dataclasses.replace(inst.system, signal=sig))
+
+
+def _break_x0(inst, horizon):
+    x0 = inst.x0.copy()
+    x0[0] = np.nan
+    return dataclasses.replace(inst, x0=x0)
+
+
+@pytest.mark.parametrize(
+    "theorem, breaker, message",
+    [
+        (1, _break_signal, "DivergenceError('non-finite state at step 5')"),
+        (2, _break_x0, "DivergenceError('non-finite state at step 0')"),
+    ],
+)
+def test_non_finite_instance_in_a_batch(theorem, breaker, message):
+    horizon = 200
+    group = max(_batches(theorem, 8, 30, horizon), key=len)
+    assert len(group) >= 3
+    group[1] = breaker(group[1], horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = _run_batch(group, horizon, Thresholds())
+    assert repr(results[1]) == message
+    with pytest.raises(DivergenceError) as info:
+        simulate(group[1].system, group[1].x0, horizon)
+    assert repr(info.value) == message
+    for inst, status in zip(group[:1] + group[2:], results[:1] + results[2:]):
+        traj = simulate(inst.system, inst.x0, horizon)
+        limit = None
+        if inst.report.predicted == "cluster-consensus":
+            limit = detect_periodic_limit(traj, inst.system.clustering, inst.system.signal.period)
+        assert status == reconcile(inst.report, inst.system, traj, limit).status
