@@ -17,7 +17,6 @@ from .dynamics import (
     quotient_simulate,
     separation_metric,
     simulate,
-    step,
     z_limits,
 )
 from .generate import (
@@ -45,10 +44,8 @@ from .learning import (
     CulturalFlags,
     LearningRun,
     learn_simulate,
-    learn_step,
-    zeta_metric,
 )
-from .signals import ClusterOffsets, PeriodicInput, SequenceInput, eval_u, input_vector, partial_sum_bound
+from .signals import ClusterOffsets, PeriodicInput, SequenceInput, eval_u, partial_sum_bound
 from .stochastic import (
     MatrixSchedule,
     ergodicity_coefficient,
@@ -113,10 +110,8 @@ __all__ = [
     "has_common_influence",
     "has_common_link_property",
     "has_self_links",
-    "input_vector",
     "is_cluster_scrambling",
     "learn_simulate",
-    "learn_step",
     "power_limit",
     "product_range",
     "quotient_matrix",
@@ -127,9 +122,7 @@ __all__ = [
     "separation_metric",
     "simulate",
     "state_diameter",
-    "step",
     "union_graph",
     "validate",
     "z_limits",
-    "zeta_metric",
 ]

@@ -9,7 +9,8 @@ Subcommands:
 * ``learn``     run the social-learning dynamics, emit belief/zeta CSVs
 * ``report``    render the condition table plus a run summary
 
-Exit codes: 0 success, 1 malformed input, 2 hypothesis failure, 3 divergence,
+Exit codes: 0 success, 1 malformed input, 2 hypothesis failure (``check``)
+or a FAIL verdict (``simulate``, ``report``, ensembles), 3 divergence,
 4 belief-validity violation.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .config import (
@@ -30,6 +32,7 @@ from .config import (
     load_config,
 )
 from .dynamics import (
+    BoundReport,
     DivergenceError,
     Trajectory,
     boundedness_report,
@@ -48,10 +51,10 @@ from .reports import (
     write_zeta_csv,
 )
 from .verifier import (
+    ClaimError,
     HypothesisReport,
-    check_switching,
-    check_theorem_static_consensus,
-    check_theorem_static_sync,
+    ReconcileResult,
+    check_claim,
     reconcile,
     run_ensemble,
 )
@@ -69,28 +72,12 @@ def _load(args: argparse.Namespace) -> Scenario:
         doc["seed"] = args.seed
     if getattr(args, "horizon", None) is not None:
         doc["horizon"] = args.horizon
-    return build_scenario(doc)
-
-
-def _check_for(scenario: Scenario, theorem: int) -> tuple[HypothesisReport, bool]:
-    sys_ = scenario.system
-    if theorem in (1, 2) and sys_.is_switching:
-        raise ConfigError(f"claim {theorem} applies to fixed couplings only")
-    if theorem == 1:
-        report = check_theorem_static_sync(
-            sys_, horizon=scenario.horizon, thresholds=scenario.thresholds
-        )
-        return report, bool(report.sync_ok)
-    if theorem == 2:
-        report = check_theorem_static_consensus(sys_, thresholds=scenario.thresholds)
-        return report, bool(report.consensus_ok)
-    report = check_switching(
-        sys_,
-        window=scenario.window,
-        horizon=scenario.horizon,
-        thresholds=scenario.thresholds,
-    )
-    return report, bool(report.sync_ok if theorem == 3 else report.consensus_ok)
+    scenario = build_scenario(doc)
+    if getattr(args, "theorem", None):
+        # The claim picks what is checked, not what is run, so it stays out
+        # of the config digest.
+        scenario = replace(scenario, theorem=args.theorem)
+    return scenario
 
 
 def _outdir(args: argparse.Namespace) -> str:
@@ -101,9 +88,14 @@ def _outdir(args: argparse.Namespace) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    theorem = args.theorem or scenario.theorem
-    report, ok = _check_for(scenario, theorem)
-    print(f"config: {scenario.label}  claim: {theorem}")
+    report, ok = check_claim(
+        scenario.system,
+        scenario.theorem,
+        window=scenario.window,
+        horizon=scenario.horizon,
+        thresholds=scenario.thresholds,
+    )
+    print(f"config: {scenario.label}  claim: {scenario.theorem}")
     print(render_condition_table(report))
     print(f"overall: {'pass' if ok else 'FAIL'}")
     if args.out:
@@ -113,7 +105,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "label": scenario.label,
                 "config_sha256": scenario.digest,
                 "seed": scenario.seed,
-                "theorem": theorem,
+                "theorem": scenario.theorem,
                 "overall": ok,
                 "report": report.to_dict(),
             },
@@ -129,9 +121,11 @@ def _run_ensemble(args: argparse.Namespace) -> int:
         doc = load_config(args.config)
         theorem = theorem or doc.get("theorem")
         seed = seed if seed is not None else doc.get("seed")
-        horizon = horizon or doc.get("horizon")
+        horizon = horizon if horizon is not None else doc.get("horizon")
     if args.ensemble < 1:
         raise ConfigError(f"--ensemble needs at least 1 instance, got {args.ensemble}")
+    if horizon is not None and horizon < 1:
+        raise ConfigError(f"horizon must be at least 1, got {horizon}")
     if theorem is None:
         raise ConfigError("--theorem required for ensemble runs")
     if seed is None:
@@ -153,36 +147,81 @@ def _run_ensemble(args: argparse.Namespace) -> int:
     return EXIT_HYPOTHESIS if bad else EXIT_OK
 
 
-def _write_run_artifacts(
-    scenario: Scenario, traj: Trajectory, outdir: str
-) -> tuple[str, dict]:
+@dataclass(frozen=True)
+class _Run:
+    """One config run, checked, simulated and reconciled.
+
+    ``verdict`` and ``bound`` are None when the run diverged; ``traj`` then
+    holds the finite prefix and ``metrics`` the divergence record.
+    """
+
+    scenario: Scenario
+    report: HypothesisReport
+    ok: bool
+    traj: Trajectory
+    metrics: dict
+    verdict: Optional[ReconcileResult] = None
+    bound: Optional[BoundReport] = None
+
+    @property
+    def exit_code(self) -> int:
+        if self.verdict is None:
+            return EXIT_DIVERGENCE
+        return EXIT_HYPOTHESIS if self.verdict.status == "FAIL" else EXIT_OK
+
+
+def _run_config(args: argparse.Namespace) -> _Run:
+    """check -> simulate -> limit -> bound -> reconcile for ``--config``.
+
+    A divergence prints its one error line here; the caller still writes
+    the record it gets back.
+    """
+    scenario = _load(args)
     sys_ = scenario.system
-    report, _ = _check_for(scenario, scenario.theorem)
+    report, ok = check_claim(
+        sys_,
+        scenario.theorem,
+        window=scenario.window,
+        horizon=scenario.horizon,
+        thresholds=scenario.thresholds,
+    )
+    period = sys_.signal.period if sys_.signal is not None else None
+    if period is not None and scenario.horizon + 1 < 4 * period:
+        raise ConfigError(
+            f"horizon {scenario.horizon} too short for signal period {period}:"
+            f" need at least {4 * period - 1} steps"
+        )
+    try:
+        traj = simulate(sys_, scenario.x0, scenario.horizon)
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        metrics = {
+            "label": scenario.label,
+            "config_sha256": scenario.digest,
+            "seed": scenario.seed,
+            "diverged_at": exc.t,
+            "note": str(exc),
+        }
+        return _Run(scenario, report, ok, Trajectory(exc.partial), metrics)
     limit = None
-    if sys_.signal is not None:
+    if period is not None:
         limit = detect_periodic_limit(
-            traj,
-            sys_.clustering,
-            sys_.signal.period,
-            tol=scenario.thresholds.periodic,
+            traj, sys_.clustering, period, tol=scenario.thresholds.periodic
         )
     bound = boundedness_report(sys_, traj)
     verdict = reconcile(report, sys_, traj, limit, scenario.thresholds)
-    diameters = traj.diameter_series(sys_.clustering)
-    doc = metrics_document(
+    metrics = metrics_document(
         digest=scenario.digest,
         seed=scenario.seed,
         label=scenario.label,
         traj=traj,
-        diameters=diameters,
+        diameters=traj.diameter_series(sys_.clustering),
         report=report,
         verdict=verdict,
         limit=limit,
         bound=bound,
     )
-    write_trajectory_csv(os.path.join(outdir, "trajectory.csv"), traj)
-    write_json(os.path.join(outdir, "metrics.json"), doc)
-    return verdict.status, doc
+    return _Run(scenario, report, ok, traj, metrics, verdict, bound)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -190,34 +229,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _run_ensemble(args)
     if not args.config:
         raise ConfigError("--config required (or use --ensemble)")
-    scenario = _load(args)
+    run = _run_config(args)
     outdir = _outdir(args)
-    try:
-        traj = simulate(scenario.system, scenario.x0, scenario.horizon)
-    except DivergenceError as exc:
-        if exc.partial is not None and len(exc.partial) > 1:
-            write_trajectory_csv(
-                os.path.join(outdir, "trajectory.csv"), Trajectory(exc.partial)
-            )
-        write_json(
-            os.path.join(outdir, "metrics.json"),
-            {
-                "label": scenario.label,
-                "config_sha256": scenario.digest,
-                "seed": scenario.seed,
-                "diverged_at": exc.t,
-                "note": str(exc),
-            },
+    if run.traj.horizon >= 1:
+        write_trajectory_csv(os.path.join(outdir, "trajectory.csv"), run.traj)
+    write_json(os.path.join(outdir, "metrics.json"), run.metrics)
+    if run.verdict is not None:
+        print(
+            f"{run.scenario.label}: verdict {run.verdict.status}"
+            f" (predicted {run.verdict.predicted});"
+            f" final intra diameter {run.verdict.final_diameter:.3e}"
         )
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    status, doc = _write_run_artifacts(scenario, traj, outdir)
-    rec = doc["reconcile"]
-    print(
-        f"{scenario.label}: verdict {status} (predicted {rec['predicted']});"
-        f" final intra diameter {rec['final_intra_diameter']:.3e}"
-    )
-    return EXIT_OK
+    return run.exit_code
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -292,50 +315,29 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    scenario = _load(args)
-    theorem = args.theorem or scenario.theorem
-    report, ok = _check_for(scenario, theorem)
-    print(f"config: {scenario.label}  claim: {theorem}")
-    print(render_condition_table(report))
-    print(f"overall: {'pass' if ok else 'FAIL'}")
-    traj = simulate(scenario.system, scenario.x0, scenario.horizon)
-    sys_ = scenario.system
-    limit = None
-    if sys_.signal is not None:
-        limit = detect_periodic_limit(
-            traj, sys_.clustering, sys_.signal.period, tol=scenario.thresholds.periodic
-        )
-    bound = boundedness_report(sys_, traj)
-    verdict = reconcile(report, sys_, traj, limit, scenario.thresholds)
-    print(f"verdict: {verdict.status}")
-    print(
-        f"final intra diameter: {verdict.final_diameter:.6e}"
-        f" (threshold {verdict.sync_threshold:.3e})"
-    )
-    if verdict.min_separation is not None:
+    run = _run_config(args)
+    verdict, bound = run.verdict, run.bound
+    print(f"config: {run.scenario.label}  claim: {run.scenario.theorem}")
+    print(render_condition_table(run.report))
+    print(f"overall: {'pass' if run.ok else 'FAIL'}")
+    if verdict is not None:
+        print(f"verdict: {verdict.status}")
         print(
-            f"smallest cluster separation: {verdict.min_separation:.6e}"
-            f" (threshold {verdict.separation_threshold:.1e})"
+            f"final intra diameter: {verdict.final_diameter:.6e}"
+            f" (threshold {verdict.sync_threshold:.3e})"
         )
-    if bound.applicable and bound.bound is not None:
-        print(f"peak norm {bound.max_norm:.6g} within bound {bound.bound:.6g}")
-    else:
-        print(f"peak norm {bound.max_norm:.6g} ({bound.note})")
+        if verdict.min_separation is not None:
+            print(
+                f"smallest cluster separation: {verdict.min_separation:.6e}"
+                f" (threshold {verdict.separation_threshold:.1e})"
+            )
+        if bound.applicable and bound.bound is not None:
+            print(f"peak norm {bound.max_norm:.6g} within bound {bound.bound:.6g}")
+        else:
+            print(f"peak norm {bound.max_norm:.6g} ({bound.note})")
     if args.out:
-        outdir = _outdir(args)
-        doc = metrics_document(
-            digest=scenario.digest,
-            seed=scenario.seed,
-            label=scenario.label,
-            traj=traj,
-            diameters=traj.diameter_series(sys_.clustering),
-            report=report,
-            verdict=verdict,
-            limit=limit,
-            bound=bound,
-        )
-        write_json(os.path.join(outdir, "metrics.json"), doc)
-    return EXIT_OK
+        write_json(os.path.join(_outdir(args), "metrics.json"), run.metrics)
+    return run.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,9 +404,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InfeasibleError) as exc:
+    except (ConfigError, ClaimError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
     except BeliefRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDITY

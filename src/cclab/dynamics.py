@@ -126,21 +126,10 @@ class Trajectory:
         return float(np.abs(self.states).max())
 
 
-def step(sys: System, x: np.ndarray, t: int) -> np.ndarray:
-    """One update ``A(t) x + sigma u(t)``; raises on non-finite results."""
-    x = np.asarray(x, dtype=float)
-    nxt = sys.coupling_at(t) @ x
-    if sys.driven():
-        nxt = nxt + sys.offsets.vector() * eval_u(sys.signal, t)
-    if not np.all(np.isfinite(nxt)):
-        raise DivergenceError(t)
-    return nxt
-
-
-def _couplings(sys: System) -> tuple[np.ndarray, ...]:
-    if isinstance(sys.coupling, MatrixSchedule):
-        return sys.coupling.matrices
-    return (sys.coupling,)
+def _couplings(coupling: Coupling) -> tuple[np.ndarray, ...]:
+    if isinstance(coupling, MatrixSchedule):
+        return coupling.matrices
+    return (coupling,)
 
 
 def _drive(sigma: np.ndarray, signals: Sequence[Signal], horizon: int) -> np.ndarray:
@@ -212,7 +201,7 @@ def simulate(sys: System, x0: np.ndarray, horizon: int) -> Trajectory:
     drive = None
     if sys.driven():
         drive = _drive(sys.offsets.vector()[None], [sys.signal], horizon)
-    return _checked(_advance(_couplings(sys), drive, x0[None], horizon, 0)[:, 0])
+    return _checked(_advance(_couplings(sys.coupling), drive, x0[None], horizon, 0)[:, 0])
 
 
 def simulate_batch(
@@ -238,7 +227,7 @@ def simulate_batch(
         raise ValueError("need one initial state per system, all of one size")
     if not all(s.driven() for s in systems):
         raise ValueError("batched runs need driven systems")
-    mats = [_couplings(s) for s in systems]
+    mats = [_couplings(s.coupling) for s in systems]
     phases = math.lcm(*(len(m) for m in mats))
     couplings = [np.stack([m[t % len(m)] for m in mats]) for t in range(phases)]
     sigma = np.stack([s.offsets.vector() for s in systems])

@@ -16,9 +16,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import DivergenceError, Trajectory
+from .dynamics import DivergenceError, Trajectory, _advance, _couplings, _drive
 from .graph import Clustering
-from .signals import Signal, eval_u
+from .signals import Signal
 from .stochastic import MatrixSchedule
 
 DEFAULT_SLACK = 0.1
@@ -187,18 +187,6 @@ class LearningRun:
         return float(np.abs(self.beliefs.sum(axis=2) - 1.0).max())
 
 
-def zeta_metric(
-    profile: BeliefProfile, clustering: Clustering, p: int, q: int, state: int
-) -> float:
-    """Gap between two clusters' mean beliefs in one state."""
-    if p == q:
-        raise ValueError("zeta compares two distinct clusters")
-    b = profile.beliefs[:, state]
-    mp = float(b[list(clustering.clusters[p])].mean())
-    mq = float(b[list(clustering.clusters[q])].mean())
-    return abs(mp - mq)
-
-
 def _check_range(
     x: np.ndarray, t: int, state: int, slack: float, strength: float
 ) -> Optional[tuple[int, float]]:
@@ -216,24 +204,37 @@ def _check_range(
     return None
 
 
-def learn_step(
-    profile: BeliefProfile,
-    a: np.ndarray,
-    flags: CulturalFlags,
-    sig: Optional[Signal],
-    clustering: Clustering,
-    t: int,
-    slack: float = DEFAULT_SLACK,
-) -> BeliefProfile:
-    """One synchronous update of every agent's full belief vector."""
-    push = flags.strength * flags.expanded(clustering)
-    u = eval_u(sig, t) if sig is not None and flags.strength != 0.0 else 0.0
-    cols = []
-    for s in range(profile.m):
-        x = a @ profile.beliefs[:, s] + u * push[:, s]
-        _check_range(x, t + 1, s, slack, flags.strength)
-        cols.append(x)
-    return BeliefProfile(np.column_stack(cols), profile.labels)
+def _validity(rows: np.ndarray, slack: float, strength: float) -> ValidityLog:
+    """Range log of a run, ``rows[t, state, agent]`` after ``t`` steps.
+
+    States are scanned one after another, each in step order, as a per-state
+    run would meet them: the first non-finite row raises
+    :class:`DivergenceError`, the first row beyond the slack band
+    :class:`BeliefRangeError`.
+    """
+    excursions: list[tuple[int, int, int, float]] = []
+    count = 0
+    worst_low, worst_high = 0.0, 1.0
+    for s in range(rows.shape[1]):
+        x = rows[:, s]
+        finite = np.isfinite(x).all(axis=1)
+        stray = ~finite | (x.min(axis=1) < -1e-12) | (x.max(axis=1) > 1.0 + 1e-12)
+        for t in np.nonzero(stray[1:])[0] + 1:
+            if not finite[t]:
+                raise DivergenceError(int(t))
+            agent, value = _check_range(x[t], int(t), s, slack, strength)
+            count += 1
+            worst_low = min(worst_low, value)
+            worst_high = max(worst_high, value)
+            if len(excursions) < _LOG_CAP:
+                excursions.append((int(t), agent, s, value))
+    return ValidityLog(
+        ok=count == 0,
+        count=count,
+        worst_low=worst_low,
+        worst_high=worst_high,
+        excursions=tuple(excursions),
+    )
 
 
 def learn_simulate(
@@ -247,54 +248,33 @@ def learn_simulate(
 ) -> LearningRun:
     """Run the belief dynamics for ``horizon`` steps.
 
-    States evolve independently (the update is linear per state), so each is
-    integrated as its own driven trajectory; the per-state recursion is the
-    same arithmetic as the scalar simulation engine.
+    States evolve independently (the update is linear per state), so the
+    belief columns advance together as one batch of driven trajectories
+    through the simulation kernel.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if slack < 0:
+        raise ValueError("slack must be nonnegative")
     if profile0.n != clustering.n:
         raise ValueError("profile and clustering disagree on the agent count")
-    if isinstance(coupling, MatrixSchedule):
-        coupling_at = coupling.at
-    else:
-        mat = np.asarray(coupling, dtype=float)
-        coupling_at = lambda t: mat
-    push = flags.strength * flags.expanded(clustering)
-    n, m = profile0.n, profile0.m
-    out = np.empty((horizon + 1, n, m))
-    out[0] = profile0.beliefs
-    excursions: list[tuple[int, int, int, float]] = []
-    count = 0
-    worst_low, worst_high = 0.0, 1.0
-    for s in range(m):
-        x = profile0.beliefs[:, s].copy()
-        vec = push[:, s]
-        for t in range(horizon):
-            u = eval_u(sig, t) if sig is not None and flags.strength != 0.0 else 0.0
-            x = coupling_at(t) @ x + u * vec
-            if not np.isfinite(x).all():
-                raise DivergenceError(t + 1)
-            offender = _check_range(x, t + 1, s, slack, flags.strength)
-            if offender is not None:
-                agent, value = offender
-                count += 1
-                worst_low = min(worst_low, value)
-                worst_high = max(worst_high, value)
-                if len(excursions) < _LOG_CAP:
-                    excursions.append((t + 1, agent, s, value))
-            out[t + 1, :, s] = x
-    log = ValidityLog(
-        ok=count == 0,
-        count=count,
-        worst_low=worst_low,
-        worst_high=worst_high,
-        excursions=tuple(excursions),
-    )
+    if not isinstance(coupling, MatrixSchedule):
+        coupling = np.asarray(coupling, dtype=float)
+    # An overflowing push shows up in the range scan as a non-finite row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        push = flags.strength * flags.expanded(clustering).T
+        if sig is None or flags.strength == 0.0:
+            # A zero drive, not none: adding 0.0 * push can turn a -0.0
+            # belief into 0.0, and the written beliefs show the sign.
+            drive = (0.0 * push)[None, ..., None]
+        else:
+            drive = _drive(push, [sig] * profile0.m, horizon)
+    x0 = np.ascontiguousarray(profile0.beliefs.T)
+    rows = _advance(_couplings(coupling), drive, x0, horizon, 0)
     return LearningRun(
-        beliefs=out,
+        beliefs=rows.transpose(0, 2, 1),
         clustering=clustering,
         flags=flags,
-        validity=log,
+        validity=_validity(rows, slack, flags.strength),
         labels=profile0.labels,
     )

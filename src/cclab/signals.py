@@ -112,8 +112,3 @@ class ClusterOffsets:
 
     def reduced(self) -> np.ndarray:
         return np.array(self.alphas, dtype=float)
-
-
-def input_vector(offsets: ClusterOffsets, sig: Signal, t: int) -> np.ndarray:
-    """Additive term ``sigma * u(t)``; constant within clusters by construction."""
-    return offsets.vector() * eval_u(sig, t)

@@ -431,6 +431,41 @@ def assess_system(
     )
 
 
+class ClaimError(ValueError):
+    """The claim does not apply to the system."""
+
+
+def check_claim(
+    sys: System,
+    theorem: int,
+    window: Optional[int] = None,
+    horizon: Optional[int] = None,
+    thresholds: Thresholds = Thresholds(),
+) -> tuple[HypothesisReport, bool]:
+    """Hypotheses of claim ``theorem`` (1-4, numbered as in the module
+    docstring) and whether they hold: ``sync_ok`` for claims 1 and 3,
+    ``consensus_ok`` for claims 2 and 4.
+
+    Claim 3 predicts intra-cluster synchronization at most, even where the
+    consensus hypotheses hold too. Claims 1 and 2 on a switching system
+    raise :class:`ClaimError`.
+    """
+    if theorem not in (1, 2, 3, 4):
+        raise ValueError("claim number must be 1, 2, 3 or 4")
+    if theorem in (1, 2) and sys.is_switching:
+        raise ClaimError(f"claim {theorem} applies to fixed couplings only")
+    if theorem == 1:
+        report = check_theorem_static_sync(sys, horizon=horizon, thresholds=thresholds)
+    elif theorem == 2:
+        report = check_theorem_static_consensus(sys, thresholds=thresholds)
+    else:
+        report = check_switching(sys, window=window, horizon=horizon, thresholds=thresholds)
+    if theorem == 3:
+        report = replace(report, predicted="intra-sync" if report.sync_ok else "no-guarantee")
+    ok = report.sync_ok if theorem in (1, 3) else report.consensus_ok
+    return report, bool(ok)
+
+
 @dataclass(frozen=True)
 class ReconcileResult:
     """Prediction versus observation.
@@ -595,15 +630,7 @@ def ensemble_instance(
     sig = PeriodicInput(T, tuple(free))
     offsets = ClusterOffsets(clus, _distinct_alphas(rng, clus.k))
     sys = System(coupling=coupling, clustering=clus, offsets=offsets, signal=sig)
-    if theorem == 1:
-        report = check_theorem_static_sync(sys, horizon=horizon, thresholds=thresholds)
-    elif theorem == 2:
-        report = check_theorem_static_consensus(sys, thresholds=thresholds)
-    elif theorem == 3:
-        report = check_switching(sys, window=m, horizon=horizon, thresholds=thresholds)
-        report = replace(report, predicted="intra-sync" if report.sync_ok else "no-guarantee")
-    else:
-        report = check_switching(sys, window=m, horizon=horizon, thresholds=thresholds)
+    report, _ = check_claim(sys, theorem, window=m, horizon=horizon, thresholds=thresholds)
     x0 = rng.uniform(-1.0, 1.0, size=clus.n)
     return EnsembleInstance(sys, report, x0)
 

@@ -118,6 +118,38 @@ def test_simulate_switching_example(config_b, tmp_path):
     assert doc["bound_report"]["applicable"] is False
 
 
+def test_simulate_theorem_flag_picks_the_claim(config_a, tmp_path):
+    d = tmp_path / "claim1"
+    assert main(["simulate", "--config", config_a, "--theorem", "1", "--out", str(d)]) == 0
+    doc = json.loads((d / "metrics.json").read_text())
+    assert doc["hypotheses"]["claim"] == "static-sync"
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_a_failed_verdict_exits_2(command, tmp_path, capsys):
+    doc = example_config("A")
+    doc["horizon"] = 8
+    path = tmp_path / "short.json"
+    emit_config(doc, str(path))
+    d = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(d)]) == 2
+    assert "FAIL" in capsys.readouterr().out
+    assert json.loads((d / "metrics.json").read_text())["reconcile"]["status"] == "FAIL"
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_a_horizon_shorter_than_four_periods_is_an_input_error(command, tmp_path, capsys):
+    doc = example_config("A")
+    doc["horizon"] = 5
+    path = tmp_path / "short.json"
+    emit_config(doc, str(path))
+    d = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon 5 too short") and err.count("\n") == 1
+    assert not d.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_simulate_reports_divergence(tmp_path, capsys):
     doc = example_config("A")
@@ -137,6 +169,22 @@ def test_simulate_reports_divergence(tmp_path, capsys):
     assert metrics["diverged_at"] == 1
     rows = (d / "trajectory.csv").read_text().splitlines()
     assert len(rows) == 3  # header + the finite prefix x(0), x(1)
+
+
+def test_report_on_a_diverging_run_writes_the_simulate_metrics(tmp_path, capsys):
+    doc = example_config("A")
+    doc["initial_state"] = [1.5e308] * 9
+    doc["signal"]["strength"] = 1e308
+    path = tmp_path / "hot.json"
+    emit_config(doc, str(path))
+    runs = {}
+    for command in ("simulate", "report"):
+        d = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(d)]) == 3
+        assert capsys.readouterr().err == "error: non-finite state at step 0\n"
+        runs[command] = (d / "metrics.json").read_bytes()
+    assert runs["report"] == runs["simulate"]
+    assert json.loads(runs["report"])["diverged_at"] == 0
 
 
 def test_simulate_requires_a_config_or_ensemble(capsys):
@@ -165,6 +213,14 @@ def test_ensemble_count_below_one_is_an_input_error(count, capsys):
     assert main(["simulate", "--ensemble", count, "--theorem", "2", "--seed", "1"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: --ensemble needs at least 1 instance, got {count}\n"
+
+
+def test_ensemble_horizon_below_one_is_an_input_error(config_a, capsys):
+    argv = ["simulate", "--ensemble", "3", "--theorem", "2", "--seed", "1", "--horizon", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: horizon must be at least 1, got 0\n"
+    assert main(["simulate", "--ensemble", "3", "--config", config_a, "--horizon", "0"]) == 1
+    assert capsys.readouterr().err == "error: horizon must be at least 1, got 0\n"
 
 
 def test_ensemble_requires_theorem_and_seed(capsys):
@@ -255,6 +311,16 @@ def test_learn_range_violation_exit_code(tmp_path, capsys):
     emit_config(doc, str(path))
     assert main(["learn", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
     assert "reduce the influence strength" in capsys.readouterr().err
+
+
+def test_learn_divergence_exit_code(tmp_path, capsys):
+    doc = example_config("A")
+    doc["learning"]["strength"] = 1e308
+    doc["learning"]["flags"] = [[2, -2], [0, 0], [-2, 2]]
+    path = tmp_path / "hot.json"
+    emit_config(doc, str(path))
+    assert main(["learn", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: non-finite state at step 1\n"
 
 
 def test_learn_without_learning_section(tmp_path, capsys):

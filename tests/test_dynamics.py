@@ -13,7 +13,6 @@ from cclab.dynamics import (
     quotient_simulate,
     separation_metric,
     simulate,
-    step,
     z_limits,
 )
 from cclab.generate import (
@@ -60,8 +59,10 @@ def test_simulate_matches_hand_rolled_recursion():
 def test_step_agrees_with_simulate():
     sys = example_system_static()
     traj = simulate(sys, X0, 3)
-    assert np.array_equal(step(sys, X0, 0), traj.states[1])
-    assert np.array_equal(step(sys, traj.states[1], 1), traj.states[2])
+    a = sys.coupling
+    sigma = sys.offsets.vector()
+    assert np.array_equal(a @ X0 + sigma * sys.signal.value(0), traj.states[1])
+    assert np.array_equal(a @ traj.states[1] + sigma * sys.signal.value(1), traj.states[2])
 
 
 def test_simulate_validates_inputs():

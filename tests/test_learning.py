@@ -17,11 +17,11 @@ from cclab.learning import (
     BeliefProfile,
     BeliefRangeError,
     CulturalFlags,
+    LearningRun,
+    ValidityLog,
     learn_simulate,
-    learn_step,
-    zeta_metric,
 )
-from cclab.signals import ClusterOffsets
+from cclab.signals import ClusterOffsets, SequenceInput
 
 
 def example_learning(strength=0.01, horizon=2000, profile0=None, slack=0.1):
@@ -76,7 +76,7 @@ def test_learn_step_matches_manual_update():
     prof = BeliefProfile.uniform(9, 2)
     a = example_matrix_static()
     sig = example_signal()
-    nxt = learn_step(prof, a, flags, sig, clus, t=0)
+    nxt = learn_simulate(a, clus, flags, sig, prof, horizon=1).profile(1)
     push = 0.01 * flags.expanded(clus)
     for s in range(2):
         manual = a @ prof.beliefs[:, s] + sig.value(0) * push[:, s]
@@ -136,14 +136,15 @@ def test_zeta_separates_driven_clusters_and_collapses_undriven():
 
 def test_zeta_metric_matches_hand_means():
     clus = Clustering.from_sizes((2, 2))
-    prof = BeliefProfile(
-        np.array([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8], [0.4, 0.6]])
-    )
+    beliefs = np.array([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8], [0.4, 0.6]])
+    flags = CulturalFlags(np.zeros((2, 2)), strength=0.0)
+    valid = ValidityLog(ok=True, count=0, worst_low=0.0, worst_high=1.0)
+    run = LearningRun(beliefs[None], clus, flags, valid, ("theta_1", "theta_2"))
     # cluster means for state 0: 0.8 vs 0.3
-    assert zeta_metric(prof, clus, 0, 1, 0) == pytest.approx(0.5)
-    assert zeta_metric(prof, clus, 0, 1, 1) == pytest.approx(0.5)
+    assert run.zeta_series(0, 1, 0)[0] == pytest.approx(0.5)
+    assert run.zeta_series(0, 1, 1)[0] == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        zeta_metric(prof, clus, 1, 1, 0)
+        run.zeta_series(1, 1, 0)
 
 
 def test_zeta_series_rejects_equal_clusters():
@@ -177,6 +178,33 @@ def test_small_excursions_are_logged_not_fatal():
     assert doc["first_excursions"][0]["agent"] >= 1
 
 
+def test_excursions_are_logged_state_by_state_in_step_order():
+    """Pinned log: all of state 1's excursions precede state 2's, and the
+    log stops at 64 entries while the count goes on."""
+    skewed = np.tile([0.001, 0.999], (9, 1))
+    log = example_learning(
+        strength=0.05, horizon=50, profile0=BeliefProfile(skewed)
+    ).validity
+    assert (log.count, log.worst_low, log.worst_high) == (100, -0.049, 1.049)
+    state1 = [(t, 6, 0, -0.049) if t % 2 else (t, 3, 0, -0.024) for t in range(1, 51)]
+    state2 = [(t, 6, 1, 1.049) if t % 2 else (t, 3, 1, 1.024) for t in range(1, 15)]
+    assert log.excursions == tuple(state1 + state2)
+
+
+def test_an_earlier_state_fails_before_a_later_one_is_scanned():
+    """State 2 leaves the band at step 1, state 1 only at step 4; the error
+    names state 1."""
+    flags = CulturalFlags(
+        np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]]), strength=1.0
+    )
+    prof = BeliefProfile(np.tile([0.5, -0.5, 1.0], (9, 1)))
+    sig = SequenceInput((0.0, 0.0, 0.0, 1.0, 0.0, 0.0))
+    with pytest.raises(BeliefRangeError) as info:
+        learn_simulate(example_matrix_static(), example_clustering(), flags, sig, prof, 6)
+    err = info.value
+    assert (err.t, err.state, err.agent, err.value) == (4, 0, 6, -0.5)
+
+
 def test_tight_slack_turns_the_same_run_fatal():
     skewed = np.tile([0.001, 0.999], (9, 1))
     with pytest.raises(BeliefRangeError):
@@ -200,6 +228,10 @@ def test_learn_simulate_validates_arguments():
     prof = BeliefProfile.uniform(9, 2)
     with pytest.raises(ValueError):
         learn_simulate(example_matrix_static(), clus, flags, example_signal(), prof, 0)
+    with pytest.raises(ValueError):
+        learn_simulate(
+            example_matrix_static(), clus, flags, example_signal(), prof, 10, slack=-0.1
+        )
     with pytest.raises(ValueError):
         learn_simulate(
             example_matrix_static(), Clustering.from_sizes((4, 5)), flags,

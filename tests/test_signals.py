@@ -9,7 +9,6 @@ from cclab.signals import (
     PeriodicInput,
     SequenceInput,
     eval_u,
-    input_vector,
     partial_sum_bound,
 )
 
@@ -85,8 +84,8 @@ def test_input_vector_is_cluster_constant():
     offs = ClusterOffsets(clus, (2.0, -1.0))
     sig = PeriodicInput(2, (-1.0,))
     for t in range(4):
-        vec = input_vector(offs, sig, t)
+        vec = offs.vector() * eval_u(sig, t)
         for members in clus.clusters:
             vals = vec[list(members)]
             assert float(vals.max() - vals.min()) == 0.0
-    assert input_vector(offs, sig, 0).tolist() == [2.0, -1.0, 2.0, -1.0, -1.0]
+    assert (offs.vector() * eval_u(sig, 0)).tolist() == [2.0, -1.0, 2.0, -1.0, -1.0]

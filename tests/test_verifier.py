@@ -15,14 +15,16 @@ from cclab.dynamics import (
     simulate,
     simulate_batch,
 )
-from cclab.generate import examples
+from cclab.generate import EXAMPLE_WINDOW, examples
 from cclab.graph import Clustering
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
 from cclab.verifier import (
     PERIOD_SUM_NOTE,
+    ClaimError,
     HypothesisReport,
     Thresholds,
     assess_system,
+    check_claim,
     check_switching,
     check_theorem_static_consensus,
     check_theorem_static_sync,
@@ -308,6 +310,30 @@ def test_report_to_dict_structure():
     assert {c["name"] for c in doc["conditions"]} >= {"common-influence"}
     with pytest.raises(KeyError):
         check_theorem_static_sync(STATIC).condition("no-such-condition")
+
+
+@pytest.mark.parametrize(
+    "system, theorem, claim, predicted",
+    [
+        (STATIC, 1, "static-sync", "intra-sync"),
+        (STATIC, 2, "static-consensus", "cluster-consensus"),
+        (SWITCHING, 3, "switching", "intra-sync"),
+        (SWITCHING, 4, "switching", "cluster-consensus"),
+    ],
+)
+def test_check_claim_dispatches_each_claim(system, theorem, claim, predicted):
+    report, ok = check_claim(system, theorem, window=EXAMPLE_WINDOW)
+    assert ok is True
+    assert report.claim == claim
+    assert report.predicted == predicted
+
+
+def test_check_claim_rejects_static_claims_on_switching_systems():
+    for theorem in (1, 2):
+        with pytest.raises(ClaimError, match="fixed couplings only"):
+            check_claim(SWITCHING, theorem)
+    with pytest.raises(ValueError):
+        check_claim(STATIC, 5)
 
 
 @pytest.mark.parametrize("theorem", [1, 2, 3, 4])
