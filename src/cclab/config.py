@@ -391,7 +391,10 @@ def build_scenario(doc: dict) -> Scenario:
         where = "/".join(str(p) for p in exc.absolute_path) or "(root)"
         raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
 
-    clustering = _build_clustering(doc["clustering"])
+    try:
+        clustering = _build_clustering(doc["clustering"])
+    except ValueError as exc:
+        raise ConfigError(f"clustering: {exc}") from exc
     try:
         coupling = _build_topology(doc, clustering)
     except (ValueError, RuntimeError) as exc:

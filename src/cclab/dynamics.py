@@ -83,11 +83,6 @@ class System:
     def is_switching(self) -> bool:
         return isinstance(self.coupling, MatrixSchedule)
 
-    def coupling_at(self, t: int) -> np.ndarray:
-        if isinstance(self.coupling, MatrixSchedule):
-            return self.coupling.at(t)
-        return self.coupling
-
     def driven(self) -> bool:
         return self.offsets is not None and self.signal is not None
 
@@ -183,11 +178,11 @@ def _advance(
 
 def _checked(states: np.ndarray) -> Trajectory:
     """The trajectory, or :class:`DivergenceError` at its first non-finite
-    step."""
-    bad = ~np.isfinite(states[1:]).all(axis=1)
+    state ``x(t)``, with the states before it as the partial trajectory."""
+    bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
         t = int(bad.argmax())
-        raise DivergenceError(t, partial=states[: t + 1].copy())
+        raise DivergenceError(t, partial=states[:t].copy())
     return Trajectory(states)
 
 

@@ -105,6 +105,37 @@ def resolve_quotient(spec: GeneratorSpec) -> np.ndarray:
     return validate(b)
 
 
+def _random_tree(members: Sequence[int], rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Edges ``(parent, child)`` of a random arborescence spanning ``members``."""
+    order = [members[i] for i in rng.permutation(len(members))]
+    return [(order[int(rng.integers(idx))], order[idx]) for idx in range(1, len(order))]
+
+
+def _cover_block(
+    edges: set[tuple[int, int]],
+    targets: Sequence[int],
+    sources: Sequence[int],
+    mass: float,
+    spec: GeneratorSpec,
+    rng: np.random.Generator,
+) -> None:
+    """Give every target an in-neighbor among ``sources``, then add extra
+    source links per ``spec.density`` up to the in-degree the entry floor
+    allows for block mass ``mass``."""
+    cap = int(mass / spec.entry_floor)
+    for v in targets:
+        have = sum(1 for u in sources if (u, v) in edges)
+        if not have:
+            edges.add((sources[int(rng.integers(len(sources)))], v))
+            have = 1
+        room = cap - have
+        if room <= 0 or spec.density == 0.0:
+            continue
+        candidates = [u for u in sources if (u, v) not in edges]
+        picks = [u for u in candidates if rng.random() < spec.density]
+        edges.update((u, v) for u in picks[:room])
+
+
 def gen_graph_with_cluster_trees(spec: GeneratorSpec) -> DirectedGraph:
     """Seeded graph with self-links, cluster spanning trees, and the
     common-link property, with extra edges per ``density``.
@@ -118,28 +149,11 @@ def gen_graph_with_cluster_trees(spec: GeneratorSpec) -> DirectedGraph:
     rng = np.random.default_rng(_streams(spec.seed)["graph"])
     edges = {(v, v) for v in range(spec.n)}
     for members in clus.clusters:
-        order = [members[i] for i in rng.permutation(len(members))]
-        for idx in range(1, len(order)):
-            parent = order[int(rng.integers(idx))]
-            edges.add((parent, order[idx]))
-    e = spec.entry_floor
+        edges.update(_random_tree(members, rng))
     for p, targets in enumerate(clus.clusters):
         for q, sources in enumerate(clus.clusters):
-            if b[p, q] <= 0:
-                continue
-            cap = int(b[p, q] / e)  # max in-degree the floor allows per row
-            for v in targets:
-                have = [u for u in sources if (u, v) in edges]
-                if not have and p != q:
-                    u = sources[int(rng.integers(len(sources)))]
-                    edges.add((u, v))
-                    have.append(u)
-                room = cap - len(have)
-                if room <= 0 or spec.density == 0.0:
-                    continue
-                candidates = [u for u in sources if (u, v) not in edges]
-                picks = [u for u in candidates if rng.random() < spec.density]
-                edges.update((u, v) for u in picks[:room])
+            if b[p, q] > 0:
+                _cover_block(edges, targets, sources, b[p, q], spec, rng)
     g = DirectedGraph(spec.n, frozenset(edges))
     if cluster_spanning_tree_roots(g, clus) is None or not has_common_link_property(g, clus):
         raise RuntimeError("generated graph failed its own structural checks")
@@ -154,6 +168,8 @@ def _matrix_on_graph(
     mode: str,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    if mode not in ("random", "equal"):
+        raise ValueError(f"unknown split mode {mode!r}")
     inn = g.in_neighbors()
     n = clus.n
     a = np.zeros((n, n))
@@ -203,8 +219,6 @@ def gen_common_influence_matrix(
     splits the remaining block mass by a seeded symmetric Dirichlet draw;
     ``mode="equal"`` divides each block mass evenly over the in-neighbors.
     """
-    if mode not in ("random", "equal"):
-        raise ValueError(f"unknown split mode {mode!r}")
     b = resolve_quotient(spec)
     rng = np.random.default_rng(_streams(spec.seed)["matrix"])
     return _matrix_on_graph(b, spec.clustering(), g, spec.entry_floor, mode, rng)
@@ -227,15 +241,11 @@ def gen_switching_schedule(
         raise ValueError("need at least one matrix")
     if window < m:
         raise ValueError("window must cover the whole schedule period")
+    if m == 1:
+        a = gen_common_influence_matrix(spec, gen_graph_with_cluster_trees(spec), mode)
+        return MatrixSchedule((a,), floor=spec.entry_floor)
     clus = spec.clustering()
     b = resolve_quotient(spec)
-    if m == 1:
-        g = gen_graph_with_cluster_trees(spec)
-        rng = np.random.default_rng(_streams(spec.seed)["matrix"])
-        return MatrixSchedule(
-            (_matrix_on_graph(b, clus, g, spec.entry_floor, mode, rng),),
-            floor=spec.entry_floor,
-        )
     rng = np.random.default_rng(_streams(spec.seed)["schedule"])
 
     def anchors(q: np.ndarray) -> list[int]:
@@ -262,15 +272,7 @@ def gen_switching_schedule(
             f" cross-blocks (diagonal-only quotient rows); spec has {pool_size}"
         )
 
-    trees: list[list[tuple[int, int]]] = []
-    for members in clus.clusters:
-        order = [members[i] for i in rng.permutation(len(members))]
-        trees.append(
-            [
-                (order[int(rng.integers(idx))], order[idx])
-                for idx in range(1, len(order))
-            ]
-        )
+    trees = [_random_tree(members, rng) for members in clus.clusters]
     pool = [(p, j) for p in anchors(b) for j in range(len(trees[p]))]
     order = rng.permutation(len(pool))
     drops = [pool[order[l % len(pool)]] for l in range(m)]
@@ -282,21 +284,8 @@ def gen_switching_schedule(
             edges.update(e for j, e in enumerate(tree) if (p, j) != drops[l])
         for p, targets in enumerate(clus.clusters):
             for q, sources in enumerate(clus.clusters):
-                if b[p, q] <= 0 or p == q:
-                    continue
-                cap = int(b[p, q] / spec.entry_floor)
-                for v in targets:
-                    have = [u for u in sources if (u, v) in edges]
-                    if not have:
-                        u = sources[int(rng.integers(len(sources)))]
-                        edges.add((u, v))
-                        have.append(u)
-                    room = cap - len(have)
-                    if room <= 0 or spec.density == 0.0:
-                        continue
-                    candidates = [u for u in sources if (u, v) not in edges]
-                    picks = [u for u in candidates if rng.random() < spec.density]
-                    edges.update((u, v) for u in picks[:room])
+                if b[p, q] > 0 and p != q:
+                    _cover_block(edges, targets, sources, b[p, q], spec, rng)
         graphs.append(DirectedGraph(spec.n, frozenset(edges)))
 
     for l, g in enumerate(graphs):
@@ -368,10 +357,7 @@ def random_clustered_tree_matrix(
     n = clustering.n
     edges = {(v, v) for v in range(n)}
     for members in clustering.clusters:
-        order = [members[i] for i in rng.permutation(len(members))]
-        for idx in range(1, len(order)):
-            parent = order[int(rng.integers(idx))]
-            edges.add((parent, order[idx]))
+        edges.update(_random_tree(members, rng))
     extra = rng.random((n, n)) < density
     for u in range(n):
         for v in range(n):

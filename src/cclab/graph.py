@@ -127,11 +127,7 @@ def has_self_links(g: DirectedGraph) -> bool:
     return all((v, v) in g.edges for v in range(g.n))
 
 
-def reachable_set(g: DirectedGraph, v: int) -> set[int]:
-    """Vertices reachable from ``v`` by directed paths; always contains ``v``."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    succ = g.successors()
+def _bfs(succ: list[list[int]], v: int) -> set[int]:
     seen = {v}
     queue = deque([v])
     while queue:
@@ -143,37 +139,43 @@ def reachable_set(g: DirectedGraph, v: int) -> set[int]:
     return seen
 
 
-def cluster_spanning_tree_roots(
-    g: DirectedGraph, clustering: Clustering
-) -> Optional[list[int]]:
-    """One valid root per cluster, or None if some cluster has no root.
+def reachable_set(g: DirectedGraph, v: int) -> set[int]:
+    """Vertices reachable from ``v`` by directed paths; always contains ``v``."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    return _bfs(g.successors(), v)
+
+
+def cluster_roots(g: DirectedGraph, clustering: Clustering) -> list[Optional[int]]:
+    """One root per cluster, or None where the cluster has none.
 
     A root of cluster ``C_p`` is any vertex whose reachable set covers
     ``C_p``; it may lie outside ``C_p`` and may serve several clusters.
     Candidates are scanned in descending vertex order and the first valid
-    one is returned, which makes the output deterministic.
+    one is returned, which makes the output deterministic. Each reachable
+    set is computed at most once, when the scan first needs it.
     """
-    reach = {v: reachable_set(g, v) for v in range(g.n)}
-    roots: list[int] = []
+    succ = g.successors()
+    reach: dict[int, set[int]] = {}
+
+    def covers(v: int, target: set[int]) -> bool:
+        if v not in reach:
+            reach[v] = _bfs(succ, v)
+        return target <= reach[v]
+
+    roots: list[Optional[int]] = []
     for members in clustering.clusters:
         target = set(members)
-        root = next(
-            (v for v in range(g.n - 1, -1, -1) if target <= reach[v]), None
-        )
-        if root is None:
-            return None
-        roots.append(root)
+        roots.append(next((v for v in range(g.n - 1, -1, -1) if covers(v, target)), None))
     return roots
 
 
-def rootless_clusters(g: DirectedGraph, clustering: Clustering) -> list[int]:
-    """Indices of clusters for which no vertex reaches every member."""
-    out = []
-    for p, members in enumerate(clustering.clusters):
-        target = set(members)
-        if not any(target <= reachable_set(g, v) for v in range(g.n)):
-            out.append(p)
-    return out
+def cluster_spanning_tree_roots(
+    g: DirectedGraph, clustering: Clustering
+) -> Optional[list[int]]:
+    """:func:`cluster_roots`, or None if some cluster has no root."""
+    roots = cluster_roots(g, clustering)
+    return None if None in roots else roots
 
 
 def is_cluster_scrambling(g: DirectedGraph, clustering: Clustering) -> bool:
@@ -193,20 +195,27 @@ def is_cluster_scrambling(g: DirectedGraph, clustering: Clustering) -> bool:
     return True
 
 
+def in_cover(g: DirectedGraph, clustering: Clustering) -> np.ndarray:
+    """(n, K) table: ``[v, q]`` is True iff vertex ``v`` has an in-neighbor
+    in ``C_q``."""
+    cover = np.zeros((g.n, clustering.k), dtype=bool)
+    edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+    cover[edges[:, 1], clustering.labels()[edges[:, 0]]] = True
+    return cover
+
+
 def common_link_violations(
     g: DirectedGraph, clustering: Clustering
 ) -> list[tuple[int, int, int]]:
     """Triples ``(p, q, v)``: cluster pair with some cross links where vertex
     ``v`` of ``C_p`` has no in-neighbor in ``C_q``."""
-    inn = g.in_neighbors()
+    cover = in_cover(g, clustering)
     violations = []
     for p, targets in enumerate(clustering.clusters):
-        for q, sources in enumerate(clustering.clusters):
-            src = set(sources)
-            covered = [v for v in targets if inn[v] & src]
-            if covered and len(covered) < len(targets):
-                hit = set(covered)
-                violations.extend((p, q, v) for v in targets if v not in hit)
+        rows = cover[list(targets)]
+        for q, covered in enumerate(rows.sum(axis=0).tolist()):
+            if 0 < covered < len(targets):
+                violations.extend((p, q, v) for v, h in zip(targets, rows[:, q]) if not h)
     return violations
 
 

@@ -39,10 +39,11 @@ from .dynamics import (
 from .generate import GeneratorSpec, gen_common_influence_matrix, gen_graph_with_cluster_trees, gen_switching_schedule
 from .graph import (
     Clustering,
-    common_link_violations,
+    cluster_roots,
     cluster_spanning_tree_roots,
+    common_link_violations,
     graph_of_matrix,
-    rootless_clusters,
+    in_cover,
     union_graph,
 )
 from .signals import ClusterOffsets, PeriodicInput, partial_sum_bound
@@ -115,13 +116,13 @@ class HypothesisReport:
 
 
 def _trees_check(g, clus: Clustering) -> ConditionCheck:
-    roots = cluster_spanning_tree_roots(g, clus)
-    if roots is not None:
+    roots = cluster_roots(g, clus)
+    bad = [p + 1 for p, r in enumerate(roots) if r is None]
+    if not bad:
         detail = f"roots {tuple(r + 1 for r in roots)} (1-based)"
     else:
-        bad = [p + 1 for p in rootless_clusters(g, clus)]
         detail = f"clusters without roots (1-based): {bad}"
-    return ConditionCheck("cluster-spanning-trees", roots is not None, detail)
+    return ConditionCheck("cluster-spanning-trees", not bad, detail)
 
 
 def _input_bounded_check(sys: System, horizon: Optional[int]) -> ConditionCheck:
@@ -276,14 +277,15 @@ def check_switching(
 
     # Property A: per ordered cluster pair, the cross-link branch (absent vs
     # full coverage) must be the same in every graph of the set.
+    # counts[l][p, q]: vertices of C_p with an in-neighbor in C_q in graph l.
+    member = (clus.labels()[:, None] == np.arange(clus.k)).astype(int)
+    counts = [member.T @ in_cover(g, clus) for g in graphs]
     prop_a_bad: list[str] = []
     for p in range(clus.k):
         for q in range(clus.k):
             branches = set()
-            for l, g in enumerate(graphs):
-                inn = g.in_neighbors()
-                src = set(clus.clusters[q])
-                covered = sum(1 for v in clus.clusters[p] if inn[v] & src)
+            for l, table in enumerate(counts):
+                covered = table[p, q]
                 if covered == 0:
                     branches.add("none")
                 elif covered == len(clus.clusters[p]):

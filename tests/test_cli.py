@@ -166,7 +166,7 @@ def test_simulate_reports_divergence(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(d)]) == 3
     assert "non-finite" in capsys.readouterr().err
     metrics = json.loads((d / "metrics.json").read_text())
-    assert metrics["diverged_at"] == 1
+    assert metrics["diverged_at"] == 2
     rows = (d / "trajectory.csv").read_text().splitlines()
     assert len(rows) == 3  # header + the finite prefix x(0), x(1)
 
@@ -181,10 +181,10 @@ def test_report_on_a_diverging_run_writes_the_simulate_metrics(tmp_path, capsys)
     for command in ("simulate", "report"):
         d = tmp_path / command
         assert main([command, "--config", str(path), "--out", str(d)]) == 3
-        assert capsys.readouterr().err == "error: non-finite state at step 0\n"
+        assert capsys.readouterr().err == "error: non-finite state at step 1\n"
         runs[command] = (d / "metrics.json").read_bytes()
     assert runs["report"] == runs["simulate"]
-    assert json.loads(runs["report"])["diverged_at"] == 0
+    assert json.loads(runs["report"])["diverged_at"] == 1
 
 
 def test_simulate_requires_a_config_or_ensemble(capsys):
@@ -350,6 +350,22 @@ def test_bad_config_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["check", "--config", str(tmp_path / "absent.json")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "clusters, message",
+    [
+        ([[0, 1, 2], [2, 3, 4], [5, 6, 7, 8]], "vertex 2 appears in two clusters"),
+        ([[0, 1, 2], [3, 4, 5], [6, 7, 9]], "vertices not covered by any cluster: [8]"),
+    ],
+)
+def test_invalid_clusters_are_an_input_error(tmp_path, capsys, clusters, message):
+    doc = example_config("A")
+    doc["clustering"] = {"clusters": clusters}
+    path = tmp_path / "clusters.json"
+    emit_config(doc, str(path))
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: clustering: {message}\n"
 
 
 def test_unknown_subcommand_is_a_usage_error():

@@ -1,5 +1,6 @@
 """Config schema validation, scenario materialization, and reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -224,6 +225,20 @@ def test_generated_config_inlines_the_instance():
     assert scen.window == 2
     assert scen.theorem == 4
     assert scen.horizon == 5000
+
+
+@pytest.mark.parametrize(
+    "m, digest",
+    [
+        (1, "bda4f04ba26bdc3223c936f327054177b97b814b0b74cc477624dd0bdd9ab63d"),
+        (3, "a6c0449d58eab0c71619bd6126dffd8e8c5c01e11c45eabbb697416fa65d6b44"),
+    ],
+)
+def test_generated_config_bytes_are_pinned(m, digest):
+    """Guards the generator's random stream: any change to the order of the
+    draws or to the edges they pick changes the emitted document."""
+    doc = generated_config((3, 4, 2, 5), seed=7, m=m, density=0.5)
+    assert hashlib.sha256(emit_config(doc).encode()).hexdigest() == digest
 
 
 def test_switching_config_defaults_window_to_the_period():

@@ -83,7 +83,7 @@ def test_divergence_carries_partial_trajectory():
     )
     with pytest.raises(DivergenceError) as info:
         simulate(sys, np.array([1.0, 2.0]), 4)
-    assert info.value.t == 2
+    assert info.value.t == 3  # x(3) = x(2) + sigma * u(2) is the first non-finite state
     assert info.value.partial.shape == (3, 2)
     assert np.array_equal(info.value.partial[0], [1.0, 2.0])
 

@@ -21,11 +21,11 @@ from cclab.generate import (
     resolve_quotient,
 )
 from cclab.graph import (
+    cluster_roots,
     cluster_spanning_tree_roots,
     graph_of_matrix,
     has_common_link_property,
     has_self_links,
-    rootless_clusters,
     union_graph,
 )
 from cclab.stochastic import has_common_influence, quotient_matrix
@@ -129,7 +129,7 @@ def test_switching_schedule_structure():
             assert np.abs(q - b).max() < 1e-12  # one static quotient across the schedule
         g = graph_of_matrix(mat)
         graphs.append(g)
-        assert rootless_clusters(g, clus), "an individual graph must miss some tree"
+        assert None in cluster_roots(g, clus), "an individual graph must miss some tree"
         positive = mat[mat > 0]
         assert positive.min() >= spec.entry_floor - 1e-12
         assert np.diag(mat).min() >= spec.entry_floor - 1e-12
@@ -160,6 +160,9 @@ def test_switching_schedule_argument_validation():
         gen_switching_schedule(spec, m=0, window=1)
     with pytest.raises(ValueError):
         gen_switching_schedule(spec, m=3, window=2)
+    for m in (1, 2):
+        with pytest.raises(ValueError, match="split mode"):
+            gen_switching_schedule(spec, m=m, window=m, mode="bogus")
 
 
 def test_switching_single_matrix_reduces_to_the_static_generator():

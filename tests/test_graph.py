@@ -6,14 +6,15 @@ import pytest
 from cclab.graph import (
     Clustering,
     DirectedGraph,
+    cluster_roots,
     cluster_spanning_tree_roots,
     common_link_violations,
     graph_of_matrix,
     has_common_link_property,
     has_self_links,
+    in_cover,
     is_cluster_scrambling,
     reachable_set,
-    rootless_clusters,
     union_graph,
 )
 from cclab.generate import (
@@ -90,22 +91,21 @@ def test_roots_match_bruteforce_descending_scan():
             assert got is None
 
 
-def test_rootless_clusters_agrees_with_root_search():
+def test_cluster_roots_marks_rootless_clusters():
+    """Each entry is the largest covering vertex, or None where the closure
+    shows no vertex reaching the whole cluster."""
     rng = np.random.default_rng(3)
     for _ in range(40):
         n = int(rng.integers(2, 9))
         g = random_graph(rng, n, p=0.15, self_loops=bool(rng.integers(2)))
         clus = random_clustering_of(rng, n)
-        missing = rootless_clusters(g, clus)
-        roots = cluster_spanning_tree_roots(g, clus)
-        if missing:
-            assert roots is None
-        else:
-            assert roots is not None
+        roots = cluster_roots(g, clus)
         reach = closure_matrix(g)
-        for p, members in enumerate(clus.clusters):
-            has_root = any(all(reach[v, m] for m in members) for v in range(n))
-            assert (p not in missing) == has_root
+        for root, members in zip(roots, clus.clusters):
+            cands = [v for v in range(n) if all(reach[v, m] for m in members)]
+            assert root == (max(cands) if cands else None)
+        spanning = cluster_spanning_tree_roots(g, clus)
+        assert spanning == (None if None in roots else roots)
 
 
 def test_example_static_roots():
@@ -122,7 +122,7 @@ def test_example_switching_graphs_rootless_until_united():
     clus = example_clustering()
     graphs = example_graphs_switching()
     for g in graphs:
-        assert rootless_clusters(g, clus) == [0, 1, 2]
+        assert cluster_roots(g, clus) == [None, None, None]
         assert cluster_spanning_tree_roots(g, clus) is None
     union = union_graph(graphs)
     assert cluster_spanning_tree_roots(union, clus) == [2, 6, 6]
@@ -169,6 +169,27 @@ def test_common_link_property_is_all_or_nothing():
     violations = common_link_violations(partial, clus)
     assert violations == [(0, 1, 1)]  # vertex 1 of cluster 0 lacks a source in cluster 1
     assert not has_common_link_property(partial, clus)
+
+
+def test_in_cover_and_common_link_violations_match_in_neighbor_oracle():
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        n = int(rng.integers(1, 10))
+        g = random_graph(rng, n, p=float(rng.uniform(0.0, 0.5)), self_loops=bool(rng.integers(2)))
+        clus = random_clustering_of(rng, n)
+        inn = g.in_neighbors()
+        expected_cover = np.array(
+            [[bool(inn[v] & set(c)) for c in clus.clusters] for v in range(n)], dtype=bool
+        ).reshape(n, clus.k)
+        assert np.array_equal(in_cover(g, clus), expected_cover)
+        expected = []
+        for p, targets in enumerate(clus.clusters):
+            for q, sources in enumerate(clus.clusters):
+                hit = [v for v in targets if inn[v] & set(sources)]
+                if 0 < len(hit) < len(targets):
+                    expected.extend((p, q, v) for v in targets if v not in hit)
+        assert common_link_violations(g, clus) == expected
+    assert not in_cover(DirectedGraph(2, frozenset()), Clustering.from_sizes((1, 1))).any()
 
 
 def test_union_graph_collects_edges():

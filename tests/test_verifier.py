@@ -398,7 +398,7 @@ def _break_x0(inst, horizon):
 @pytest.mark.parametrize(
     "theorem, breaker, message",
     [
-        (1, _break_signal, "DivergenceError('non-finite state at step 5')"),
+        (1, _break_signal, "DivergenceError('non-finite state at step 6')"),
         (2, _break_x0, "DivergenceError('non-finite state at step 0')"),
     ],
 )
