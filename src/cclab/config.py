@@ -10,8 +10,11 @@ are 0-based inside configs; only rendered reports use 1-based labels.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,16 +47,16 @@ from .verifier import Thresholds
 
 CONFIG_VERSION = 1
 
+# Matrix-valued leaves are checked here for shape only; their entries are
+# checked row by row in ``_check_numbers``, which keeps the messages the
+# per-entry schema gave ("number" entries, "integer" entries >= 0).
 _NUMBER_MATRIX = {
     "type": "array",
     "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+    "items": {"type": "array", "minItems": 1},
 }
 
-_ADJACENCY = {
-    "type": "array",
-    "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-}
+_ADJACENCY = {"type": "array", "items": {"type": "array"}}
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -211,6 +214,121 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario config."""
 
 
+def _invalid(path, message: str) -> ConfigError:
+    where = "/".join(str(p) for p in path) or "(root)"
+    return ConfigError(f"config invalid at {where}: {message}")
+
+
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    return jsonschema.Draft202012Validator(SCHEMA)
+
+
+def _finite_problem(v) -> Optional[str]:
+    try:
+        if math.isfinite(v):
+            return None
+    except OverflowError:  # an int beyond the float range
+        pass
+    return f"{v!r} is not a finite number"
+
+
+def _schema_problem(v, integer: bool) -> Optional[str]:
+    """The message the per-entry schema gave for a bad matrix entry, else
+    ``None``."""
+    if integer:
+        if isinstance(v, bool) or not (
+            isinstance(v, int) or isinstance(v, float) and v.is_integer()
+        ):
+            return f"{v!r} is not of type 'integer'"
+        return f"{v!r} is less than the minimum of 0" if v < 0 else None
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return f"{v!r} is not of type 'number'"
+    return None
+
+
+def _matrix_leaves(doc: dict) -> dict:
+    """``id(rows) -> (integer, mistyped)`` for every list of rows that the
+    schema checks for shape only. ``mistyped`` is the error the per-entry
+    schema raised for a bad entry when it did not name the entry itself."""
+    top = doc["topology"]
+    learning = doc.get("learning", {})
+    number_leaves = [top.get("matrix"), learning.get("flags"), *top.get("matrices", ())]
+    if isinstance(learning.get("initial"), list):
+        number_leaves.append(learning["initial"])
+    leaves = {id(m): (False, None) for m in number_leaves if m is not None}
+    for g in (top.get("graph"), *top.get("graphs", ())):
+        if g is not None:
+            leaves[id(g)] = (True, None)
+    if "quotient" in top:
+        # Both generator branches take a quotient, so the schema's oneOf
+        # named the whole topology.
+        leaves[id(top["quotient"])] = (
+            False,
+            _invalid(["topology"], f"{top!r} is not valid under any of the given schemas"),
+        )
+    return leaves
+
+
+def _check_rows(
+    rows: list, path: tuple, integer: bool, mistyped: Optional[ConfigError]
+) -> None:
+    """Test each row's entry types and finiteness at once; search a row
+    entry by entry only when that test fails."""
+    for i, row in enumerate(rows):
+        try:
+            if integer:
+                ok = set(map(type, row)) <= {int} and min(row, default=0) >= 0
+            else:
+                ok = set(map(type, row)) <= {int, float} and math.isfinite(sum(row))
+        except OverflowError:
+            ok = False
+        if ok:
+            continue
+        for j, v in enumerate(row):
+            problem = _schema_problem(v, integer)
+            if problem is not None and mistyped is not None:
+                raise mistyped
+            problem = problem or _finite_problem(v)
+            if problem is not None:
+                raise _invalid((*path, i, j), problem)
+
+
+def _check_numbers(node, path: tuple, leaves: dict) -> None:
+    """Reject every non-finite number in the document, and every bad entry
+    of the matrix leaves the schema left unchecked."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_numbers(value, (*path, key), leaves)
+    elif isinstance(node, list):
+        leaf = leaves.get(id(node))
+        if leaf is not None:
+            _check_rows(node, path, *leaf)
+            return
+        for i, value in enumerate(node):
+            _check_numbers(value, (*path, i), leaves)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        problem = _finite_problem(node)
+        if problem is not None:
+            raise _invalid(path, problem)
+
+
+def _check_support(path: tuple, graph: Optional[list], a: np.ndarray) -> None:
+    """``graph[j]`` must list agent i exactly when ``a[i, j] > 0``."""
+    if graph is None:
+        return
+    if len(graph) != a.shape[0]:
+        raise _invalid(path, f"{len(graph)} adjacency lists for {a.shape[0]} agents")
+    for j, column in enumerate(a.T > 0):
+        support = np.flatnonzero(column).tolist()
+        if set(graph[j]) != set(support):
+            raise _invalid(
+                (*path, j),
+                f"lists {sorted(set(graph[j]))}, but column {j} of the matrix"
+                f" is positive at {support}",
+            )
+
+
 @dataclass(frozen=True)
 class LearningSetup:
     flags: CulturalFlags
@@ -248,7 +366,7 @@ def load_config(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
@@ -281,11 +399,17 @@ def _build_topology(doc: dict, clustering: Clustering):
         mat = validate(np.array(top["matrix"], dtype=float))
         if mat.shape[0] != clustering.n:
             raise ConfigError("matrix size disagrees with the clustering")
+        _check_support(("topology", "graph"), top.get("graph"), mat)
         return mat
     if kind == "switching":
         mats = tuple(validate(np.array(m, dtype=float)) for m in top["matrices"])
         if mats[0].shape[0] != clustering.n:
             raise ConfigError("matrix size disagrees with the clustering")
+        graphs = top.get("graphs", [None] * len(mats))
+        if len(graphs) != len(mats):
+            raise _invalid(("topology", "graphs"), f"{len(graphs)} graphs for {len(mats)} matrices")
+        for p, (g, mat) in enumerate(zip(graphs, mats)):
+            _check_support(("topology", "graphs", p), g, mat)
         return MatrixSchedule(mats, floor=top.get("floor"))
     # generator recipes need the contiguous sizes layout
     sizes = clustering.sizes
@@ -385,11 +509,10 @@ def _build_learning(
 
 def build_scenario(doc: dict) -> Scenario:
     """Validate a config document and materialize every component."""
-    try:
-        jsonschema.validate(doc, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise _invalid(error.absolute_path, error.message) from error
+    _check_numbers(doc, (), _matrix_leaves(doc))
 
     try:
         clustering = _build_clustering(doc["clustering"])

@@ -21,23 +21,42 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+# Distinct trajectory rows whose text is kept for reuse: a trajectory that
+# settles onto a limit cycle of at most this period is formatted once per
+# cycle row.
+_ROW_MEMO = 16
+
+
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     n = traj.n
+    template = ",".join(["%.17g"] * n) + "\n"
+    memo: dict[bytes, str] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(f"x_{i + 1}" for i in range(n)) + "\n")
         for t, state in enumerate(traj.states):
-            fh.write(str(t) + "," + ",".join(_fmt(v) for v in state) + "\n")
+            key = state.tobytes()
+            text = memo.get(key)
+            if text is None:
+                if len(memo) == _ROW_MEMO:
+                    del memo[next(iter(memo))]
+                text = memo[key] = template % tuple(state.tolist())
+            fh.write(f"{t},{text}")
 
 
 def write_belief_csv(path: str, run: LearningRun) -> None:
+    # One line per (agent, state), each with the step t and the belief.
+    template = "".join(
+        f"%d,{i + 1},{label.replace('%', '%%')},%.17g\n"
+        for i in range(run.n)
+        for label in map(str, run.labels)
+    )
+    args = [0] * (2 * run.n * run.m)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,agent,state,belief\n")
         for t in range(run.horizon + 1):
-            for i in range(run.n):
-                for s in range(run.m):
-                    fh.write(
-                        f"{t},{i + 1},{run.labels[s]},{_fmt(run.beliefs[t, i, s])}\n"
-                    )
+            args[0::2] = [t] * (run.n * run.m)
+            args[1::2] = run.beliefs[t].ravel().tolist()
+            fh.write(template % tuple(args))
 
 
 def write_zeta_csv(path: str, zeta: Sequence[float]) -> None:

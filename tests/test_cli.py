@@ -372,3 +372,49 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "path, literal, where",
+    [
+        (("initial_state", 0), "NaN", "initial_state/0: nan"),
+        (("signal", "alphas", 1), "Infinity", "signal/alphas/1: inf"),
+        (("topology", "matrix", 0, 0), "-Infinity", "topology/matrix/0/0: -inf"),
+        (("thresholds", "zero"), "1e999", "thresholds/zero: inf"),
+    ],
+)
+def test_non_finite_numbers_are_an_input_error(tmp_path, capsys, path, literal, where):
+    doc = example_config("A")
+    doc["initial_state"] = [0.0] * 9
+    doc["thresholds"] = {}
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 12345.5  # stands in for the literal in the JSON text
+    config = tmp_path / "non-finite.json"
+    config.write_text(emit_config(doc).replace("12345.5", literal))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: config invalid at {where} is not a finite number\n"
+
+
+def test_a_graph_that_disagrees_with_the_matrix_is_an_input_error(tmp_path, capsys):
+    doc = example_config("A")
+    doc["topology"]["graph"][0] = [0, 1]
+    path = tmp_path / "graph.json"
+    emit_config(doc, str(path))
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config invalid at topology/graph/0: lists [0, 1],"
+        " but column 0 of the matrix is positive at [0]\n"
+    )
+
+
+def test_a_switching_graph_that_disagrees_with_its_matrix_is_an_input_error(tmp_path, capsys):
+    doc = example_config("B")
+    doc["topology"]["graphs"][2][3] = []
+    path = tmp_path / "graphs.json"
+    emit_config(doc, str(path))
+    assert main(["check", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config invalid at topology/graphs/2/3: lists [],")
+    assert err.count("\n") == 1

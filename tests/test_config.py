@@ -1,12 +1,15 @@
 """Config schema validation, scenario materialization, and reproducibility."""
 
+import copy
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
 from cclab.config import (
+    SCHEMA,
     ConfigError,
     build_scenario,
     config_digest,
@@ -77,6 +80,9 @@ def test_load_config_failures(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(bad))
+    bad.write_text('{"seed": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match="not valid JSON: Exceeds the limit"):
         load_config(str(bad))
 
 
@@ -246,3 +252,148 @@ def test_switching_config_defaults_window_to_the_period():
     del doc["window"]
     scenario = build_scenario(doc)
     assert scenario.window == 3
+
+
+def test_schema_is_a_valid_draft_2020_12_schema():
+    # build_scenario compiles SCHEMA once without checking it.
+    Draft202012Validator.check_schema(SCHEMA)
+
+
+_GENERATOR = {
+    "version": 1,
+    "seed": 3,
+    "clustering": {"sizes": [2, 2]},
+    "topology": {"type": "generator", "quotient": [[0.5, 0.5], [0.5, 0.5]]},
+}
+_SWITCHING_GENERATOR = {
+    "version": 1,
+    "seed": 3,
+    "clustering": {"sizes": [2, 2]},
+    "topology": {"type": "switching-generator", "m": 2, "quotient": [[0.5, 0.5], [0.5, 0.5]]},
+}
+
+
+def _base(name):
+    if name == "A-initial":
+        doc = example_config("A")
+        doc["learning"]["initial"] = [[0.5, 0.5] for _ in range(9)]
+        return doc
+    if name in ("A", "B"):
+        return example_config(name)
+    return copy.deepcopy({"G": _GENERATOR, "SG": _SWITCHING_GENERATOR}[name])
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _quotient_message(kind, row):
+    return (
+        f"config invalid at topology: {{'type': '{kind}', "
+        + ("'m': 2, " if kind == "switching-generator" else "")
+        + f"'quotient': {row}}} is not valid under any of the given schemas"
+    )
+
+
+# The messages the per-entry schema gave before matrices were checked for
+# shape only, one fault per document.
+@pytest.mark.parametrize(
+    "base, path, value, message",
+    [
+        *[
+            case
+            for value in ("x", True, None)
+            for case in (
+                ("A", ("topology", "matrix", 0, 1), value,
+                 f"config invalid at topology/matrix/0/1: {value!r} is not of type 'number'"),
+                ("B", ("topology", "matrices", 1, 2, 0), value,
+                 f"config invalid at topology/matrices/1/2/0: {value!r} is not of type 'number'"),
+                ("G", ("topology", "quotient", 1, 0), value,
+                 _quotient_message("generator", f"[[0.5, 0.5], [{value!r}, 0.5]]")),
+                ("SG", ("topology", "quotient", 0, 1), value,
+                 _quotient_message("switching-generator", f"[[0.5, {value!r}], [0.5, 0.5]]")),
+                ("A", ("learning", "flags", 2, 1), value,
+                 f"config invalid at learning/flags/2/1: {value!r} is not of type 'number'"),
+                ("A-initial", ("learning", "initial", 1, 0), value,
+                 f"config invalid at learning/initial/1/0: {value!r} is not of type 'number'"),
+            )
+        ],
+        ("A", ("topology", "graph", 3, 0), -1,
+         "config invalid at topology/graph/3/0: -1 is less than the minimum of 0"),
+        ("A", ("topology", "graph", 3, 0), "x",
+         "config invalid at topology/graph/3/0: 'x' is not of type 'integer'"),
+        ("A", ("topology", "graph", 3, 0), 1.5,
+         "config invalid at topology/graph/3/0: 1.5 is not of type 'integer'"),
+        ("B", ("topology", "graphs", 1, 2, 0), -1,
+         "config invalid at topology/graphs/1/2/0: -1 is less than the minimum of 0"),
+        ("B", ("topology", "graphs", 1, 2, 0), "x",
+         "config invalid at topology/graphs/1/2/0: 'x' is not of type 'integer'"),
+        ("A", ("topology", "matrix", 0), [],
+         "config invalid at topology/matrix/0: [] should be non-empty"),
+        ("A", ("topology", "graph", 0), 3,
+         "config invalid at topology/graph/0: 3 is not of type 'array'"),
+        ("A", ("learning", "initial"), [[]],
+         "config invalid at learning/initial/0: [] should be non-empty"),
+    ],
+)
+def test_bad_matrix_entries_keep_the_schema_messages(base, path, value, message):
+    with pytest.raises(ConfigError) as info:
+        build_scenario(_set(_base(base), path, value))
+    assert str(info.value) == message
+
+
+def test_integral_floats_count_as_integers_in_graphs():
+    doc = example_config("A")
+    doc["topology"]["graph"][3] = [float(v) for v in doc["topology"]["graph"][3]]
+    build_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("topology", "matrix", 0, 1), float("nan"),
+         "config invalid at topology/matrix/0/1: nan is not a finite number"),
+        (("topology", "matrix", 0, 1), 10**400,
+         f"config invalid at topology/matrix/0/1: {10**400!r} is not a finite number"),
+        (("learning", "flags", 0, 0), float("-inf"),
+         "config invalid at learning/flags/0/0: -inf is not a finite number"),
+        (("signal", "strength"), float("inf"),
+         "config invalid at signal/strength: inf is not a finite number"),
+        (("learning", "slack"), float("nan"),
+         "config invalid at learning/slack: nan is not a finite number"),
+    ],
+    ids=["matrix-nan", "matrix-huge-int", "flags-minus-inf", "strength-inf", "slack-nan"],
+)
+def test_non_finite_numbers_are_rejected(path, value, message):
+    with pytest.raises(ConfigError) as info:
+        build_scenario(_set(example_config("A"), path, value))
+    assert str(info.value) == message
+
+
+def test_graph_must_match_the_matrix_support():
+    doc = example_config("A")
+    doc["topology"]["graph"][2] = [2, 1, 0, 1]  # order and repeats do not matter
+    build_scenario(doc)
+    doc["topology"]["graph"][2] = [0, 2]
+    with pytest.raises(ConfigError) as info:
+        build_scenario(doc)
+    assert str(info.value) == (
+        "config invalid at topology/graph/2: lists [0, 2],"
+        " but column 2 of the matrix is positive at [0, 1, 2]"
+    )
+    doc["topology"]["graph"] = [[0]]
+    with pytest.raises(ConfigError, match="topology/graph: 1 adjacency lists for 9 agents"):
+        build_scenario(doc)
+
+    doc = example_config("B")
+    del doc["topology"]["graphs"][2]
+    with pytest.raises(ConfigError, match="topology/graphs: 2 graphs for 3 matrices"):
+        build_scenario(doc)
+    doc = example_config("B")
+    doc["topology"]["graphs"][1][4].append(99)
+    with pytest.raises(ConfigError, match="at topology/graphs/1/4: lists"):
+        build_scenario(doc)
