@@ -208,7 +208,7 @@ def _run_config(args: argparse.Namespace) -> _Run:
         limit = detect_periodic_limit(
             traj, sys_.clustering, period, tol=scenario.thresholds.periodic
         )
-    bound = boundedness_report(sys_, traj)
+    bound = boundedness_report(sys_, traj, tol=scenario.thresholds.common_influence)
     verdict = reconcile(report, sys_, traj, limit, scenario.thresholds)
     metrics = metrics_document(
         digest=scenario.digest,

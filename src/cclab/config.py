@@ -352,7 +352,11 @@ class Scenario:
     learning: Optional[LearningSetup]
     thresholds: Thresholds
     raw: dict
-    digest: str
+
+    @property
+    def digest(self) -> str:
+        """:func:`config_digest` of ``raw``, computed on each access."""
+        return config_digest(self.raw)
 
 
 def config_digest(doc: dict) -> str:
@@ -575,7 +579,6 @@ def build_scenario(doc: dict) -> Scenario:
         learning=learning,
         thresholds=thresholds,
         raw=doc,
-        digest=config_digest(doc),
     )
 
 

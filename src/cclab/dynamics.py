@@ -25,8 +25,11 @@ import numpy as np
 from .graph import Clustering
 from .signals import ClusterOffsets, PeriodicInput, Signal, eval_u, partial_sum_bound
 from .stochastic import (
+    COMMON_INFLUENCE_TOL,
+    ConvergenceError,
     MatrixSchedule,
     power_limit,
+    schedule_quotient,
     validate,
 )
 
@@ -358,11 +361,23 @@ def z_limits(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Observed peak norm against the constructive a-priori bound.
+    """Observed peak norm against the paper's horizon-free a-priori bound.
 
-    The bound ``||x(0)|| + ||A_inf sigma|| Y_s + M Y_u / (1 - rate)`` only
-    applies to fixed couplings driven by signals with bounded partial sums;
-    ``applicable`` is False otherwise and ``bound`` is then None.
+    Under inter-cluster common influence with one quotient ``B`` for every
+    step, ``x(t) = Phi(t, 0) x(0) + lift(y(t))`` where
+    ``y(t+1) = B y(t) + alpha u(t)``, ``y(0) = 0``, so
+
+        ``||x(t)|| <= ||x(0)|| + ||B_inf alpha|| Y_s + ||alpha|| Y_u S``
+
+    in the max norm, with ``Y_u`` and ``Y_s`` the peaks of ``|u|`` and of its
+    partial sums and ``S >= sum_j ||B^j - B_inf||``. Where the tolerance
+    accepts a nonzero block-sum spread or quotient gap across steps, their
+    sum ``e`` widens the ``y`` part by the factor ``1 + horizon K e``. An
+    undriven run is bounded by ``||x(0)||``.
+    ``applicable`` is False, ``bound`` None and ``note`` says why, without
+    common influence, when the quotient varies across the schedule, when
+    its powers have no limit, or when an aperiodic signal's partial sums
+    are still growing.
     """
 
     max_norm: float
@@ -371,39 +386,76 @@ class BoundReport:
     note: str = ""
 
 
-def boundedness_report(sys: System, traj: Trajectory) -> BoundReport:
-    """Compare the trajectory's peak max-norm with the constructive bound."""
+def _power_error_sum(b: np.ndarray, b_inf: np.ndarray) -> float:
+    """An upper bound ``S`` on ``sum_j ||B^j - B_inf||`` (max row sum).
+
+    With ``E_j = ||B^j - B_inf||`` and ``s`` the first power with
+    ``E_s <= 1/2``, ``B^{ks+r} - B_inf = (B^s - B_inf)^k (B^r - B_inf)``
+    gives ``S = sum_{j<s} E_j / (1 - E_s)``. ``b_inf`` must be a power of
+    ``b`` formed by right multiplication, as :func:`power_limit` returns it,
+    so the walk reaches ``E = 0`` at the latest there.
+    """
+    total = 0.0
+    power = np.eye(b.shape[0])
+    while True:
+        err = float(np.abs(power - b_inf).sum(axis=1).max())
+        if err <= 0.5:
+            return total / (1.0 - err)
+        total += err
+        power = power @ b
+
+
+def boundedness_report(
+    sys: System, traj: Trajectory, tol: float = COMMON_INFLUENCE_TOL
+) -> BoundReport:
+    """Compare the trajectory's peak max-norm with the a-priori bound of
+    :class:`BoundReport`, computed on the K-by-K quotient. ``tol`` is the
+    common-influence tolerance, as in the claim checks."""
     max_norm = traj.max_norm()
-    if sys.is_switching:
-        return BoundReport(
-            max_norm, None, False, "constructive bound covers fixed couplings only"
-        )
     x0_norm = float(np.abs(traj.states[0]).max())
     if not sys.driven():
         return BoundReport(max_norm, x0_norm, True, "undriven: peak equals initial norm bound")
-    horizon = traj.horizon
-    max_u, max_partial = partial_sum_bound(sys.signal, horizon)
-    pl = power_limit(sys.coupling)
-    rate = min(0.999999, pl.rate * 1.02 + 1e-9)
-    reliable = pl.errors > 1e-13
-    if np.any(reliable):
-        ts = np.nonzero(reliable)[0]
-        prefactor = float(np.max(pl.errors[ts] / rate**ts))
+    sq = schedule_quotient(_couplings(sys.coupling), sys.clustering, tol)
+    if sq.quotient is None:
+        return BoundReport(
+            max_norm,
+            None,
+            False,
+            f"no inter-cluster common influence (block-sum spread {sq.deviation:.3e});"
+            " bound inapplicable",
+        )
+    if not sq.static:
+        return BoundReport(
+            max_norm,
+            None,
+            False,
+            f"quotient varies across the schedule (deviation {sq.spread:.3e});"
+            " bound inapplicable",
+        )
+    sig = sys.signal
+    if isinstance(sig, PeriodicInput):
+        max_u, max_partial = partial_sum_bound(sig, 2 * sig.period)
     else:
-        prefactor = 0.0
-    sigma = sys.offsets.vector()
-    bound = (
-        x0_norm
-        + float(np.abs(pl.limit @ sigma).max()) * max_partial
-        + prefactor * float(np.abs(sigma).max()) * max_u / (1.0 - rate)
-    )
-    note = ""
-    applicable = True
-    if not isinstance(sys.signal, PeriodicInput):
         # Empirical boundedness only: a partial-sum peak still growing near the
         # end of the horizon means the bound's hypothesis is unverified.
-        _, half_peak = partial_sum_bound(sys.signal, horizon // 2)
+        max_u, max_partial = partial_sum_bound(sig, traj.horizon - 1)
+        _, half_peak = partial_sum_bound(sig, (traj.horizon - 1) // 2)
         if max_partial > half_peak * (1 + 1e-9):
-            applicable = False
-            note = "partial sums still growing over the horizon; bound inapplicable"
-    return BoundReport(max_norm, bound if applicable else None, applicable, note)
+            return BoundReport(
+                max_norm,
+                None,
+                False,
+                "partial sums still growing over the horizon; bound inapplicable",
+            )
+    b = sq.quotient
+    try:
+        b_inf = power_limit(b).limit
+    except (ValueError, ConvergenceError) as exc:
+        return BoundReport(max_norm, None, False, f"quotient powers: {exc}; bound inapplicable")
+    alpha = sys.offsets.reduced()
+    y_part = (
+        float(np.abs(b_inf @ alpha).max()) * max_partial
+        + float(np.abs(alpha).max()) * max_u * _power_error_sum(b, b_inf)
+    )
+    widen = traj.horizon * b.shape[0] * (sq.deviation + sq.spread)
+    return BoundReport(max_norm, x0_norm + y_part * (1.0 + widen), True)

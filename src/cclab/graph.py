@@ -153,20 +153,27 @@ def cluster_roots(g: DirectedGraph, clustering: Clustering) -> list[Optional[int
     ``C_p``; it may lie outside ``C_p`` and may serve several clusters.
     Candidates are scanned in descending vertex order and the first valid
     one is returned, which makes the output deterministic. Each reachable
-    set is computed at most once, when the scan first needs it.
+    set is computed at most once, when the scan first needs it. A vertex
+    reachable from a candidate that fails reaches a subset of what that
+    candidate reaches, so it fails too and is skipped for that cluster.
     """
     succ = g.successors()
     reach: dict[int, set[int]] = {}
-
-    def covers(v: int, target: set[int]) -> bool:
-        if v not in reach:
-            reach[v] = _bfs(succ, v)
-        return target <= reach[v]
-
     roots: list[Optional[int]] = []
     for members in clustering.clusters:
         target = set(members)
-        roots.append(next((v for v in range(g.n - 1, -1, -1) if covers(v, target)), None))
+        failed: set[int] = set()
+        root = None
+        for v in range(g.n - 1, -1, -1):
+            if v in failed:
+                continue
+            if v not in reach:
+                reach[v] = _bfs(succ, v)
+            if target <= reach[v]:
+                root = v
+                break
+            failed |= reach[v]
+        roots.append(root)
     return roots
 
 

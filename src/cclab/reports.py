@@ -21,10 +21,22 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-# Distinct trajectory rows whose text is kept for reuse: a trajectory that
-# settles onto a limit cycle of at most this period is formatted once per
-# cycle row.
+# Distinct rows whose text is kept for reuse: a trajectory or belief history
+# that settles onto a limit cycle of at most this period is formatted once
+# per cycle row.
 _ROW_MEMO = 16
+
+
+def _memo_format(memo: dict[bytes, str], template: str, row: np.ndarray) -> str:
+    """``template % row``, reusing the text of the last ``_ROW_MEMO`` distinct
+    rows in ``memo``, keyed by their bytes and evicted first in, first out."""
+    key = row.tobytes()
+    text = memo.get(key)
+    if text is None:
+        if len(memo) == _ROW_MEMO:
+            del memo[next(iter(memo))]
+        text = memo[key] = template % tuple(row.ravel().tolist())
+    return text
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
@@ -34,29 +46,24 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(f"x_{i + 1}" for i in range(n)) + "\n")
         for t, state in enumerate(traj.states):
-            key = state.tobytes()
-            text = memo.get(key)
-            if text is None:
-                if len(memo) == _ROW_MEMO:
-                    del memo[next(iter(memo))]
-                text = memo[key] = template % tuple(state.tolist())
-            fh.write(f"{t},{text}")
+            fh.write(f"{t},{_memo_format(memo, template, state)}")
 
 
 def write_belief_csv(path: str, run: LearningRun) -> None:
-    # One line per (agent, state), each with the step t and the belief.
+    # One line per (agent, state), each with the step t and the belief. A
+    # step's text keeps a %d per line for t, so '%' in a label is doubled
+    # twice to survive both formatting passes.
+    lines = run.n * run.m
     template = "".join(
-        f"%d,{i + 1},{label.replace('%', '%%')},%.17g\n"
+        f"%%d,{i + 1},{label.replace('%', '%%%%')},%.17g\n"
         for i in range(run.n)
         for label in map(str, run.labels)
     )
-    args = [0] * (2 * run.n * run.m)
+    memo: dict[bytes, str] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,agent,state,belief\n")
-        for t in range(run.horizon + 1):
-            args[0::2] = [t] * (run.n * run.m)
-            args[1::2] = run.beliefs[t].ravel().tolist()
-            fh.write(template % tuple(args))
+        for t, profile in enumerate(run.beliefs):
+            fh.write(_memo_format(memo, template, profile) % ((t,) * lines))
 
 
 def write_zeta_csv(path: str, zeta: Sequence[float]) -> None:

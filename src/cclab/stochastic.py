@@ -146,6 +146,39 @@ def quotient_matrix(
 
 
 @dataclass(frozen=True)
+class ScheduleQuotient:
+    """Per-step common influence (B3) and a static quotient (B3*) across a
+    list of couplings.
+
+    ``deviation`` is the worst block-sum spread over the couplings. Within
+    the tolerance, ``quotient`` is the first coupling's quotient matrix and
+    ``spread`` the largest entry gap between any coupling's quotient and
+    it; both are None otherwise. ``static`` holds when ``spread`` is at most
+    ten times the tolerance (never less than ``1e-11``).
+    """
+
+    deviation: float
+    quotient: Optional[np.ndarray]
+    spread: Optional[float]
+    static: bool
+
+
+def schedule_quotient(
+    matrices: Sequence[np.ndarray],
+    clustering: Clustering,
+    tol: float = COMMON_INFLUENCE_TOL,
+) -> ScheduleQuotient:
+    """The B3 and B3* verdicts of ``matrices`` at common-influence tolerance
+    ``tol``; see :class:`ScheduleQuotient`."""
+    deviation = max(common_influence_deviation(m, clustering) for m in matrices)
+    if deviation > tol:
+        return ScheduleQuotient(deviation, None, None, False)
+    quotients = [quotient_matrix(m, clustering, tol=tol) for m in matrices]
+    spread = max(float(np.abs(q - quotients[0]).max()) for q in quotients)
+    return ScheduleQuotient(deviation, quotients[0], spread, spread <= max(tol, 1e-12) * 10)
+
+
+@dataclass(frozen=True)
 class MatrixSchedule:
     """Finite list of stochastic matrices cycled periodically.
 
@@ -233,29 +266,11 @@ def product_range(schedule: MatrixSchedule, t: int, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerLimit:
-    """Limit of matrix powers with a fitted geometric error rate.
-
-    ``errors[t]`` records ``||A^t - limit||`` in the induced max-row-sum
-    norm for ``t = 0..steps``.
-    """
+    """Limit of matrix powers: ``limit`` is ``A^steps``, the first power
+    within the tolerance of the one before it."""
 
     limit: np.ndarray
-    rate: float
     steps: int
-    errors: np.ndarray
-
-
-def _fit_rate(errors: np.ndarray) -> float:
-    # Least squares on the last half of the nonzero log-errors; exact zeros
-    # (finite-time convergence) carry no rate information.
-    ts = np.nonzero(errors > 0)[0]
-    if ts.size < 2:
-        return 0.0
-    tail = ts[ts.size // 2 :]
-    if tail.size < 2:
-        tail = ts[-2:]
-    slope = np.polyfit(tail, np.log(errors[tail]), 1)[0]
-    return float(np.exp(slope))
 
 
 def power_limit(
@@ -277,16 +292,8 @@ def power_limit(
         power = nxt
         steps += 1
         if delta < tol:
-            break
+            return PowerLimit(limit=power, steps=steps)
         if steps > max_iter:
             raise ConvergenceError(
                 f"powers still moving after {max_iter} steps (last delta {delta:.3e})"
             )
-    limit = power
-    errors = np.empty(steps + 1)
-    errors[0] = float(np.abs(np.eye(a.shape[0]) - limit).sum(axis=1).max())
-    cur = np.eye(a.shape[0])
-    for t in range(1, steps + 1):
-        cur = cur @ a
-        errors[t] = float(np.abs(cur - limit).sum(axis=1).max())
-    return PowerLimit(limit=limit, rate=_fit_rate(errors), steps=steps, errors=errors)

@@ -50,7 +50,7 @@ from .signals import ClusterOffsets, PeriodicInput, partial_sum_bound
 from .stochastic import (
     MatrixSchedule,
     common_influence_deviation,
-    quotient_matrix,
+    schedule_quotient,
     state_diameter,
 )
 
@@ -326,30 +326,20 @@ def check_switching(
         )
     )
 
-    devs = [common_influence_deviation(m, clus) for m in schedule.matrices]
-    b3_ok = max(devs) <= thresholds.common_influence
+    sq = schedule_quotient(schedule.matrices, clus, tol=thresholds.common_influence)
+    b3_ok = sq.deviation <= thresholds.common_influence
     conditions.append(
         ConditionCheck(
             "common-influence-b3",
             b3_ok,
-            f"worst per-step block-sum spread {max(devs):.3e}",
+            f"worst per-step block-sum spread {sq.deviation:.3e}",
         )
     )
-
     if b3_ok:
-        quotients = [
-            quotient_matrix(m, clus, tol=thresholds.common_influence)
-            for m in schedule.matrices
-        ]
-        spread = max(
-            float(np.abs(q - quotients[0]).max()) for q in quotients
-        )
-        static_ok = spread <= max(thresholds.common_influence, 1e-12) * 10
-        detail = f"largest quotient deviation across steps {spread:.3e}"
+        detail = f"largest quotient deviation across steps {sq.spread:.3e}"
     else:
-        static_ok = False
         detail = "not evaluated: per-step common influence fails"
-    conditions.append(ConditionCheck("static-quotient-b3star", static_ok, detail))
+    conditions.append(ConditionCheck("static-quotient-b3star", sq.static, detail))
 
     bad_windows = []
     for t in range(schedule.period):

@@ -1,12 +1,15 @@
 """End-to-end command behavior: exit codes, artifacts, determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from cclab import config as config_module
+from cclab import stochastic
 from cclab.cli import main
-from cclab.config import emit_config, example_config
+from cclab.config import emit_config, example_config, generated_config
 
 
 @pytest.fixture
@@ -115,7 +118,8 @@ def test_simulate_switching_example(config_b, tmp_path):
     doc = json.loads((d / "metrics.json").read_text())
     assert doc["final_intra_diameter"] < 1e-8
     assert doc["reconcile"]["status"] == "PASS"
-    assert doc["bound_report"]["applicable"] is False
+    assert doc["bound_report"]["applicable"] is True
+    assert doc["max_norm"] <= doc["bound_report"]["bound"]
 
 
 def test_simulate_theorem_flag_picks_the_claim(config_a, tmp_path):
@@ -418,3 +422,38 @@ def test_a_switching_graph_that_disagrees_with_its_matrix_is_an_input_error(tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: config invalid at topology/graphs/2/3: lists [],")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_power_limits_run_on_the_quotient_only(command, m, tmp_path, monkeypatch):
+    """The bound and every other limit on the run path iterate K-by-K
+    matrices, never the n-by-n coupling."""
+    doc = generated_config((40, 40, 40), seed=5, m=m, density=0.1, entry_floor=0.001, horizon=1000)
+    path = tmp_path / "gen.json"
+    emit_config(doc, str(path))
+    shapes = []
+    original = stochastic.power_limit
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cclab") and getattr(module, "power_limit", None) is original:
+            monkeypatch.setattr(module, "power_limit", recording)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert shapes and set(shapes) == {(3, 3)}
+
+
+def test_check_without_out_hashes_no_config(config_a, tmp_path, monkeypatch):
+    calls = []
+    original = config_module.config_digest
+    monkeypatch.setattr(
+        config_module, "config_digest", lambda doc: calls.append(1) or original(doc)
+    )
+    assert main(["check", "--config", config_a]) == 0
+    assert not calls
+    out = tmp_path / "check.json"
+    assert main(["check", "--config", config_a, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config_sha256"] == original(example_config("A"))

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cclab import dynamics
 from cclab.dynamics import (
     DivergenceError,
     System,
@@ -27,7 +30,7 @@ from cclab.generate import (
 from cclab.config import build_scenario, example_config
 from cclab.graph import Clustering
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
-from cclab.stochastic import quotient_matrix, state_diameter, validate
+from cclab.stochastic import MatrixSchedule, power_limit, quotient_matrix, state_diameter, validate
 
 
 def example_system_static():
@@ -280,8 +283,124 @@ def test_boundedness_report_undriven_and_switching():
     switching = System(coupling=example_schedule_switching(), clustering=clus)
     straj = simulate(switching, X0, 50)
     srep = boundedness_report(switching, straj)
-    assert not srep.applicable
-    assert srep.bound is None
+    assert srep.applicable
+    assert srep.bound == pytest.approx(np.abs(X0).max())
+    assert srep.max_norm <= srep.bound + 1e-12
+
+
+def _lift(rng, b, clus):
+    """A coupling with quotient ``b``: each block mass is split over its
+    source cluster by a Dirichlet draw."""
+    a = np.zeros((clus.n, clus.n))
+    for p, targets in enumerate(clus.clusters):
+        for q, sources in enumerate(clus.clusters):
+            for i in targets:
+                a[i, list(sources)] = b[p, q] * rng.dirichlet(np.ones(len(sources)))
+    return a
+
+
+def _nudge(rng, a, clus, eps):
+    """Move ``eps`` of one row's mass from its own cluster's block to
+    another cluster's, making a block-sum spread of at most ``eps``."""
+    a = a.copy()
+    i = int(rng.integers(clus.n))
+    p = clus.index_of(i)
+    q = (p + 1 + int(rng.integers(clus.k - 1))) % clus.k
+    own = list(clus.clusters[p])
+    a[i, own[int(np.argmax(a[i, own]))]] -= eps
+    a[i, clus.clusters[q][0]] += eps
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["fixed", "switching", "spread", "no-common-influence", "varying-quotient"]),
+)
+@example(seed=102, kind="spread")  # peak above the bound without the widening
+@example(seed=298, kind="spread")
+def test_bound_holds_exactly_where_it_applies(seed, kind):
+    """On the quotient, with common influence the bound is at least the
+    observed peak (also with a block-sum spread just inside the tolerance);
+    without it, or with a varying quotient, it does not apply."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 5, size=int(rng.integers(2, 4)))
+    clus = Clustering.from_sizes(tuple(int(c) for c in sizes))
+    k = clus.k
+    b = 0.5 * np.eye(k) + 0.5 * rng.dirichlet(np.ones(k), size=k)
+    tol = 1e-9
+    if kind == "fixed":
+        coupling = _lift(rng, b, clus)
+    elif kind == "switching":
+        coupling = MatrixSchedule(tuple(_lift(rng, b, clus) for _ in range(3)))
+    elif kind == "spread":
+        # A loose tolerance lets the accepted spread matter: without the
+        # widening, the bound falls below the peak on some draws at 0.1.
+        tol = float(rng.choice([1e-3, 1e-1]))
+        steps = int(rng.integers(1, 4))
+        coupling = MatrixSchedule(
+            tuple(_nudge(rng, _lift(rng, b, clus), clus, 0.9 * tol) for _ in range(steps))
+        )
+    elif kind == "no-common-influence":
+        coupling = 0.5 * np.eye(clus.n) + 0.5 * rng.dirichlet(np.ones(clus.n), size=clus.n)
+    else:
+        b2 = 0.5 * np.eye(k) + 0.5 * rng.dirichlet(np.ones(k), size=k)
+        coupling = MatrixSchedule((_lift(rng, b, clus), _lift(rng, b2, clus)))
+    T = int(rng.integers(2, 5))
+    sys = System(
+        coupling=coupling,
+        clustering=clus,
+        offsets=ClusterOffsets(clus, tuple(rng.uniform(-2.0, 2.0, k))),
+        signal=PeriodicInput(T, tuple(rng.uniform(-1.0, 1.0, T - 1))),
+    )
+    traj = simulate(sys, rng.uniform(-1.0, 1.0, clus.n), 300)
+    report = boundedness_report(sys, traj, tol=tol)
+    if kind in ("no-common-influence", "varying-quotient"):
+        assert not report.applicable
+        assert report.bound is None
+        why = "common influence" if kind == "no-common-influence" else "quotient varies"
+        assert why in report.note
+        return
+    assert report.applicable, report.note
+    assert traj.max_norm() <= report.bound
+    b_inf = power_limit(b).limit
+    brute = sum(
+        float(np.abs(np.linalg.matrix_power(b, j) - b_inf).sum(axis=1).max()) for j in range(201)
+    )
+    # Relative slack for round-off in B_inf only; the sums share their terms.
+    assert brute <= dynamics._power_error_sum(b, b_inf) * (1 + 1e-12)
+
+
+def test_bound_needs_a_quotient_power_limit_not_a_coupling_one():
+    """A zero diagonal in the coupling is fine when the quotient has none
+    (here B = I); a quotient that cycles makes the bound inapplicable."""
+    clus = Clustering.from_sizes((2, 2))
+    offsets = ClusterOffsets(clus, (1.0, -1.0))
+    swap_within = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], float)
+    swap_across = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], float)
+    x0 = np.array([0.5, -0.25, 0.125, 1.0])
+    for a, applicable in ((swap_within, True), (swap_across, False)):
+        sys = System(coupling=a, clustering=clus, offsets=offsets, signal=PeriodicInput(2, (-1.0,)))
+        traj = simulate(sys, x0, 40)
+        report = boundedness_report(sys, traj)
+        assert report.applicable is applicable, report.note
+        if applicable:
+            assert traj.max_norm() <= report.bound
+        else:
+            assert "quotient powers" in report.note
+
+
+def test_bound_reads_an_aperiodic_signal_only_where_the_run_used_it():
+    """x(horizon) uses u(0..horizon-1): a sequence of exactly that length
+    is enough."""
+    sys = example_system_static()
+    horizon = 30
+    values = tuple(0.5 if t % 2 else -0.5 for t in range(horizon))
+    sys = System(sys.coupling, sys.clustering, sys.offsets, SequenceInput(values))
+    traj = simulate(sys, X0, horizon)
+    report = boundedness_report(sys, traj)
+    assert report.applicable
+    assert traj.max_norm() <= report.bound
 
 
 def test_trajectory_accessors():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cclab import graph as graph_module
 from cclab.graph import (
     Clustering,
     DirectedGraph,
@@ -96,8 +97,8 @@ def test_cluster_roots_marks_rootless_clusters():
     shows no vertex reaching the whole cluster."""
     rng = np.random.default_rng(3)
     for _ in range(40):
-        n = int(rng.integers(2, 9))
-        g = random_graph(rng, n, p=0.15, self_loops=bool(rng.integers(2)))
+        n = int(rng.integers(2, 41))
+        g = random_graph(rng, n, p=float(rng.uniform(0.01, 0.15)), self_loops=bool(rng.integers(2)))
         clus = random_clustering_of(rng, n)
         roots = cluster_roots(g, clus)
         reach = closure_matrix(g)
@@ -106,6 +107,23 @@ def test_cluster_roots_marks_rootless_clusters():
             assert root == (max(cands) if cands else None)
         spanning = cluster_spanning_tree_roots(g, clus)
         assert spanning == (None if None in roots else roots)
+
+
+def test_root_scan_skips_what_a_failed_candidate_reaches(monkeypatch):
+    """Clusters in a chain, each feeding the next: only cluster 1's vertices
+    reach cluster 1, so the scan must not search every vertex above them."""
+    k, size = 5, 20
+    clus = Clustering.from_sizes((size,) * k)
+    edges = set()
+    for members in clus.clusters:
+        edges |= {(v, members[(i + 1) % size]) for i, v in enumerate(members)}
+    edges |= {(clus.clusters[p][-1], clus.clusters[p + 1][0]) for p in range(k - 1)}
+    g = DirectedGraph(k * size, frozenset(edges))
+    calls = []
+    original = graph_module._bfs
+    monkeypatch.setattr(graph_module, "_bfs", lambda succ, v: calls.append(v) or original(succ, v))
+    assert cluster_roots(g, clus) == [members[-1] for members in clus.clusters]
+    assert len(calls) <= k + 1
 
 
 def test_example_static_roots():

@@ -70,17 +70,25 @@ def test_trajectory_csv_matches_per_value_formatting(states):
 
 @st.composite
 def belief_runs(draw):
-    t, n, m = draw(st.integers(0, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    flat = draw(st.lists(values, min_size=(t + 1) * n * m, max_size=(t + 1) * n * m))
+    """Belief histories with a transient and then a settled or periodic
+    tail, as :func:`trajectories` draws them."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    profile = st.lists(values, min_size=n * m, max_size=n * m)
+    transient = draw(st.lists(profile, max_size=4))
+    cycle = draw(st.lists(profile, min_size=1, max_size=reports._ROW_MEMO + 3))
+    repeats = draw(st.integers(0, 3))
+    rows = transient + cycle * repeats
     labels = draw(
         st.lists(st.text(alphabet="%ds(x)_0θ,", min_size=1, max_size=4), min_size=m, max_size=m)
     )
-    return np.array(flat, dtype=float).reshape(t + 1, n, m), tuple(labels)
+    return np.array(rows or cycle[:1], dtype=float).reshape(-1, n, m), tuple(labels)
 
 
 @settings(max_examples=150, deadline=None)
 @given(belief_runs())
 @example((np.array([[[0.0, -0.0]], [[5e-324, -1e308]]]), ("%d", "100%")))
+@example((np.array([[[0.25, 0.75]]] * 5), ("%%", "%s")))  # settled from t = 0
+@example((np.arange(51.0).reshape(-1, 1, 1) % (reports._ROW_MEMO + 1), ("%",)))
 def test_belief_csv_matches_per_value_formatting(drawn):
     beliefs, labels = drawn
     run = LearningRun(beliefs=beliefs, clustering=None, flags=None, validity=None, labels=labels)
