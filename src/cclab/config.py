@@ -47,6 +47,11 @@ from .verifier import Thresholds
 
 CONFIG_VERSION = 1
 
+# ``generated_config`` writes the coupling as triplets from this many agents
+# on: the list-of-rows form grows as n^2 while the support grows with the
+# edges. Below it the emitted bytes stay as they were.
+SPARSE_FROM = 100
+
 # Matrix-valued leaves are checked here for shape only; their entries are
 # checked row by row in ``_check_numbers``, which keeps the messages the
 # per-entry schema gave ("number" entries, "integer" entries >= 0).
@@ -57,6 +62,26 @@ _NUMBER_MATRIX = {
 }
 
 _ADJACENCY = {"type": "array", "items": {"type": "array"}}
+
+# A square coupling matrix as triplets: entry (rows[p], cols[p]) is vals[p],
+# every other entry is zero. Only the shape is checked here; the three
+# arrays are checked in ``_check_numbers`` and against each other and ``n``
+# in ``_sparse_matrix``.
+_SPARSE_MATRIX = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["n", "rows", "cols", "vals"],
+    "properties": {
+        "n": {"type": "integer", "minimum": 1},
+        "rows": {"type": "array"},
+        "cols": {"type": "array"},
+        "vals": {"type": "array"},
+    },
+}
+
+# if/then/else rather than oneOf keeps the dense form's messages: the
+# failing branch's errors are reported as they are, not as a oneOf miss.
+_COUPLING = {"if": {"type": "object"}, "then": _SPARSE_MATRIX, "else": _NUMBER_MATRIX}
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -98,7 +123,7 @@ SCHEMA = {
                 {
                     "properties": {
                         "type": {"const": "fixed"},
-                        "matrix": _NUMBER_MATRIX,
+                        "matrix": _COUPLING,
                         "graph": _ADJACENCY,
                     },
                     "required": ["type", "matrix"],
@@ -110,7 +135,7 @@ SCHEMA = {
                         "matrices": {
                             "type": "array",
                             "minItems": 1,
-                            "items": _NUMBER_MATRIX,
+                            "items": _COUPLING,
                         },
                         "floor": {"type": "number", "exclusiveMinimum": 0},
                         "graphs": {"type": "array", "items": _ADJACENCY},
@@ -248,62 +273,88 @@ def _schema_problem(v, integer: bool) -> Optional[str]:
 
 
 def _matrix_leaves(doc: dict) -> dict:
-    """``id(rows) -> (integer, mistyped)`` for every list of rows that the
-    schema checks for shape only. ``mistyped`` is the error the per-entry
-    schema raised for a bad entry when it did not name the entry itself."""
+    """``id(array) -> check`` for every array that the schema checks for
+    shape only; ``check(array, path)`` tests its entries."""
     top = doc["topology"]
     learning = doc.get("learning", {})
-    number_leaves = [top.get("matrix"), learning.get("flags"), *top.get("matrices", ())]
+    leaves = {}
+
+    def add(node, check, integer, mistyped=None):
+        if node is not None:
+            leaves[id(node)] = functools.partial(
+                check, integer=integer, mistyped=mistyped
+            )
+
+    for m in (top.get("matrix"), *top.get("matrices", ())):
+        if isinstance(m, dict):
+            add(m["rows"], _check_entries, True)
+            add(m["cols"], _check_entries, True)
+            add(m["vals"], _check_entries, False)
+        else:
+            add(m, _check_rows, False)
+    add(learning.get("flags"), _check_rows, False)
     if isinstance(learning.get("initial"), list):
-        number_leaves.append(learning["initial"])
-    leaves = {id(m): (False, None) for m in number_leaves if m is not None}
+        add(learning["initial"], _check_rows, False)
     for g in (top.get("graph"), *top.get("graphs", ())):
-        if g is not None:
-            leaves[id(g)] = (True, None)
+        add(g, _check_rows, True)
     if "quotient" in top:
         # Both generator branches take a quotient, so the schema's oneOf
         # named the whole topology.
-        leaves[id(top["quotient"])] = (
+        add(
+            top["quotient"],
+            _check_rows,
             False,
             _invalid(["topology"], f"{top!r} is not valid under any of the given schemas"),
         )
     return leaves
 
 
+def _check_entries(
+    values: list, path: tuple, integer: bool, mistyped: Optional[ConfigError]
+) -> None:
+    """Test the entries' types and finiteness at once; search entry by entry
+    only when that test fails. ``mistyped`` is the error the per-entry
+    schema raised for a bad entry when it did not name the entry itself."""
+    try:
+        if integer:
+            ok = set(map(type, values)) <= {int} and min(values, default=0) >= 0
+        else:
+            ok = set(map(type, values)) <= {int, float} and math.isfinite(sum(values))
+    except OverflowError:
+        ok = False
+    if ok:
+        return
+    for j, v in enumerate(values):
+        problem = _schema_problem(v, integer)
+        if problem is not None and mistyped is not None:
+            raise mistyped
+        problem = problem or _finite_problem(v)
+        if problem is not None:
+            raise _invalid((*path, j), problem)
+
+
 def _check_rows(
     rows: list, path: tuple, integer: bool, mistyped: Optional[ConfigError]
 ) -> None:
-    """Test each row's entry types and finiteness at once; search a row
-    entry by entry only when that test fails."""
+    """:func:`_check_entries` per row. Number matrices must be rectangular;
+    adjacency lists (``integer``) need not be."""
+    width = len(rows[0]) if rows else 0
     for i, row in enumerate(rows):
-        try:
-            if integer:
-                ok = set(map(type, row)) <= {int} and min(row, default=0) >= 0
-            else:
-                ok = set(map(type, row)) <= {int, float} and math.isfinite(sum(row))
-        except OverflowError:
-            ok = False
-        if ok:
-            continue
-        for j, v in enumerate(row):
-            problem = _schema_problem(v, integer)
-            if problem is not None and mistyped is not None:
-                raise mistyped
-            problem = problem or _finite_problem(v)
-            if problem is not None:
-                raise _invalid((*path, i, j), problem)
+        if not integer and len(row) != width:
+            raise _invalid((*path, i), f"length {len(row)}, but row 0 has length {width}")
+        _check_entries(row, (*path, i), integer, mistyped)
 
 
 def _check_numbers(node, path: tuple, leaves: dict) -> None:
     """Reject every non-finite number in the document, and every bad entry
-    of the matrix leaves the schema left unchecked."""
+    of the arrays the schema left unchecked."""
     if isinstance(node, dict):
         for key, value in node.items():
             _check_numbers(value, (*path, key), leaves)
     elif isinstance(node, list):
-        leaf = leaves.get(id(node))
-        if leaf is not None:
-            _check_rows(node, path, *leaf)
+        check = leaves.get(id(node))
+        if check is not None:
+            check(node, path)
             return
         for i, value in enumerate(node):
             _check_numbers(value, (*path, i), leaves)
@@ -396,17 +447,56 @@ def _require_seed(doc: dict, why: str) -> int:
     return int(doc["seed"])
 
 
+def _sparse_matrix(sp: dict, path: tuple, n: int) -> np.ndarray:
+    """The dense n-by-n array of a triplet-form matrix, zero off its
+    triplets; the same floats as the list-of-rows form of that matrix."""
+    rows, cols, vals = sp["rows"], sp["cols"], sp["vals"]
+    if sp["n"] != n:
+        raise _invalid((*path, "n"), f"{sp['n']!r} agents, but the clustering has {n}")
+    if not len(rows) == len(cols) == len(vals):
+        raise _invalid(
+            path,
+            f"rows, cols and vals have {len(rows)}, {len(cols)} and {len(vals)} entries",
+        )
+    for key in ("rows", "cols"):
+        # Compared as Python numbers first: an index past the C integer
+        # range must not reach numpy.
+        if max(sp[key], default=0) >= n:
+            p = next(p for p, v in enumerate(sp[key]) if v >= n)
+            raise _invalid((*path, key, p), f"{sp[key][p]!r} is not below n = {n}")
+    flat = np.array(rows, dtype=np.intp) * n + np.array(cols, dtype=np.intp)
+    order = np.argsort(flat, kind="stable")
+    repeats = np.flatnonzero(flat[order[1:]] == flat[order[:-1]])
+    if repeats.size:
+        first, again = order[repeats[0]], order[repeats[0] + 1]
+        i, j = divmod(int(flat[first]), n)
+        raise _invalid(path, f"entries {first} and {again} both give ({i}, {j})")
+    a = np.zeros(n * n)
+    a[flat] = vals
+    return a.reshape(n, n)
+
+
+def _coupling_matrix(m, path: tuple, n: int) -> np.ndarray:
+    """Validate one coupling matrix given as rows or as triplets."""
+    if isinstance(m, dict):
+        return validate(_sparse_matrix(m, path, n))
+    return validate(np.array(m, dtype=float))
+
+
 def _build_topology(doc: dict, clustering: Clustering):
     top = doc["topology"]
     kind = top["type"]
     if kind == "fixed":
-        mat = validate(np.array(top["matrix"], dtype=float))
+        mat = _coupling_matrix(top["matrix"], ("topology", "matrix"), clustering.n)
         if mat.shape[0] != clustering.n:
             raise ConfigError("matrix size disagrees with the clustering")
         _check_support(("topology", "graph"), top.get("graph"), mat)
         return mat
     if kind == "switching":
-        mats = tuple(validate(np.array(m, dtype=float)) for m in top["matrices"])
+        mats = tuple(
+            _coupling_matrix(m, ("topology", "matrices", p), clustering.n)
+            for p, m in enumerate(top["matrices"])
+        )
         if mats[0].shape[0] != clustering.n:
             raise ConfigError("matrix size disagrees with the clustering")
         graphs = top.get("graphs", [None] * len(mats))
@@ -601,6 +691,16 @@ def _matrix_doc(a: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in a]
 
 
+def _sparse_doc(a: np.ndarray) -> dict:
+    rows, cols = np.nonzero(a)
+    return {
+        "n": a.shape[0],
+        "rows": rows.tolist(),
+        "cols": cols.tolist(),
+        "vals": a[rows, cols].tolist(),
+    }
+
+
 def example_config(which: str) -> dict:
     """Self-contained config for the bundled fixed or switching example."""
     if which not in ("A", "B"):
@@ -664,8 +764,10 @@ def generated_config(
 ) -> dict:
     """Materialize a seeded random instance and wrap it as a config.
 
-    The emitted document inlines the realized matrices (plus their support
-    graphs) so it is reproducible without re-running the generator.
+    The emitted document inlines the realized matrices so it is
+    reproducible without re-running the generator. From ``SPARSE_FROM``
+    agents on they are triplets, whose indices are the support; below it
+    they are lists of rows, with the fixed matrix's support graph beside it.
     """
     spec = GeneratorSpec(
         cluster_sizes=tuple(sizes), seed=seed, entry_floor=entry_floor, density=density
@@ -675,6 +777,7 @@ def generated_config(
         alphas = [1.0]
     else:
         alphas = [round(1.0 - 1.5 * p / (k - 1), 9) for p in range(k)]
+    matrix_doc = _sparse_doc if spec.n >= SPARSE_FROM else _matrix_doc
     doc = {
         "version": CONFIG_VERSION,
         "label": f"generated-{'switching' if m > 1 else 'fixed'}-n{spec.n}",
@@ -691,7 +794,7 @@ def generated_config(
         doc["theorem"] = 4
         doc["topology"] = {
             "type": "switching",
-            "matrices": [_matrix_doc(mat) for mat in schedule.matrices],
+            "matrices": [matrix_doc(mat) for mat in schedule.matrices],
             "floor": schedule.floor,
         }
     else:
@@ -699,9 +802,7 @@ def generated_config(
         mat = gen_common_influence_matrix(spec, g, mode=mode)
         doc["horizon"] = horizon if horizon is not None else 2000
         doc["theorem"] = 2
-        doc["topology"] = {
-            "type": "fixed",
-            "matrix": _matrix_doc(mat),
-            "graph": _adjacency(g),
-        }
+        doc["topology"] = {"type": "fixed", "matrix": matrix_doc(mat)}
+        if spec.n < SPARSE_FROM:
+            doc["topology"]["graph"] = _adjacency(g)
     return doc

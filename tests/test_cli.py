@@ -430,6 +430,8 @@ def test_power_limits_run_on_the_quotient_only(command, m, tmp_path, monkeypatch
     """The bound and every other limit on the run path iterate K-by-K
     matrices, never the n-by-n coupling."""
     doc = generated_config((40, 40, 40), seed=5, m=m, density=0.1, entry_floor=0.001, horizon=1000)
+    top = doc["topology"]
+    assert all("vals" in a for a in top.get("matrices", [top.get("matrix")]))  # triplet form
     path = tmp_path / "gen.json"
     emit_config(doc, str(path))
     shapes = []
@@ -457,3 +459,99 @@ def test_check_without_out_hashes_no_config(config_a, tmp_path, monkeypatch):
     out = tmp_path / "check.json"
     assert main(["check", "--config", config_a, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config_sha256"] == original(example_config("A"))
+
+
+
+def _triplets(rows):
+    a = np.array(rows)
+    i, j = np.nonzero(a)
+    return {"n": len(a), "rows": i.tolist(), "cols": j.tolist(), "vals": a[i, j].tolist()}
+
+
+def _put(key, p, value):
+    def edit(t):
+        t[key][p] = value
+
+    return edit
+
+
+def _repeat_entry_0_at_5(t):
+    t["rows"][5], t["cols"][5] = t["rows"][0], t["cols"][0]
+
+
+# Example A's matrix has 17 positive entries; entry 0 is (0, 0). NaN is
+# written into the JSON text in place of 12345.5.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t["vals"].pop(), "topology/matrix: rows, cols and vals have 17, 17 and 16 entries"),
+        (_put("cols", 4, 9), "topology/matrix/cols/4: 9 is not below n = 9"),
+        (_put("rows", 16, 10**30), f"topology/matrix/rows/16: {10**30} is not below n = 9"),
+        (_put("rows", 2, -1), "topology/matrix/rows/2: -1 is less than the minimum of 0"),
+        (_put("rows", 0, True), "topology/matrix/rows/0: True is not of type 'integer'"),
+        (_put("cols", 1, 1.5), "topology/matrix/cols/1: 1.5 is not of type 'integer'"),
+        (_repeat_entry_0_at_5, "topology/matrix: entries 0 and 5 both give (0, 0)"),
+        (lambda t: t.update(n=8), "topology/matrix/n: 8 agents, but the clustering has 9"),
+        (_put("vals", 3, 12345.5), "topology/matrix/vals/3: nan is not a finite number"),
+    ],
+    ids=["lengths", "index-n", "index-huge", "index-negative", "index-bool", "index-fraction",
+         "duplicate", "n", "vals-nan"],
+)
+def test_malformed_triplets_are_an_input_error(tmp_path, capsys, edit, message):
+    doc = example_config("A")
+    doc["topology"]["matrix"] = _triplets(doc["topology"]["matrix"])
+    edit(doc["topology"]["matrix"])
+    path = tmp_path / "triplets.json"
+    path.write_text(emit_config(doc).replace("12345.5", "NaN"))
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: config invalid at {message}\n"
+
+
+def test_triplets_are_checked_against_the_graph_and_in_schedules(tmp_path, capsys):
+    doc = example_config("A")
+    doc["topology"]["matrix"] = _triplets(doc["topology"]["matrix"])
+    path = tmp_path / "triplets.json"
+    emit_config(doc, str(path))
+    assert main(["check", "--config", str(path)]) == 0
+    doc["topology"]["graph"][0] = [0, 1]
+    emit_config(doc, str(path))
+    capsys.readouterr()
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config invalid at topology/graph/0: lists [0, 1],"
+        " but column 0 of the matrix is positive at [0]\n"
+    )
+
+    doc = example_config("B")
+    doc["topology"]["matrices"][1] = _triplets(doc["topology"]["matrices"][1])
+    emit_config(doc, str(path))
+    assert main(["check", "--config", str(path)]) == 0
+    doc["topology"]["matrices"][1]["cols"][2] = 9
+    emit_config(doc, str(path))
+    capsys.readouterr()
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config invalid at topology/matrices/1/cols/2: 9 is not below n = 9\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("learning", "flags"), [[1, -1], [0], [-1, 1]], "learning/flags/1: length 1, but row 0 has length 2"),
+        (("learning", "initial"), [[0.5, 0.5]] * 8 + [[1.0]], "learning/initial/8: length 1, but row 0 has length 2"),
+        (("topology", "matrix", 3), [0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0],
+         "topology/matrix/3: length 8, but row 0 has length 9"),
+    ],
+    ids=["flags", "initial", "matrix"],
+)
+def test_ragged_matrices_are_an_input_error(tmp_path, capsys, path, value, message):
+    doc = example_config("A")
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path / "ragged.json"
+    emit_config(doc, str(config))
+    assert main(["learn", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: config invalid at {message}\n"

@@ -6,10 +6,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from cclab.config import (
     SCHEMA,
+    SPARSE_FROM,
     ConfigError,
     build_scenario,
     config_digest,
@@ -18,6 +21,13 @@ from cclab.config import (
     generated_config,
     load_config,
     load_scenario,
+)
+from cclab.dynamics import simulate
+from cclab.generate import (
+    GeneratorSpec,
+    gen_common_influence_matrix,
+    gen_graph_with_cluster_trees,
+    gen_switching_schedule,
 )
 from cclab.stochastic import MatrixSchedule
 
@@ -245,6 +255,112 @@ def test_generated_config_bytes_are_pinned(m, digest):
     draws or to the edges they pick changes the emitted document."""
     doc = generated_config((3, 4, 2, 5), seed=7, m=m, density=0.5)
     assert hashlib.sha256(emit_config(doc).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "m, digest",
+    [
+        (1, "97cf77055fe04a69808e32788c658dd757dcb13afa08281ea3e3c99ed9c45f3a"),
+        (3, "35287a2ce99c8a447d051aa78a3547bd462dad4f2039fcf2c581a4056096a05f"),
+    ],
+)
+def test_generated_config_bytes_are_pinned_in_triplet_form(m, digest):
+    """At the cut-off the matrices are written as triplets and the fixed
+    topology drops its support graph; one agent fewer keeps the rows."""
+    assert SPARSE_FROM == 100
+    doc = generated_config((50, 50), seed=7, m=m, density=0.05, entry_floor=0.001)
+    top = doc["topology"]
+    for mat in top.get("matrices", [top.get("matrix")]):
+        assert sorted(mat) == ["cols", "n", "rows", "vals"]
+    assert "graph" not in top and "graphs" not in top
+    assert hashlib.sha256(emit_config(doc).encode()).hexdigest() == digest
+
+    top = generated_config((50, 49), seed=7, m=m, density=0.05, entry_floor=0.001)["topology"]
+    assert all(isinstance(mat, list) for mat in top.get("matrices", [top.get("matrix")]))
+    assert ("graph" in top) == (m == 1)
+
+
+def _couplings(scenario):
+    coupling = scenario.system.coupling
+    return [a.tobytes() for a in getattr(coupling, "matrices", [coupling])]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_triplet_configs_rebuild_the_generated_matrices(m):
+    """Above the cut-off the triplets carry the generator's realized
+    matrices bit for bit, and load to the system their rows give."""
+    sizes, seed = (60, 50, 40), 11
+    doc = json.loads(emit_config(generated_config(sizes, seed=seed, m=m, density=0.1, entry_floor=0.001)))
+    spec = GeneratorSpec(cluster_sizes=sizes, seed=seed, entry_floor=0.001, density=0.1)
+    if m == 1:
+        realized = [gen_common_influence_matrix(spec, gen_graph_with_cluster_trees(spec))]
+        triplets = [doc["topology"]["matrix"]]
+    else:
+        realized = gen_switching_schedule(spec, m=m, window=m).matrices
+        triplets = doc["topology"]["matrices"]
+    assert len(triplets) == len(realized)
+    for t, a in zip(triplets, realized):
+        carried = np.zeros((t["n"], t["n"]))
+        carried[t["rows"], t["cols"]] = t["vals"]
+        assert carried.tobytes() == a.tobytes()
+
+    rows_doc = copy.deepcopy(doc)
+    if m == 1:
+        rows_doc["topology"]["matrix"] = realized[0].tolist()
+    else:
+        rows_doc["topology"]["matrices"] = [a.tolist() for a in realized]
+    assert _couplings(build_scenario(doc)) == _couplings(build_scenario(rows_doc))
+
+
+def _shuffled_triplets(a, rng):
+    rows, cols = np.nonzero(a)
+    # A few explicit zeros are allowed beside the positive entries.
+    zr, zc = np.nonzero(a == 0)
+    pick = rng.permutation(zr.size)[: rng.integers(0, 3)]
+    rows, cols = np.concatenate([rows, zr[pick]]), np.concatenate([cols, zc[pick]])
+    order = rng.permutation(rows.size)
+    rows, cols = rows[order], cols[order]
+    return {
+        "n": a.shape[0],
+        "rows": rows.tolist(),
+        "cols": cols.tolist(),
+        "vals": a[rows, cols].tolist(),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]))
+def test_triplet_and_row_forms_build_the_same_system(seed, m):
+    rng = np.random.default_rng(seed)
+    sizes = [int(s) for s in rng.integers(1, 6, size=2)]
+    n = sum(sizes)
+    density = rng.uniform(0.0, 1.0)
+    mats = []
+    for _ in range(m):
+        w = rng.random((n, n)) * (rng.random((n, n)) < density)
+        w[np.diag_indices(n)] += rng.uniform(0.1, 1.0, n)
+        mats.append(w / w.sum(axis=1, keepdims=True))
+
+    def scenario(form):
+        if m == 1:
+            topology = {"type": "fixed", "matrix": form(mats[0])}
+        else:
+            topology = {"type": "switching", "matrices": [form(a) for a in mats]}
+        doc = {
+            "version": 1,
+            "seed": seed,
+            "clustering": {"sizes": sizes},
+            "topology": topology,
+            "signal": {"period": 2, "free_values": [-1.0], "alphas": [1.0, -0.5]},
+        }
+        return build_scenario(json.loads(json.dumps(doc)))
+
+    dense = scenario(lambda a: a.tolist())
+    sparse = scenario(lambda a: _shuffled_triplets(a, rng))
+    assert _couplings(sparse) == _couplings(dense)
+    assert sparse.x0.tobytes() == dense.x0.tobytes()
+    run = simulate(sparse.system, sparse.x0, 40).states
+    assert run.tobytes() == simulate(dense.system, dense.x0, 40).states.tobytes()
 
 
 def test_switching_config_defaults_window_to_the_period():
