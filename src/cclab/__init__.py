@@ -61,7 +61,6 @@ from .verifier import (
     HypothesisReport,
     ReconcileResult,
     Thresholds,
-    assess_system,
     check_switching,
     check_theorem_static_consensus,
     check_theorem_static_sync,
@@ -92,7 +91,6 @@ __all__ = [
     "System",
     "Thresholds",
     "Trajectory",
-    "assess_system",
     "boundedness_report",
     "check_switching",
     "check_theorem_static_consensus",

@@ -1,16 +1,16 @@
-"""Scenario configs: JSON schema, loading, and materialization.
+"""Scenario configs: validation, loading, and materialization.
 
 A config is one self-contained JSON document: clustering, topology (inline
 matrices or a seeded generator recipe), the driving signal, optional
-social-learning extension, horizon, seed, thresholds.  Loading validates
-against the schema, materializes any generator recipes, and returns a bundle
-ready for the simulation and checking layers.  Vertices and cluster indices
-are 0-based inside configs; only rendered reports use 1-based labels.
+social-learning extension, horizon, seed, thresholds.  Loading checks the
+document's shape and numbers in one walk, materializes any generator
+recipes, and returns a bundle ready for the simulation and checking layers.
+Vertices and cluster indices are 0-based inside configs; only rendered
+reports use 1-based labels.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -18,7 +18,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from .dynamics import System
@@ -52,188 +51,6 @@ CONFIG_VERSION = 1
 # edges. Below it the emitted bytes stay as they were.
 SPARSE_FROM = 100
 
-# Matrix-valued leaves are checked here for shape only; their entries are
-# checked row by row in ``_check_numbers``, which keeps the messages the
-# per-entry schema gave ("number" entries, "integer" entries >= 0).
-_NUMBER_MATRIX = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"type": "array", "minItems": 1},
-}
-
-_ADJACENCY = {"type": "array", "items": {"type": "array"}}
-
-# A square coupling matrix as triplets: entry (rows[p], cols[p]) is vals[p],
-# every other entry is zero. Only the shape is checked here; the three
-# arrays are checked in ``_check_numbers`` and against each other and ``n``
-# in ``_sparse_matrix``.
-_SPARSE_MATRIX = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["n", "rows", "cols", "vals"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "rows": {"type": "array"},
-        "cols": {"type": "array"},
-        "vals": {"type": "array"},
-    },
-}
-
-# if/then/else rather than oneOf keeps the dense form's messages: the
-# failing branch's errors are reported as they are, not as a oneOf miss.
-_COUPLING = {"if": {"type": "object"}, "then": _SPARSE_MATRIX, "else": _NUMBER_MATRIX}
-
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["version", "clustering", "topology"],
-    "properties": {
-        "version": {"const": CONFIG_VERSION},
-        "label": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-        "horizon": {"type": "integer", "minimum": 1},
-        "window": {"type": "integer", "minimum": 1},
-        "theorem": {"enum": [1, 2, 3, 4]},
-        "clustering": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sizes": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "integer", "minimum": 1},
-                },
-                "clusters": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                },
-            },
-            "oneOf": [{"required": ["sizes"]}, {"required": ["clusters"]}],
-        },
-        "topology": {
-            "type": "object",
-            "required": ["type"],
-            "oneOf": [
-                {
-                    "properties": {
-                        "type": {"const": "fixed"},
-                        "matrix": _COUPLING,
-                        "graph": _ADJACENCY,
-                    },
-                    "required": ["type", "matrix"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "type": {"const": "switching"},
-                        "matrices": {
-                            "type": "array",
-                            "minItems": 1,
-                            "items": _COUPLING,
-                        },
-                        "floor": {"type": "number", "exclusiveMinimum": 0},
-                        "graphs": {"type": "array", "items": _ADJACENCY},
-                    },
-                    "required": ["type", "matrices"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "type": {"const": "generator"},
-                        "entry_floor": {"type": "number", "exclusiveMinimum": 0},
-                        "density": {"type": "number", "minimum": 0, "maximum": 1},
-                        "quotient": _NUMBER_MATRIX,
-                        "mode": {"enum": ["random", "equal"]},
-                    },
-                    "required": ["type"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "type": {"const": "switching-generator"},
-                        "m": {"type": "integer", "minimum": 2},
-                        "window": {"type": "integer", "minimum": 1},
-                        "entry_floor": {"type": "number", "exclusiveMinimum": 0},
-                        "density": {"type": "number", "minimum": 0, "maximum": 1},
-                        "quotient": _NUMBER_MATRIX,
-                        "mode": {"enum": ["random", "equal"]},
-                    },
-                    "required": ["type", "m"],
-                    "additionalProperties": False,
-                },
-            ],
-        },
-        "signal": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["period", "free_values"],
-            "properties": {
-                "period": {"type": "integer", "minimum": 1},
-                "free_values": {"type": "array", "items": {"type": "number"}},
-                "alphas": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "number"},
-                },
-                "strength": {"type": "number"},
-            },
-        },
-        "initial_state": {
-            "oneOf": [
-                {"const": "random"},
-                {"type": "array", "minItems": 1, "items": {"type": "number"}},
-            ]
-        },
-        "learning": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["states", "flags"],
-            "properties": {
-                "states": {"type": "integer", "minimum": 2},
-                "flags": _NUMBER_MATRIX,
-                "strength": {"type": "number", "minimum": 0},
-                "slack": {"type": "number", "exclusiveMinimum": 0},
-                "initial": {
-                    "oneOf": [
-                        {"enum": ["uniform", "random"]},
-                        _NUMBER_MATRIX,
-                    ]
-                },
-                "zeta": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "clusters": {
-                            "type": "array",
-                            "minItems": 2,
-                            "maxItems": 2,
-                            "items": {"type": "integer", "minimum": 0},
-                        },
-                        "state": {"type": "integer", "minimum": 0},
-                    },
-                },
-            },
-        },
-        "thresholds": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sync_scale": {"type": "number", "exclusiveMinimum": 0},
-                "separation": {"type": "number", "exclusiveMinimum": 0},
-                "periodic": {"type": "number", "exclusiveMinimum": 0},
-                "common_influence": {"type": "number", "exclusiveMinimum": 0},
-                "zero": {"type": "number", "minimum": 0},
-            },
-        },
-    },
-}
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent scenario config."""
@@ -244,124 +61,264 @@ def _invalid(path, message: str) -> ConfigError:
     return ConfigError(f"config invalid at {where}: {message}")
 
 
-@functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    return jsonschema.Draft202012Validator(SCHEMA)
+# The document's shape is checked by one walk. Each rule below is a function
+# ``check(value, path)`` that raises ``_invalid`` at the first fault in
+# document order; the messages keep JSON Schema's wording.
 
 
-def _finite_problem(v) -> Optional[str]:
-    try:
-        if math.isfinite(v):
-            return None
-    except OverflowError:  # an int beyond the float range
-        pass
-    return f"{v!r} is not a finite number"
+def _string(v, path) -> None:
+    if not isinstance(v, str):
+        raise _invalid(path, f"{v!r} is not of type 'string'")
 
 
-def _schema_problem(v, integer: bool) -> Optional[str]:
-    """The message the per-entry schema gave for a bad matrix entry, else
-    ``None``."""
-    if integer:
+def _number(minimum=None, exclusive_minimum=None, maximum=None, integer=False):
+    """A finite number within the given bounds; with ``integer``, an integer
+    (an integral float counts)."""
+    kind = "integer" if integer else "number"
+
+    def check(v, path):
         if isinstance(v, bool) or not (
             isinstance(v, int) or isinstance(v, float) and v.is_integer()
+            if integer
+            else isinstance(v, numbers.Real)
         ):
-            return f"{v!r} is not of type 'integer'"
-        return f"{v!r} is less than the minimum of 0" if v < 0 else None
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return f"{v!r} is not of type 'number'"
-    return None
-
-
-def _matrix_leaves(doc: dict) -> dict:
-    """``id(array) -> check`` for every array that the schema checks for
-    shape only; ``check(array, path)`` tests its entries."""
-    top = doc["topology"]
-    learning = doc.get("learning", {})
-    leaves = {}
-
-    def add(node, check, integer, mistyped=None):
-        if node is not None:
-            leaves[id(node)] = functools.partial(
-                check, integer=integer, mistyped=mistyped
+            raise _invalid(path, f"{v!r} is not of type '{kind}'")
+        if minimum is not None and v < minimum:
+            raise _invalid(path, f"{v!r} is less than the minimum of {minimum!r}")
+        if exclusive_minimum is not None and v <= exclusive_minimum:
+            raise _invalid(
+                path, f"{v!r} is less than or equal to the minimum of {exclusive_minimum!r}"
             )
+        if maximum is not None and v > maximum:
+            raise _invalid(path, f"{v!r} is greater than the maximum of {maximum!r}")
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise _invalid(path, f"{v!r} is not a finite number")
 
-    for m in (top.get("matrix"), *top.get("matrices", ())):
-        if isinstance(m, dict):
-            add(m["rows"], _check_entries, True)
-            add(m["cols"], _check_entries, True)
-            add(m["vals"], _check_entries, False)
-        else:
-            add(m, _check_rows, False)
-    add(learning.get("flags"), _check_rows, False)
-    if isinstance(learning.get("initial"), list):
-        add(learning["initial"], _check_rows, False)
-    for g in (top.get("graph"), *top.get("graphs", ())):
-        add(g, _check_rows, True)
-    if "quotient" in top:
-        # Both generator branches take a quotient, so the schema's oneOf
-        # named the whole topology.
-        add(
-            top["quotient"],
-            _check_rows,
-            False,
-            _invalid(["topology"], f"{top!r} is not valid under any of the given schemas"),
-        )
-    return leaves
+    return check
 
 
-def _check_entries(
-    values: list, path: tuple, integer: bool, mistyped: Optional[ConfigError]
-) -> None:
-    """Test the entries' types and finiteness at once; search entry by entry
-    only when that test fails. ``mistyped`` is the error the per-entry
-    schema raised for a bad entry when it did not name the entry itself."""
-    try:
-        if integer:
-            ok = set(map(type, values)) <= {int} and min(values, default=0) >= 0
-        else:
-            ok = set(map(type, values)) <= {int, float} and math.isfinite(sum(values))
-    except OverflowError:
-        ok = False
-    if ok:
-        return
-    for j, v in enumerate(values):
-        problem = _schema_problem(v, integer)
-        if problem is not None and mistyped is not None:
-            raise mistyped
-        problem = problem or _finite_problem(v)
-        if problem is not None:
-            raise _invalid((*path, j), problem)
+def _enum(*values):
+    def check(v, path):
+        if isinstance(v, bool) or v not in values:
+            raise _invalid(path, f"{v!r} is not one of {list(values)!r}")
+
+    return check
 
 
-def _check_rows(
-    rows: list, path: tuple, integer: bool, mistyped: Optional[ConfigError]
-) -> None:
-    """:func:`_check_entries` per row. Number matrices must be rectangular;
-    adjacency lists (``integer``) need not be."""
-    width = len(rows[0]) if rows else 0
-    for i, row in enumerate(rows):
-        if not integer and len(row) != width:
-            raise _invalid((*path, i), f"length {len(row)}, but row 0 has length {width}")
-        _check_entries(row, (*path, i), integer, mistyped)
+def _array_shape(v, path, min_items: int = 0, max_items: Optional[int] = None) -> None:
+    if not isinstance(v, list):
+        raise _invalid(path, f"{v!r} is not of type 'array'")
+    if len(v) < min_items:
+        short = "should be non-empty" if min_items == 1 else "is too short"
+        raise _invalid(path, f"{v!r} {short}")
+    if max_items is not None and len(v) > max_items:
+        raise _invalid(path, f"{v!r} is too long")
 
 
-def _check_numbers(node, path: tuple, leaves: dict) -> None:
-    """Reject every non-finite number in the document, and every bad entry
-    of the arrays the schema left unchecked."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _check_numbers(value, (*path, key), leaves)
-    elif isinstance(node, list):
-        check = leaves.get(id(node))
-        if check is not None:
-            check(node, path)
-            return
-        for i, value in enumerate(node):
-            _check_numbers(value, (*path, i), leaves)
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        problem = _finite_problem(node)
-        if problem is not None:
-            raise _invalid(path, problem)
+def _array(item, min_items: int = 0, max_items: Optional[int] = None):
+    def check(v, path):
+        _array_shape(v, path, min_items, max_items)
+        for i, x in enumerate(v):
+            item(x, (*path, i))
+
+    return check
+
+
+def _numbers(integer: bool, min_items: int = 0):
+    """An array of numbers, or (``integer``) of integers >= 0. One pass tests
+    the entries' types and finiteness at once; only when it fails are the
+    entries checked one by one, which finds the first bad one."""
+    entry = _number(0, integer=True) if integer else _number()
+    types = {int} if integer else {int, float}
+
+    def check(v, path):
+        _array_shape(v, path, min_items)
+        try:
+            ok = (
+                set(map(type, v)) <= types
+                and math.isfinite(sum(v))
+                and not (integer and min(v, default=0) < 0)
+            )
+        except OverflowError:
+            ok = False
+        if not ok:
+            for j, x in enumerate(v):
+                entry(x, (*path, j))
+
+    return check
+
+
+_ROW = _numbers(False)
+
+
+def _matrix(v, path) -> None:
+    """A non-empty list of non-empty rows of numbers, all of one length."""
+    _array_shape(v, path, 1)
+    for i, r in enumerate(v):
+        _array_shape(r, (*path, i), 1)
+        if len(r) != len(v[0]):
+            raise _invalid((*path, i), f"length {len(r)}, but row 0 has length {len(v[0])}")
+        _ROW(r, (*path, i))
+
+
+def _object(properties: dict, required: tuple = ()):
+    def check(v, path):
+        if not isinstance(v, dict):
+            raise _invalid(path, f"{v!r} is not of type 'object'")
+        extra = sorted((k for k in v if k not in properties), key=str)
+        if extra:
+            raise _invalid(
+                path,
+                f"Additional properties are not allowed ({', '.join(map(repr, extra))}"
+                f" {'was' if len(extra) == 1 else 'were'} unexpected)",
+            )
+        for key in required:
+            if key not in v:
+                raise _invalid(path, f"{key!r} is a required property")
+        for key, x in v.items():
+            properties[key](x, (*path, key))
+
+    return check
+
+
+def _name_or(names: tuple, rule):
+    """One of the strings ``names``, or an array that ``rule`` accepts."""
+
+    def check(v, path):
+        if isinstance(v, list):
+            rule(v, path)
+        elif v not in names:
+            raise _invalid(path, f"{v!r} is not one of {list(names)!r} or an array")
+
+    return check
+
+
+_ADJACENCY = _array(_numbers(True))
+_POSITIVE = _number(exclusive_minimum=0)
+
+# A square coupling matrix as triplets: entry (rows[p], cols[p]) is vals[p],
+# every other entry is zero. The three arrays are checked against each other
+# and ``n`` in ``_sparse_matrix``.
+_TRIPLETS = _object(
+    {
+        "n": _number(1, integer=True),
+        "rows": _numbers(True),
+        "cols": _numbers(True),
+        "vals": _numbers(False),
+    },
+    required=("n", "rows", "cols", "vals"),
+)
+
+
+def _coupling(v, path) -> None:
+    (_TRIPLETS if isinstance(v, dict) else _matrix)(v, path)
+
+
+_RECIPE = {
+    "type": _string,
+    "entry_floor": _POSITIVE,
+    "density": _number(minimum=0, maximum=1),
+    "quotient": _matrix,
+    "mode": _enum("random", "equal"),
+}
+
+_TOPOLOGIES = {
+    "fixed": _object(
+        {"type": _string, "matrix": _coupling, "graph": _ADJACENCY}, required=("matrix",)
+    ),
+    "switching": _object(
+        {
+            "type": _string,
+            "matrices": _array(_coupling, min_items=1),
+            "floor": _POSITIVE,
+            "graphs": _array(_ADJACENCY),
+        },
+        required=("matrices",),
+    ),
+    "generator": _object(_RECIPE),
+    "switching-generator": _object(
+        {**_RECIPE, "m": _number(2, integer=True), "window": _number(1, integer=True)},
+        required=("m",),
+    ),
+}
+
+
+def _topology(v, path) -> None:
+    """Checked by the rule that its ``type`` names."""
+    if not isinstance(v, dict):
+        raise _invalid(path, f"{v!r} is not of type 'object'")
+    if "type" not in v:
+        raise _invalid(path, "'type' is a required property")
+    _enum(*_TOPOLOGIES)(v["type"], (*path, "type"))
+    _TOPOLOGIES[v["type"]](v, path)
+
+
+_CLUSTERING_KEYS = _object(
+    {
+        "sizes": _array(_number(1, integer=True), min_items=1),
+        "clusters": _array(_numbers(True, min_items=1), min_items=1),
+    }
+)
+
+
+def _clustering(v, path) -> None:
+    _CLUSTERING_KEYS(v, path)
+    if ("sizes" in v) == ("clusters" in v):
+        raise _invalid(path, "exactly one of 'sizes' and 'clusters' is required")
+
+
+_DOCUMENT = _object(
+    {
+        "version": _enum(CONFIG_VERSION),
+        "label": _string,
+        "seed": _number(0, integer=True),
+        "horizon": _number(1, integer=True),
+        "window": _number(1, integer=True),
+        "theorem": _enum(1, 2, 3, 4),
+        "clustering": _clustering,
+        "topology": _topology,
+        "signal": _object(
+            {
+                "period": _number(1, integer=True),
+                "free_values": _numbers(False),
+                "alphas": _numbers(False, min_items=1),
+                "strength": _number(),
+            },
+            required=("period", "free_values"),
+        ),
+        "initial_state": _name_or(("random",), _numbers(False, min_items=1)),
+        "learning": _object(
+            {
+                "states": _number(2, integer=True),
+                "flags": _matrix,
+                "strength": _number(minimum=0),
+                "slack": _POSITIVE,
+                "initial": _name_or(("uniform", "random"), _matrix),
+                "zeta": _object(
+                    {
+                        "clusters": _array(_number(0, integer=True), min_items=2, max_items=2),
+                        "state": _number(0, integer=True),
+                    }
+                ),
+            },
+            required=("states", "flags"),
+        ),
+        "thresholds": _object(
+            {
+                "sync_scale": _POSITIVE,
+                "separation": _POSITIVE,
+                "periodic": _POSITIVE,
+                "common_influence": _POSITIVE,
+                "zero": _number(minimum=0),
+            }
+        ),
+    },
+    required=("version", "clustering", "topology"),
+)
 
 
 def _check_support(path: tuple, graph: Optional[list], a: np.ndarray) -> None:
@@ -437,7 +394,7 @@ def _build_clustering(section: dict) -> Clustering:
     if "sizes" in section:
         return Clustering.from_sizes(tuple(section["sizes"]))
     clusters = tuple(tuple(sorted(c)) for c in section["clusters"])
-    n = max(max(c) for c in clusters) + 1
+    n = int(max(max(c) for c in clusters)) + 1
     return Clustering(n, clusters)
 
 
@@ -527,7 +484,7 @@ def _build_topology(doc: dict, clustering: Clustering):
         return gen_common_influence_matrix(
             spec, gen_graph_with_cluster_trees(spec), mode=mode
         )
-    m = top["m"]
+    m = int(top["m"])
     return gen_switching_schedule(spec, m=m, window=top.get("window", m), mode=mode)
 
 
@@ -537,7 +494,7 @@ def _build_offsets(
     if "signal" not in doc:
         return None, None
     sec = doc["signal"]
-    sig = PeriodicInput(sec["period"], tuple(sec["free_values"]))
+    sig = PeriodicInput(int(sec["period"]), tuple(sec["free_values"]))
     if "alphas" not in sec:
         return None, sig
     strength = sec.get("strength", 1.0)
@@ -561,7 +518,7 @@ def _build_learning(
     if "learning" not in doc:
         return None
     sec = doc["learning"]
-    m = sec["states"]
+    m = int(sec["states"])
     flags_tab = np.array(sec["flags"], dtype=float)
     if flags_tab.shape != (clustering.k, m):
         raise ConfigError("flag table must be clusters x states")
@@ -586,8 +543,8 @@ def _build_learning(
             raise ConfigError(str(exc)) from exc
     zeta = sec.get("zeta", {})
     default_pair = (1, 2) if clustering.k >= 3 else (0, min(1, clustering.k - 1))
-    pair = tuple(zeta.get("clusters", default_pair))
-    state = zeta.get("state", 0)
+    pair = tuple(int(c) for c in zeta.get("clusters", default_pair))
+    state = int(zeta.get("state", 0))
     if pair[0] == pair[1] or max(pair) >= clustering.k:
         raise ConfigError("zeta clusters must be two distinct cluster indices")
     if state >= m:
@@ -603,14 +560,11 @@ def _build_learning(
 
 def build_scenario(doc: dict) -> Scenario:
     """Validate a config document and materialize every component."""
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if error is not None:
-        raise _invalid(error.absolute_path, error.message) from error
-    _check_numbers(doc, (), _matrix_leaves(doc))
+    _DOCUMENT(doc, ())
 
     try:
         clustering = _build_clustering(doc["clustering"])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # a size past the C integer range
         raise ConfigError(f"clustering: {exc}") from exc
     try:
         coupling = _build_topology(doc, clustering)
@@ -646,7 +600,7 @@ def build_scenario(doc: dict) -> Scenario:
     learning = _build_learning(doc, clustering, rng)
 
     switching = isinstance(coupling, MatrixSchedule)
-    horizon = doc.get("horizon", 5000 if switching else 2000)
+    horizon = int(doc.get("horizon", 5000 if switching else 2000))
     if switching:
         window = doc.get("window", doc["topology"].get("window", coupling.period))
     else:

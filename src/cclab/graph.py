@@ -19,6 +19,7 @@ cluster-consensus criteria:
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -80,8 +81,11 @@ class Clustering:
                     raise ValueError(f"vertex {v} appears in two clusters")
                 seen.add(v)
         if len(seen) != self.n:
-            missing = sorted(set(range(self.n)) - seen)
-            raise ValueError(f"vertices not covered by any cluster: {missing}")
+            # n may be far above len(seen): name the first few gaps only.
+            missing = list(itertools.islice((v for v in range(self.n) if v not in seen), 10))
+            more = self.n - len(seen) - len(missing)
+            and_more = f" and {more} more" if more else ""
+            raise ValueError(f"vertices not covered by any cluster: {missing}{and_more}")
         labels = [0] * self.n
         for p, c in enumerate(clusters):
             for v in c:

@@ -387,42 +387,6 @@ def check_switching(
     )
 
 
-def assess_system(
-    sys: System,
-    window: Optional[int] = None,
-    horizon: Optional[int] = None,
-    thresholds: Thresholds = Thresholds(),
-) -> HypothesisReport:
-    """Combined report with the strongest applicable prediction.
-
-    For fixed couplings the consensus prediction additionally requires the
-    synchronization hypotheses: the separation argument runs through the
-    quotient matrix, which needs common influence to exist.
-    """
-    if sys.is_switching:
-        return check_switching(sys, window=window, horizon=horizon, thresholds=thresholds)
-    sync = check_theorem_static_sync(sys, horizon=horizon, thresholds=thresholds)
-    cons = check_theorem_static_consensus(sys, thresholds=thresholds)
-    seen = {c.name for c in sync.conditions}
-    merged = sync.conditions + tuple(
-        c for c in cons.conditions if c.name not in seen
-    )
-    consensus_ok = bool(cons.consensus_ok and sync.sync_ok)
-    predicted = (
-        "cluster-consensus" if consensus_ok
-        else "intra-sync" if sync.sync_ok
-        else "no-guarantee"
-    )
-    return HypothesisReport(
-        claim="static-combined",
-        conditions=merged,
-        predicted=predicted,
-        sync_ok=sync.sync_ok,
-        consensus_ok=consensus_ok,
-        notes=cons.notes,
-    )
-
-
 class ClaimError(ValueError):
     """The claim does not apply to the system."""
 

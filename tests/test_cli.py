@@ -1,11 +1,15 @@
 """End-to-end command behavior: exit codes, artifacts, determinism."""
 
+import copy
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cclab
 from cclab import config as config_module
 from cclab import stochastic
 from cclab.cli import main
@@ -361,6 +365,8 @@ def test_bad_config_is_an_input_error(tmp_path, capsys):
     [
         ([[0, 1, 2], [2, 3, 4], [5, 6, 7, 8]], "vertex 2 appears in two clusters"),
         ([[0, 1, 2], [3, 4, 5], [6, 7, 9]], "vertices not covered by any cluster: [8]"),
+        ([[0, 1, 2], [3, 4, 5], [6, 7, 10**30]],
+         f"vertices not covered by any cluster: {list(range(8, 18))} and {10**30 - 18} more"),
     ],
 )
 def test_invalid_clusters_are_an_input_error(tmp_path, capsys, clusters, message):
@@ -370,6 +376,15 @@ def test_invalid_clusters_are_an_input_error(tmp_path, capsys, clusters, message
     emit_config(doc, str(path))
     assert main(["check", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: clustering: {message}\n"
+
+
+def test_a_cluster_size_past_the_index_range_is_an_input_error(tmp_path, capsys):
+    doc = example_config("A")
+    doc["clustering"] = {"sizes": [3, 3, 10**30]}
+    path = tmp_path / "sizes.json"
+    emit_config(doc, str(path))
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: clustering: Python int too large to convert to C ssize_t\n"
 
 
 def test_unknown_subcommand_is_a_usage_error():
@@ -469,13 +484,14 @@ def _triplets(rows):
 
 
 def _put(key, p, value):
-    def edit(t):
-        t[key][p] = value
+    def edit(top):
+        top["matrix"][key][p] = value
 
     return edit
 
 
-def _repeat_entry_0_at_5(t):
+def _repeat_entry_0_at_5(top):
+    t = top["matrix"]
     t["rows"][5], t["cols"][5] = t["rows"][0], t["cols"][0]
 
 
@@ -484,23 +500,27 @@ def _repeat_entry_0_at_5(t):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda t: t["vals"].pop(), "topology/matrix: rows, cols and vals have 17, 17 and 16 entries"),
+        (lambda top: top["matrix"]["vals"].pop(),
+         "topology/matrix: rows, cols and vals have 17, 17 and 16 entries"),
         (_put("cols", 4, 9), "topology/matrix/cols/4: 9 is not below n = 9"),
         (_put("rows", 16, 10**30), f"topology/matrix/rows/16: {10**30} is not below n = 9"),
         (_put("rows", 2, -1), "topology/matrix/rows/2: -1 is less than the minimum of 0"),
         (_put("rows", 0, True), "topology/matrix/rows/0: True is not of type 'integer'"),
         (_put("cols", 1, 1.5), "topology/matrix/cols/1: 1.5 is not of type 'integer'"),
         (_repeat_entry_0_at_5, "topology/matrix: entries 0 and 5 both give (0, 0)"),
-        (lambda t: t.update(n=8), "topology/matrix/n: 8 agents, but the clustering has 9"),
+        (lambda top: top["matrix"].update(n=8), "topology/matrix/n: 8 agents, but the clustering has 9"),
         (_put("vals", 3, 12345.5), "topology/matrix/vals/3: nan is not a finite number"),
+        (lambda top: top.update(matrix={"n": 9}), "topology/matrix: 'rows' is a required property"),
+        (lambda top: top.update(type="sparse"),
+         "topology/type: 'sparse' is not one of ['fixed', 'switching', 'generator', 'switching-generator']"),
     ],
     ids=["lengths", "index-n", "index-huge", "index-negative", "index-bool", "index-fraction",
-         "duplicate", "n", "vals-nan"],
+         "duplicate", "n", "vals-nan", "n-only", "type"],
 )
 def test_malformed_triplets_are_an_input_error(tmp_path, capsys, edit, message):
     doc = example_config("A")
     doc["topology"]["matrix"] = _triplets(doc["topology"]["matrix"])
-    edit(doc["topology"]["matrix"])
+    edit(doc["topology"])
     path = tmp_path / "triplets.json"
     path.write_text(emit_config(doc).replace("12345.5", "NaN"))
     assert main(["check", "--config", str(path)]) == 1
@@ -533,6 +553,12 @@ def test_triplets_are_checked_against_the_graph_and_in_schedules(tmp_path, capsy
     assert capsys.readouterr().err == (
         "error: config invalid at topology/matrices/1/cols/2: 9 is not below n = 9\n"
     )
+    doc["topology"]["matrices"][1] = {"n": 9}
+    emit_config(doc, str(path))
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config invalid at topology/matrices/1: 'rows' is a required property\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -555,3 +581,102 @@ def test_ragged_matrices_are_an_input_error(tmp_path, capsys, path, value, messa
     emit_config(doc, str(config))
     assert main(["learn", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"error: config invalid at {message}\n"
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _floats(value):
+    if isinstance(value, dict):
+        return {k: _floats(v) for k, v in value.items()}
+    return [_floats(v) for v in value] if isinstance(value, list) else float(value)
+
+
+def _outputs(tmp_path, capsys, command, doc, name):
+    config = tmp_path / f"{name}.json"
+    emit_config(doc, str(config))
+    out = tmp_path / name
+    out.mkdir()
+    target = out / "check.json" if command == "check" else out
+    code = main([command, "--config", str(config), "--out", str(target)])
+    captured = capsys.readouterr()
+    files = {}
+    for p in sorted(out.iterdir()):
+        if p.suffix == ".json":
+            record = json.loads(p.read_text())
+            record.pop("config_sha256")  # the hash of the document text, 2.0 or 2
+            files[p.name] = record
+        else:
+            files[p.name] = p.read_bytes()
+    return code, captured.out, captured.err, files
+
+
+_SWITCHING_GENERATOR = {
+    "version": 1,
+    "seed": 3,
+    "clustering": {"sizes": [2, 2]},
+    "topology": {"type": "switching-generator"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("simulate", ("horizon",), 200),
+        ("simulate", ("signal", "period"), 2),
+        ("learn", ("learning", "states"), 2),
+        ("learn", ("learning", "zeta"), {"clusters": [0, 2]}),
+        ("learn", ("learning", "zeta"), {"state": 1}),
+        ("check", ("topology", "m"), 3),
+    ],
+    ids=["horizon", "period", "states", "zeta-clusters", "zeta-state", "m"],
+)
+def test_integral_floats_run_like_integers(tmp_path, capsys, command, path, value):
+    base = _SWITCHING_GENERATOR if command == "check" else dict(example_config("A"), horizon=200)
+    ran = _outputs(tmp_path, capsys, command, _set(copy.deepcopy(base), path, value), "int")
+    assert ran[0] == 0
+    as_floats = _set(copy.deepcopy(base), path, _floats(value))
+    assert _outputs(tmp_path, capsys, command, as_floats, "float") == ran
+
+
+def _python(*argv):
+    """A fresh interpreter that imports this checkout's ``cclab``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cclab.__file__)))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "base, path, value",
+    [
+        ("A", ("clustering", "sizes", 2), 10**30),
+        ("A", ("clustering",), {"clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 10**30]]}),
+        ("A", ("topology", "type"), "sparse"),
+        ("B", ("topology", "matrices", 1), {"n": 9}),
+        ("A", ("learning", "zeta"), {"clusters": [0, 10**30]}),
+    ],
+    ids=["sizes", "clusters", "type", "n-only", "zeta"],
+)
+def test_bad_configs_exit_1_without_a_traceback(tmp_path, base, path, value):
+    config = tmp_path / "bad.json"
+    emit_config(_set(example_config(base), path, value), str(config))
+    for command in ("check", "learn"):
+        out = str(tmp_path / command)
+        done = _python("-m", "cclab.cli", command, "--config", str(config), "--out", out)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+
+def test_the_cli_imports_no_third_party_package_but_numpy():
+    done = _python(
+        "-c",
+        "import sys; before = set(sys.modules); import cclab.cli;"
+        " loaded = {m.split('.')[0] for m in set(sys.modules) - before};"
+        " print(sorted(loaded - set(sys.stdlib_module_names) - {'cclab', 'numpy'}))",
+    )
+    assert done.stdout == "[]\n"

@@ -1,4 +1,4 @@
-"""Config schema validation, scenario materialization, and reproducibility."""
+"""Config validation, scenario materialization, and reproducibility."""
 
 import copy
 import hashlib
@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema import Draft202012Validator
 
 from cclab.config import (
-    SCHEMA,
     SPARSE_FROM,
     ConfigError,
     build_scenario,
@@ -370,11 +368,6 @@ def test_switching_config_defaults_window_to_the_period():
     assert scenario.window == 3
 
 
-def test_schema_is_a_valid_draft_2020_12_schema():
-    # build_scenario compiles SCHEMA once without checking it.
-    Draft202012Validator.check_schema(SCHEMA)
-
-
 _GENERATOR = {
     "version": 1,
     "seed": 3,
@@ -407,16 +400,8 @@ def _set(doc, path, value):
     return doc
 
 
-def _quotient_message(kind, row):
-    return (
-        f"config invalid at topology: {{'type': '{kind}', "
-        + ("'m': 2, " if kind == "switching-generator" else "")
-        + f"'quotient': {row}}} is not valid under any of the given schemas"
-    )
-
-
-# The messages the per-entry schema gave before matrices were checked for
-# shape only, one fault per document.
+# The messages JSON Schema gave, one fault per document; a bad quotient
+# entry is named by its own path.
 @pytest.mark.parametrize(
     "base, path, value, message",
     [
@@ -429,9 +414,9 @@ def _quotient_message(kind, row):
                 ("B", ("topology", "matrices", 1, 2, 0), value,
                  f"config invalid at topology/matrices/1/2/0: {value!r} is not of type 'number'"),
                 ("G", ("topology", "quotient", 1, 0), value,
-                 _quotient_message("generator", f"[[0.5, 0.5], [{value!r}, 0.5]]")),
+                 f"config invalid at topology/quotient/1/0: {value!r} is not of type 'number'"),
                 ("SG", ("topology", "quotient", 0, 1), value,
-                 _quotient_message("switching-generator", f"[[0.5, {value!r}], [0.5, 0.5]]")),
+                 f"config invalid at topology/quotient/0/1: {value!r} is not of type 'number'"),
                 ("A", ("learning", "flags", 2, 1), value,
                  f"config invalid at learning/flags/2/1: {value!r} is not of type 'number'"),
                 ("A-initial", ("learning", "initial", 1, 0), value,
@@ -460,6 +445,51 @@ def test_bad_matrix_entries_keep_the_schema_messages(base, path, value, message)
     with pytest.raises(ConfigError) as info:
         build_scenario(_set(_base(base), path, value))
     assert str(info.value) == message
+
+
+def _drop(path):
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "base, edit, message",
+    [
+        ("A", lambda d: _set(d, ("signal", "perod"), 2),
+         "signal: Additional properties are not allowed ('perod' was unexpected)"),
+        ("A", _drop(("signal", "period")), "signal: 'period' is a required property"),
+        ("A", lambda d: _set(d, ("version",), 2), "version: 2 is not one of [1]"),
+        ("A", lambda d: _set(d, ("theorem",), True), "theorem: True is not one of [1, 2, 3, 4]"),
+        ("A", lambda d: _set(d, ("horizon",), 0), "horizon: 0 is less than the minimum of 1"),
+        ("A", lambda d: _set(d, ("horizon",), 2.5), "horizon: 2.5 is not of type 'integer'"),
+        ("A", lambda d: _set(d, ("horizon",), 10**400), f"horizon: {10**400} is not a finite number"),
+        ("A", lambda d: _set(d, ("label",), 7), "label: 7 is not of type 'string'"),
+        ("A", lambda d: _set(d, ("thresholds",), {"separation": 0}),
+         "thresholds/separation: 0 is less than or equal to the minimum of 0"),
+        ("A", lambda d: _set(d, ("learning", "zeta"), {"clusters": [1, 2, 0]}),
+         "learning/zeta/clusters: [1, 2, 0] is too long"),
+        ("A", lambda d: _set(d, ("initial_state",), "zero"),
+         "initial_state: 'zero' is not one of ['random'] or an array"),
+        ("A", lambda d: _set(d, ("clustering",), {}),
+         "clustering: exactly one of 'sizes' and 'clusters' is required"),
+        ("G", lambda d: _set(d, ("topology", "density"), 1.5),
+         "topology/density: 1.5 is greater than the maximum of 1"),
+        ("SG", _drop(("topology", "m")), "topology: 'm' is a required property"),
+    ],
+    ids=["unexpected", "required", "version", "theorem-bool", "minimum", "integer", "huge",
+         "string", "exclusive-minimum", "too-long", "name-or-array", "clustering", "maximum",
+         "recipe-required"],
+)
+def test_a_bad_field_is_named_by_its_path(base, edit, message):
+    with pytest.raises(ConfigError) as info:
+        build_scenario(edit(_base(base)))
+    assert str(info.value) == f"config invalid at {message}"
 
 
 def test_integral_floats_count_as_integers_in_graphs():
@@ -513,3 +543,51 @@ def test_graph_must_match_the_matrix_support():
     doc["topology"]["graphs"][1][4].append(99)
     with pytest.raises(ConfigError, match="at topology/graphs/1/4: lists"):
         build_scenario(doc)
+
+
+def _paths(node, path=()):
+    """The path of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+# Small scalars only: a size, a vertex or a step count is used as a loop
+# bound or an array length once it is accepted.
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats(-20, 20)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), 2.0])
+    | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Fields where 10**30 is rejected before anything loops over it or sizes an
+# array by it. ``topology.m`` is not among them: m matrices are generated.
+_HUGE_OK = {"version", "theorem", "sizes", "clusters", "state", "states", "period", "n", "rows", "cols"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_single_fault_builds_or_is_a_config_error(data):
+    doc = _base(data.draw(st.sampled_from(["A", "A-initial", "B", "G", "SG"])))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        field = [key for key in path if isinstance(key, str)][-1]
+        values = _JSON | st.just(10**30) if field in _HUGE_OK else _JSON
+        parent[path[-1]] = data.draw(values)
+    try:
+        build_scenario(doc)
+    except ConfigError:
+        pass

@@ -23,7 +23,6 @@ from cclab.verifier import (
     ClaimError,
     HypothesisReport,
     Thresholds,
-    assess_system,
     check_claim,
     check_switching,
     check_theorem_static_consensus,
@@ -216,22 +215,13 @@ def test_quotient_drift_breaks_b3star_only():
     assert report.predicted == "intra-sync"
 
 
-def test_assess_system_merges_static_reports():
-    report = assess_system(STATIC)
-    assert report.claim == "static-combined"
-    names = [c.name for c in report.conditions]
-    assert names.count("cluster-spanning-trees") == 1
-    assert report.predicted == "cluster-consensus"
-    assert assess_system(SWITCHING, window=3).claim == "switching"
-
-
 X0 = np.array([0.9, -0.4, 1.6, 0.2, -1.1, 0.8, 1.3, -0.7, 0.1])
 
 
 def test_reconcile_pass_on_the_static_example():
     from cclab.dynamics import detect_periodic_limit
 
-    report = assess_system(STATIC)
+    report = check_claim(STATIC, 2)[0]
     traj = simulate(STATIC, X0, 2000)
     limit = detect_periodic_limit(traj, STATIC.clustering, period=2)
     result = reconcile(report, STATIC, traj, limit)
@@ -241,14 +231,14 @@ def test_reconcile_pass_on_the_static_example():
 
 
 def test_reconcile_degenerate_without_a_limit():
-    report = assess_system(STATIC)
+    report = check_claim(STATIC, 2)[0]
     traj = simulate(STATIC, X0, 2000)
     result = reconcile(report, STATIC, traj, limit=None)
     assert result.status == "DEGENERATE"
 
 
 def test_reconcile_degenerate_on_tiny_separation():
-    report = assess_system(STATIC)
+    report = check_claim(STATIC, 2)[0]
     traj = simulate(STATIC, X0, 2000)
     cycles = np.full((3, 2), 0.5)
     cycles[1] += 1e-9  # below the separation threshold
@@ -295,7 +285,7 @@ def test_reconcile_single_cluster_consensus_is_vacuously_separated():
 
 
 def test_reconcile_to_dict_round_trip():
-    report = assess_system(STATIC)
+    report = check_claim(STATIC, 2)[0]
     traj = simulate(STATIC, X0, 2000)
     doc = reconcile(report, STATIC, traj, limit=None).to_dict()
     assert doc["status"] == "DEGENERATE"
