@@ -35,7 +35,6 @@ from .graph import (
     has_common_link_property,
     has_self_links,
     is_cluster_scrambling,
-    reachable_set,
     union_graph,
 )
 from .learning import (
@@ -54,7 +53,6 @@ from .stochastic import (
     power_limit,
     product_range,
     quotient_matrix,
-    state_diameter,
     validate,
 )
 from .verifier import (
@@ -110,16 +108,15 @@ __all__ = [
     "has_self_links",
     "is_cluster_scrambling",
     "learn_simulate",
+    "partial_sum_bound",
     "power_limit",
     "product_range",
     "quotient_matrix",
     "quotient_simulate",
-    "reachable_set",
     "reconcile",
     "run_ensemble",
     "separation_metric",
     "simulate",
-    "state_diameter",
     "union_graph",
     "validate",
     "z_limits",

@@ -130,6 +130,8 @@ def _run_ensemble(args: argparse.Namespace) -> int:
         raise ConfigError("--theorem required for ensemble runs")
     if seed is None:
         raise ConfigError("--seed required for ensemble runs")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     summary = run_ensemble(theorem, count=args.ensemble, seed=seed, horizon=horizon)
     print(render_ensemble(summary))
     if args.out:
@@ -244,6 +246,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     if args.paper_example:
         doc = example_config(args.paper_example)
         if args.seed is not None:
@@ -253,17 +257,23 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise ConfigError("--sizes required unless --paper-example is given")
         if args.seed is None:
             raise ConfigError("--seed required for random generation")
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-        doc = generated_config(
-            sizes,
-            seed=args.seed,
-            m=args.switching,
-            window=args.window,
-            entry_floor=args.entry_floor,
-            density=args.density,
-            mode=args.mode,
-            horizon=args.horizon,
-        )
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(","))
+        except ValueError:
+            raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+        try:
+            doc = generated_config(
+                sizes,
+                seed=args.seed,
+                m=args.switching,
+                window=args.window,
+                entry_floor=args.entry_floor,
+                density=args.density,
+                mode=args.mode,
+                horizon=args.horizon,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     text = emit_config(doc, args.out)
     if args.out:
         print(f"wrote {args.out}")
@@ -413,6 +423,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BeliefRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDITY
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -390,8 +390,29 @@ def emit_config(doc: dict, path: Optional[str] = None) -> str:
     return text
 
 
-def _build_clustering(section: dict) -> Clustering:
+def _check_agent_count(doc: dict, n: int) -> None:
+    """A fixed or switching topology's first matrix must have ``n`` rows
+    (or triplet ``n``); generator recipes take theirs from the clustering."""
+    top = doc["topology"]
+    if top["type"] == "fixed":
+        path, m = ("topology", "matrix"), top["matrix"]
+    elif top["type"] == "switching":
+        path, m = ("topology", "matrices", 0), top["matrices"][0]
+    else:
+        return
+    if isinstance(m, dict):
+        if m["n"] != n:
+            raise _invalid((*path, "n"), f"{m['n']!r} agents, but the clustering has {n}")
+    elif len(m) != n:
+        raise ConfigError("matrix size disagrees with the clustering")
+
+
+def _build_clustering(doc: dict) -> Clustering:
+    section = doc["clustering"]
     if "sizes" in section:
+        # Compared with the topology before from_sizes builds a tuple per
+        # vertex; a total past the index range raises from_sizes' OverflowError.
+        _check_agent_count(doc, len(range(int(sum(section["sizes"])))))
         return Clustering.from_sizes(tuple(section["sizes"]))
     clusters = tuple(tuple(sorted(c)) for c in section["clusters"])
     n = int(max(max(c) for c in clusters)) + 1
@@ -441,12 +462,11 @@ def _coupling_matrix(m, path: tuple, n: int) -> np.ndarray:
 
 
 def _build_topology(doc: dict, clustering: Clustering):
+    _check_agent_count(doc, clustering.n)
     top = doc["topology"]
     kind = top["type"]
     if kind == "fixed":
         mat = _coupling_matrix(top["matrix"], ("topology", "matrix"), clustering.n)
-        if mat.shape[0] != clustering.n:
-            raise ConfigError("matrix size disagrees with the clustering")
         _check_support(("topology", "graph"), top.get("graph"), mat)
         return mat
     if kind == "switching":
@@ -454,8 +474,6 @@ def _build_topology(doc: dict, clustering: Clustering):
             _coupling_matrix(m, ("topology", "matrices", p), clustering.n)
             for p, m in enumerate(top["matrices"])
         )
-        if mats[0].shape[0] != clustering.n:
-            raise ConfigError("matrix size disagrees with the clustering")
         graphs = top.get("graphs", [None] * len(mats))
         if len(graphs) != len(mats):
             raise _invalid(("topology", "graphs"), f"{len(graphs)} graphs for {len(mats)} matrices")
@@ -563,8 +581,10 @@ def build_scenario(doc: dict) -> Scenario:
     _DOCUMENT(doc, ())
 
     try:
-        clustering = _build_clustering(doc["clustering"])
-    except (ValueError, OverflowError) as exc:  # a size past the C integer range
+        clustering = _build_clustering(doc)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a size past the C integer range
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(f"clustering: {exc}") from exc
     try:
         coupling = _build_topology(doc, clustering)
@@ -624,10 +644,6 @@ def build_scenario(doc: dict) -> Scenario:
         thresholds=thresholds,
         raw=doc,
     )
-
-
-def load_scenario(path: str) -> Scenario:
-    return build_scenario(load_config(path))
 
 
 # ---------------------------------------------------------------------------

@@ -111,14 +111,8 @@ class Trajectory:
         return self.states.shape[1]
 
     def diameter_series(self, clustering: Clustering) -> np.ndarray:
-        """:func:`state_diameter` of every row, one reduction per cluster."""
-        order = np.concatenate(clustering.clusters)
-        starts = np.cumsum((0,) + clustering.sizes[:-1])
-        grouped = self.states[:, order]
-        spread = np.maximum.reduceat(grouped, starts, axis=1) - np.minimum.reduceat(
-            grouped, starts, axis=1
-        )
-        return spread.max(axis=1, initial=0.0)
+        """Largest intra-cluster state gap of every row."""
+        return clustering.spreads(self.states).max(axis=1, initial=0.0)
 
     def max_norm(self) -> float:
         return float(np.abs(self.states).max())
@@ -307,13 +301,9 @@ def detect_periodic_limit(
     residual = float(np.abs(diffs).max())
     if residual >= tol:
         return None
-    k = clustering.k
-    cycles = np.empty((k, period))
-    for offset in range(period):
-        t = last - offset
-        theta = t % period
-        for p, members in enumerate(clustering.clusters):
-            cycles[p, theta] = float(traj.states[t - first, list(members)].mean())
+    cycles = np.empty((clustering.k, period))
+    for t in range(last - period + 1, last + 1):
+        cycles[:, t % period] = clustering.means(traj.states[t - first])
     return PeriodicLimit(period=period, cycles=cycles, residual=residual)
 
 

@@ -60,7 +60,16 @@ class DirectedGraph:
 
 @dataclass(frozen=True)
 class Clustering:
-    """Ordered partition of ``0..n-1`` into K nonempty clusters."""
+    """Ordered partition of ``0..n-1`` into K nonempty clusters.
+
+    Construction also fixes the layout every per-cluster reduction reads:
+    ``order`` lists the members cluster by cluster, each in ascending order,
+    so cluster ``p`` is the contiguous run of ``order`` that begins at
+    ``starts[p]``.
+    :meth:`sums`, :meth:`means` and :meth:`spreads` reduce the last axis of
+    an array over each run of one label-sorted copy ``x[..., order]``, so a
+    sum or mean adds a run's terms as ``x[..., list(C_p)]`` would.
+    """
 
     n: int
     clusters: tuple[tuple[int, ...], ...]
@@ -86,22 +95,24 @@ class Clustering:
             more = self.n - len(seen) - len(missing)
             and_more = f" and {more} more" if more else ""
             raise ValueError(f"vertices not covered by any cluster: {missing}{and_more}")
-        labels = [0] * self.n
-        for p, c in enumerate(clusters):
-            for v in c:
-                labels[v] = p
-        object.__setattr__(self, "_labels", tuple(labels))
+        sizes = np.array([len(c) for c in clusters])
+        order = np.fromiter(itertools.chain.from_iterable(clusters), dtype=np.intp, count=self.n)
+        labels = np.empty(self.n, dtype=np.intp)
+        labels[order] = np.repeat(np.arange(len(clusters)), sizes)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        for arr in (order, labels, starts):
+            arr.setflags(write=False)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_runs", tuple(zip(starts.tolist(), ends.tolist())))
 
     @classmethod
     def from_sizes(cls, sizes: Sequence[int]) -> "Clustering":
         """Contiguous clustering: the first ``sizes[0]`` vertices, and so on."""
-        n = int(sum(sizes))
-        clusters = []
-        start = 0
-        for s in sizes:
-            clusters.append(tuple(range(start, start + int(s))))
-            start += int(s)
-        return cls(n, tuple(clusters))
+        bounds = list(itertools.accumulate((int(s) for s in sizes), initial=0))
+        return cls(bounds[-1], tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
 
     @property
     def k(self) -> int:
@@ -112,10 +123,26 @@ class Clustering:
         return tuple(len(c) for c in self.clusters)
 
     def index_of(self, v: int) -> int:
-        return self._labels[v]
+        return int(self._labels[v])
 
     def labels(self) -> np.ndarray:
-        return np.array(self._labels, dtype=np.intp)
+        return self._labels.copy()
+
+    def _reduce(self, x, reduction) -> np.ndarray:
+        grouped = np.asarray(x)[..., self.order]
+        return np.stack([reduction(grouped[..., s:e], axis=-1) for s, e in self._runs], axis=-1)
+
+    def sums(self, x) -> np.ndarray:
+        """``[..., p]`` is the sum of ``x[..., v]`` over ``v`` in ``C_p``."""
+        return self._reduce(x, np.sum)
+
+    def means(self, x) -> np.ndarray:
+        """``[..., p]`` is the mean of ``x[..., v]`` over ``v`` in ``C_p``."""
+        return self._reduce(x, np.mean)
+
+    def spreads(self, x) -> np.ndarray:
+        """``[..., p]`` is max minus min of ``x[..., v]`` over ``v`` in ``C_p``."""
+        return self._reduce(x, np.ptp)
 
 
 def graph_of_matrix(a: np.ndarray, zero_tol: float = 1e-12) -> DirectedGraph:
@@ -141,13 +168,6 @@ def _bfs(succ: list[list[int]], v: int) -> set[int]:
                 seen.add(w)
                 queue.append(w)
     return seen
-
-
-def reachable_set(g: DirectedGraph, v: int) -> set[int]:
-    """Vertices reachable from ``v`` by directed paths; always contains ``v``."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return _bfs(g.successors(), v)
 
 
 def cluster_roots(g: DirectedGraph, clustering: Clustering) -> list[Optional[int]]:
@@ -215,19 +235,26 @@ def in_cover(g: DirectedGraph, clustering: Clustering) -> np.ndarray:
     return cover
 
 
+def cover_counts(cover: np.ndarray, clustering: Clustering) -> np.ndarray:
+    """(K, K) count of an :func:`in_cover` table: ``[p, q]`` is the number
+    of vertices of ``C_p`` with an in-neighbor in ``C_q``."""
+    return clustering.sums(cover.T).T
+
+
 def common_link_violations(
     g: DirectedGraph, clustering: Clustering
 ) -> list[tuple[int, int, int]]:
     """Triples ``(p, q, v)``: cluster pair with some cross links where vertex
     ``v`` of ``C_p`` has no in-neighbor in ``C_q``."""
     cover = in_cover(g, clustering)
-    violations = []
-    for p, targets in enumerate(clustering.clusters):
-        rows = cover[list(targets)]
-        for q, covered in enumerate(rows.sum(axis=0).tolist()):
-            if 0 < covered < len(targets):
-                violations.extend((p, q, v) for v, h in zip(targets, rows[:, q]) if not h)
-    return violations
+    counts = cover_counts(cover, clustering)
+    partial = (counts > 0) & (counts < np.array(clustering.sizes)[:, None])
+    return [
+        (p, q, v)
+        for p, q in np.argwhere(partial).tolist()
+        for v in clustering.clusters[p]
+        if not cover[v, q]
+    ]
 
 
 def has_common_link_property(g: DirectedGraph, clustering: Clustering) -> bool:

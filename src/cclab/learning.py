@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import DivergenceError, Trajectory, _advance, _couplings, _drive
+from .dynamics import DivergenceError, _advance, _couplings, _drive
 from .graph import Clustering
 from .signals import Signal
 from .stochastic import MatrixSchedule
@@ -167,9 +167,6 @@ class LearningRun:
     def m(self) -> int:
         return self.beliefs.shape[2]
 
-    def state_trajectory(self, state: int) -> Trajectory:
-        return Trajectory(self.beliefs[:, :, state])
-
     def profile(self, t: int) -> BeliefProfile:
         return BeliefProfile(self.beliefs[t], self.labels)
 
@@ -178,9 +175,8 @@ class LearningRun:
         one value per recorded step."""
         if p == q:
             raise ValueError("zeta compares two distinct clusters")
-        mp = self.beliefs[:, self.clustering.clusters[p], state].mean(axis=1)
-        mq = self.beliefs[:, self.clustering.clusters[q], state].mean(axis=1)
-        return np.abs(mp - mq)
+        means = self.clustering.means(self.beliefs[:, :, state])
+        return np.abs(means[:, p] - means[:, q])
 
     def sum_drift(self) -> float:
         """Worst deviation of any agent's belief sum from one, over the run."""

@@ -110,10 +110,9 @@ def metrics_document(
     verdict: Optional[ReconcileResult] = None,
     limit: Optional[PeriodicLimit] = None,
     bound: Optional[BoundReport] = None,
-    extra_notes: Sequence[str] = (),
 ) -> dict:
     sep = separation_metric(limit).tolist() if limit is not None else None
-    doc = {
+    return {
         "label": label,
         "config_sha256": digest,
         "seed": seed,
@@ -127,9 +126,8 @@ def metrics_document(
         "bound_report": _bound_doc(bound),
         "hypotheses": report.to_dict() if report is not None else None,
         "reconcile": verdict.to_dict() if verdict is not None else None,
-        "notes": list(extra_notes),
+        "notes": [],
     }
-    return doc
 
 
 def render_condition_table(report: HypothesisReport) -> str:

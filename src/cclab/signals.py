@@ -11,7 +11,7 @@ aperiodic signals are supported behind the same ``value(t)`` interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -105,10 +105,7 @@ class ClusterOffsets:
 
     def vector(self) -> np.ndarray:
         """Expanded length-n gain vector, constant on each cluster."""
-        sigma = np.empty(self.clustering.n)
-        for p, members in enumerate(self.clustering.clusters):
-            sigma[list(members)] = self.alphas[p]
-        return sigma
+        return np.array(self.alphas)[self.clustering.labels()]
 
     def reduced(self) -> np.ndarray:
         return np.array(self.alphas, dtype=float)

@@ -18,7 +18,6 @@ Row differences use the l1 norm throughout; reports record that choice.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -90,14 +89,15 @@ def hajnal_diameter(a: np.ndarray, clustering: Clustering) -> float:
     return diam
 
 
-def state_diameter(x: np.ndarray, clustering: Clustering) -> float:
-    """Largest absolute gap between same-cluster state entries."""
-    x = np.asarray(x, dtype=float)
-    diam = 0.0
-    for members in clustering.clusters:
-        vals = x[list(members)]
-        diam = max(diam, float(vals.max() - vals.min()))
-    return diam
+def block_sums(a: np.ndarray, clustering: Clustering) -> np.ndarray:
+    """(n, K) table of block row sums: ``[i, q]`` is ``sum_{j in C_q} a[i, j]``."""
+    return clustering.sums(np.asarray(a, dtype=float))
+
+
+def _deviation(table: np.ndarray, clustering: Clustering) -> float:
+    """Worst spread of a :func:`block_sums` table's entries ``[i, q]`` over
+    ``i`` within one cluster."""
+    return float(clustering.spreads(table.T).max())
 
 
 def common_influence_deviation(a: np.ndarray, clustering: Clustering) -> float:
@@ -107,20 +107,20 @@ def common_influence_deviation(a: np.ndarray, clustering: Clustering) -> float:
     must not depend on which ``i in C_p`` is taken; this returns the largest
     max-minus-min spread over all ordered cluster pairs.
     """
-    a = np.asarray(a, dtype=float)
-    worst = 0.0
-    for sources in clustering.clusters:
-        block = a[:, list(sources)].sum(axis=1)
-        for targets in clustering.clusters:
-            vals = block[list(targets)]
-            worst = max(worst, float(vals.max() - vals.min()))
-    return worst
+    return _deviation(block_sums(a, clustering), clustering)
 
 
 def has_common_influence(
     a: np.ndarray, clustering: Clustering, tol: float = COMMON_INFLUENCE_TOL
 ) -> bool:
     return common_influence_deviation(a, clustering) <= tol
+
+
+def _reduced(table: np.ndarray, clustering: Clustering, tol: float) -> np.ndarray:
+    """The quotient of a :func:`block_sums` table: its rows at the first
+    vertex of each cluster."""
+    b = table[clustering.order[clustering.starts]]
+    return validate(b, tol=max(ROW_SUM_TOL, clustering.k * tol))
 
 
 def quotient_matrix(
@@ -131,18 +131,13 @@ def quotient_matrix(
     Requires inter-cluster common influence within ``tol``; the entry
     ``(p, q)`` is the block sum of the first vertex of cluster ``p``.
     """
-    a = np.asarray(a, dtype=float)
-    dev = common_influence_deviation(a, clustering)
+    table = block_sums(a, clustering)
+    dev = _deviation(table, clustering)
     if dev > tol:
         raise ValueError(
             f"matrix lacks inter-cluster common influence (spread {dev:.3e} > {tol:.1e})"
         )
-    k = clustering.k
-    b = np.empty((k, k))
-    reps = [members[0] for members in clustering.clusters]
-    for q, sources in enumerate(clustering.clusters):
-        b[:, q] = a[reps][:, list(sources)].sum(axis=1)
-    return validate(b, tol=max(ROW_SUM_TOL, k * tol))
+    return _reduced(table, clustering, tol)
 
 
 @dataclass(frozen=True)
@@ -170,10 +165,11 @@ def schedule_quotient(
 ) -> ScheduleQuotient:
     """The B3 and B3* verdicts of ``matrices`` at common-influence tolerance
     ``tol``; see :class:`ScheduleQuotient`."""
-    deviation = max(common_influence_deviation(m, clustering) for m in matrices)
+    tables = [block_sums(m, clustering) for m in matrices]
+    deviation = max(_deviation(t, clustering) for t in tables)
     if deviation > tol:
         return ScheduleQuotient(deviation, None, None, False)
-    quotients = [quotient_matrix(m, clustering, tol=tol) for m in matrices]
+    quotients = [_reduced(t, clustering, tol) for t in tables]
     spread = max(float(np.abs(q - quotients[0]).max()) for q in quotients)
     return ScheduleQuotient(deviation, quotients[0], spread, spread <= max(tol, 1e-12) * 10)
 

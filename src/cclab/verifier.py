@@ -21,6 +21,7 @@ the separation collapsed for this data).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -42,6 +43,7 @@ from .graph import (
     cluster_roots,
     cluster_spanning_tree_roots,
     common_link_violations,
+    cover_counts,
     graph_of_matrix,
     in_cover,
     union_graph,
@@ -51,7 +53,6 @@ from .stochastic import (
     MatrixSchedule,
     common_influence_deviation,
     schedule_quotient,
-    state_diameter,
 )
 
 PERIOD_SUM_NOTE = (
@@ -258,7 +259,6 @@ def check_theorem_static_consensus(
 def check_switching(
     sys: System,
     window: Optional[int] = None,
-    floor: Optional[float] = None,
     horizon: Optional[int] = None,
     thresholds: Thresholds = Thresholds(),
 ) -> HypothesisReport:
@@ -266,7 +266,7 @@ def check_switching(
     if isinstance(sys.coupling, MatrixSchedule):
         schedule = sys.coupling
     else:
-        schedule = MatrixSchedule((sys.coupling,), floor=floor)
+        schedule = MatrixSchedule((sys.coupling,))
     clus = sys.clustering
     window = schedule.period if window is None else int(window)
     if window < 1:
@@ -277,28 +277,20 @@ def check_switching(
 
     # Property A: per ordered cluster pair, the cross-link branch (absent vs
     # full coverage) must be the same in every graph of the set.
-    # counts[l][p, q]: vertices of C_p with an in-neighbor in C_q in graph l.
-    member = (clus.labels()[:, None] == np.arange(clus.k)).astype(int)
-    counts = [member.T @ in_cover(g, clus) for g in graphs]
+    # counts[l, p, q]: vertices of C_p with an in-neighbor in C_q in graph l.
+    counts = np.stack([cover_counts(in_cover(g, clus), clus) for g in graphs])
+    sizes = clus.sizes
     prop_a_bad: list[str] = []
-    for p in range(clus.k):
-        for q in range(clus.k):
-            branches = set()
-            for l, table in enumerate(counts):
-                covered = table[p, q]
-                if covered == 0:
-                    branches.add("none")
-                elif covered == len(clus.clusters[p]):
-                    branches.add("all")
-                else:
-                    branches.add("partial")
-                    prop_a_bad.append(
-                        f"graph {l + 1}: cluster pair ({p + 1}, {q + 1}) partially covered"
-                    )
-            if len(branches - {"partial"}) > 1:
-                prop_a_bad.append(
-                    f"cluster pair ({p + 1}, {q + 1}) switches between link branches"
-                )
+    for p, q in itertools.product(range(clus.k), repeat=2):
+        covered = counts[:, p, q]
+        prop_a_bad.extend(
+            f"graph {l + 1}: cluster pair ({p + 1}, {q + 1}) partially covered"
+            for l in np.flatnonzero((covered > 0) & (covered < sizes[p])).tolist()
+        )
+        if (covered == 0).any() and (covered == sizes[p]).any():
+            prop_a_bad.append(
+                f"cluster pair ({p + 1}, {q + 1}) switches between link branches"
+            )
     conditions.append(
         ConditionCheck(
             "property-a-uniform-links",
@@ -308,8 +300,6 @@ def check_switching(
         )
     )
 
-    if floor is not None and floor != schedule.floor:
-        schedule = MatrixSchedule(schedule.matrices, floor=floor)
     fr = schedule.floor_report()
     conditions.append(
         ConditionCheck(
@@ -463,7 +453,7 @@ def reconcile(
     """Status of one run; reads only the initial state ``traj.states[0]``
     and the final state ``traj.states[-1]`` of the trajectory."""
     clus = sys.clustering
-    final_diam = state_diameter(traj.states[-1], clus)
+    final_diam = float(clus.spreads(traj.states[-1]).max())
     sync_thr = thresholds.sync_threshold(traj.states[0])
     intra_ok = final_diam < sync_thr
 

@@ -19,13 +19,7 @@ from cclab.dynamics import (
     simulate,
     z_limits,
 )
-from cclab.generate import (
-    example_graphs_switching,
-    random_clustered_tree_matrix,
-    random_clustering,
-    random_common_influence,
-    random_stochastic,
-)
+from cclab.generate import example_graphs_switching
 from cclab.graph import cluster_spanning_tree_roots, union_graph
 from cclab.learning import CulturalFlags, learn_simulate
 from cclab.signals import ClusterOffsets, PeriodicInput
@@ -35,6 +29,13 @@ from cclab.stochastic import (
     quotient_matrix,
 )
 from cclab.verifier import run_ensemble
+
+from random_instances import (
+    random_clustered_tree_matrix,
+    random_clustering,
+    random_common_influence,
+    random_stochastic,
+)
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:

@@ -1,13 +1,18 @@
 """End-to-end command behavior: exit codes, artifacts, determinism."""
 
 import copy
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cclab
 from cclab import config as config_module
@@ -644,10 +649,25 @@ def test_integral_floats_run_like_integers(tmp_path, capsys, command, path, valu
     assert _outputs(tmp_path, capsys, command, as_floats, "float") == ran
 
 
-def _python(*argv):
-    """A fresh interpreter that imports this checkout's ``cclab``."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cclab.__file__)))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+def _python(*argv, address_space=None):
+    """A fresh interpreter that imports this checkout's ``cclab``, its
+    address space capped at ``address_space`` bytes if given."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(cclab.__file__)),
+        OPENBLAS_NUM_THREADS="1",
+    )
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap if address_space else None,
+    )
 
 
 @pytest.mark.parametrize(
@@ -680,3 +700,119 @@ def test_the_cli_imports_no_third_party_package_but_numpy():
         " print(sorted(loaded - set(sys.stdlib_module_names) - {'cclab', 'numpy'}))",
     )
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("check", ("clustering", "sizes"), [3, 3, 10**9]),
+        ("simulate", ("horizon",), 10**9),
+        ("learn", ("horizon",), 10**9),
+    ],
+    ids=["sizes", "simulate-horizon", "learn-horizon"],
+)
+def test_huge_sizes_and_horizons_exit_1_in_bounded_memory(tmp_path, command, path, value):
+    """Run in a child whose address space is capped at 1.5 GB: the size
+    must be rejected before a tuple per vertex is built, and the horizon's
+    state array (67 GiB on A) must fail as one error line."""
+    config = tmp_path / "huge.json"
+    emit_config(_set(example_config("A"), path, value), str(config))
+    out = str(tmp_path / command)
+    done = _python(
+        "-m", "cclab.cli", command, "--config", str(config), "--out", out,
+        address_space=1_500_000_000,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    expected = "matrix size disagrees" if command == "check" else "out of memory"
+    assert expected in done.stderr
+
+
+def _in_process(argv):
+    """Exit code, stdout and stderr of ``main(argv)``; the parser's exit
+    status counts as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--sizes", "40,40,40", "--seed", "1"], "entry floor must lie in"),
+        (["gen", "--sizes", "3,3", "--seed", "1", "--density", "1.5"], "density must lie in"),
+        (["gen", "--sizes", "0,3", "--seed", "1"], "cluster sizes must be positive"),
+        (["gen", "--sizes", "a,b", "--seed", "1"], "--sizes must be comma-separated integers"),
+        (["gen", "--sizes", "3,3", "--seed", "-1"], "--seed must be nonnegative"),
+        (["gen", "--paper-example", "A", "--seed", "-1"], "--seed must be nonnegative"),
+        (["gen", "--sizes", "3,3,3", "--seed", "1", "--switching", "3", "--window", "1"],
+         "window must cover"),
+        (["gen", "--sizes", "3,3", "--seed", "1", "--entry-floor", "0"], "entry floor must lie in"),
+        (["simulate", "--ensemble", "3", "--theorem", "2", "--seed", "-1"],
+         "seed must be nonnegative"),
+    ],
+)
+def test_bad_gen_flags_and_ensemble_seeds_exit_1_with_one_line(argv, message):
+    code, _, err = _in_process(argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_a_vanishing_entry_floor_still_generates():
+    code, out, err = _in_process(["gen", "--sizes", "3,3", "--seed", "1", "--entry-floor", "5e-324"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["clustering"] == {"sizes": [3, 3]}
+
+
+def _flags(draw, options: dict) -> list[str]:
+    """Each option of ``options`` as ``--name=value``, kept or left out by a
+    draw, in drawn order."""
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), unique=True))
+    return [f"{name}={draw(options[name])}" for name in chosen]
+
+
+_ANY_FLOAT = st.one_of(st.floats(-0.5, 1.5), st.floats(), st.sampled_from([0.0, 1e-300, 5e-324]))
+_GEN_OPTIONS = {
+    "--paper-example": st.sampled_from(["A", "B", "C"]),
+    "--sizes": st.one_of(
+        st.lists(st.integers(-1, 4), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+        st.sampled_from(["", "a,b", "3,,3", "2.5,3"]),
+    ),
+    "--seed": st.integers(-2, 2**64),
+    "--switching": st.integers(-1, 4),
+    "--window": st.integers(-1, 5),
+    "--entry-floor": _ANY_FLOAT,
+    "--density": _ANY_FLOAT,
+    "--mode": st.sampled_from(["random", "equal", "spread"]),
+    "--horizon": st.integers(-2, 50),
+}
+_ENSEMBLE_OPTIONS = {
+    "--theorem": st.integers(0, 5),
+    "--seed": st.integers(-2, 2**64),
+    "--horizon": st.integers(-2, 60),
+}
+
+
+@st.composite
+def _argv(draw):
+    if draw(st.booleans()):
+        return ["gen", *_flags(draw, _GEN_OPTIONS)]
+    count = draw(st.integers(-1, 3))
+    return ["simulate", f"--ensemble={count}", *_flags(draw, _ENSEMBLE_OPTIONS)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_any_gen_or_ensemble_argv_ends_in_an_exit_code(argv):
+    """Whatever ``gen`` and ensemble flags are given, the command ends in a
+    documented exit code, and an input error in one ``error:`` line."""
+    code, _, err = _in_process(argv)
+    assert code in (0, 1, 2, 3, 4)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1

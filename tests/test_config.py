@@ -18,7 +18,6 @@ from cclab.config import (
     example_config,
     generated_config,
     load_config,
-    load_scenario,
 )
 from cclab.dynamics import simulate
 from cclab.generate import (
@@ -78,7 +77,7 @@ def test_emit_and_load_round_trip(tmp_path):
     path = tmp_path / "b.json"
     emit_config(doc, str(path))
     assert load_config(str(path)) == doc
-    scenario = load_scenario(str(path))
+    scenario = build_scenario(load_config(str(path)))
     assert scenario.label == "paper-example-B"
 
 

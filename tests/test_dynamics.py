@@ -25,12 +25,13 @@ from cclab.generate import (
     example_quotient,
     example_schedule_switching,
     example_signal,
-    random_common_influence,
 )
 from cclab.config import build_scenario, example_config
 from cclab.graph import Clustering
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
-from cclab.stochastic import MatrixSchedule, power_limit, quotient_matrix, state_diameter, validate
+from cclab.stochastic import MatrixSchedule, power_limit, quotient_matrix, validate
+
+from random_instances import random_common_influence
 
 
 def example_system_static():
@@ -421,7 +422,12 @@ def test_intra_cluster_diameter_contracts_to_the_float_floor():
     diam = traj.diameter_series(sys.clustering)
     assert diam[-1] < 1e-12
     assert diam[200:].max() < 1e-12
-    assert state_diameter(traj.states[-1], sys.clustering) == diam[-1]
+    assert row_diameter(traj.states[-1], sys.clustering) == diam[-1]
+
+
+def row_diameter(x, clus):
+    """Largest same-cluster gap of one state, cluster by cluster."""
+    return max(float(x[list(c)].max() - x[list(c)].min()) for c in clus.clusters)
 
 
 @pytest.mark.parametrize("which", ["A", "B"])
@@ -429,12 +435,12 @@ def test_diameter_series_equals_per_row_state_diameter(which):
     scenario = build_scenario(example_config(which))
     clus = scenario.system.clustering
     traj = simulate(scenario.system, scenario.x0, scenario.horizon)
-    expected = np.array([state_diameter(x, clus) for x in traj.states])
+    expected = np.array([row_diameter(x, clus) for x in traj.states])
     assert np.array_equal(traj.diameter_series(clus), expected)
 
 
 def test_diameter_series_on_a_non_contiguous_clustering():
     clus = Clustering(7, ((0, 3, 5), (1,), (2, 4, 6)))
     traj = Trajectory(np.random.default_rng(3).normal(size=(40, 7)))
-    expected = np.array([state_diameter(x, clus) for x in traj.states])
+    expected = np.array([row_diameter(x, clus) for x in traj.states])
     assert np.array_equal(traj.diameter_series(clus), expected)

@@ -15,9 +15,6 @@ from cclab.generate import (
     gen_common_influence_matrix,
     gen_graph_with_cluster_trees,
     gen_switching_schedule,
-    random_clustered_tree_matrix,
-    random_clustering,
-    random_common_influence,
     resolve_quotient,
 )
 from cclab.graph import (
@@ -29,6 +26,12 @@ from cclab.graph import (
     union_graph,
 )
 from cclab.stochastic import has_common_influence, quotient_matrix
+
+from random_instances import (
+    random_clustered_tree_matrix,
+    random_clustering,
+    random_common_influence,
+)
 
 
 def test_generator_spec_validation():

@@ -7,6 +7,7 @@ from cclab import graph as graph_module
 from cclab.graph import (
     Clustering,
     DirectedGraph,
+    _bfs,
     cluster_roots,
     cluster_spanning_tree_roots,
     common_link_violations,
@@ -15,7 +16,6 @@ from cclab.graph import (
     has_self_links,
     in_cover,
     is_cluster_scrambling,
-    reachable_set,
     union_graph,
 )
 from cclab.generate import (
@@ -59,14 +59,12 @@ def test_reachable_set_matches_transitive_closure():
         g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.5)))
         reach = closure_matrix(g)
         for v in range(n):
-            assert reachable_set(g, v) == set(np.nonzero(reach[v])[0].tolist())
+            assert _bfs(g.successors(), v) == set(np.nonzero(reach[v])[0].tolist())
 
 
 def test_reachable_set_contains_start_vertex():
     g = DirectedGraph(3, frozenset({(0, 1)}))
-    assert reachable_set(g, 2) == {2}
-    with pytest.raises(ValueError):
-        reachable_set(g, 3)
+    assert _bfs(g.successors(), 2) == {2}
 
 
 def test_roots_match_bruteforce_descending_scan():
@@ -234,6 +232,36 @@ def test_clustering_validation():
     assert clus.clusters == ((0, 1), (2, 3, 4))
     assert [clus.index_of(v) for v in range(5)] == [0, 0, 1, 1, 1]
     assert clus.labels().tolist() == [0, 0, 1, 1, 1]
+
+
+def test_cluster_layout_and_reductions():
+    clus = Clustering(5, ((4, 1), (0, 2, 3)))
+    assert clus.order.tolist() == [1, 4, 0, 2, 3]
+    assert clus.starts.tolist() == [0, 2]
+    assert clus.labels().tolist() == [1, 0, 1, 1, 0]
+    x = np.array([1.0, 3.0, -1.0, -1.5, 2.0])
+    assert clus.sums(x).tolist() == [5.0, -1.5]
+    assert clus.means(x).tolist() == [2.5, -0.5]
+    assert clus.spreads(x).tolist() == [1.0, 2.5]
+    assert clus.spreads(np.zeros(5)).tolist() == [0.0, 0.0]
+    assert Clustering.from_sizes((2, 2)).spreads(x[:4]).tolist() == [2.0, 0.5]
+    assert clus.sums(np.ones((3, 5), dtype=bool)).tolist() == [[2, 3]] * 3
+
+
+def test_cluster_reductions_add_in_member_order():
+    """Each cluster's sum and mean equal those of the fancy-indexed block
+    ``x[..., list(C_p)]`` bit for bit, in one and two dimensions."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 200))
+        clus = random_clustering_of(rng, n)
+        a = rng.dirichlet(np.ones(n), size=n)
+        for p, members in enumerate(clus.clusters):
+            block = a[:, list(members)]
+            assert np.array_equal(clus.sums(a)[:, p], block.sum(axis=1))
+            assert np.array_equal(clus.means(a)[:, p], block.mean(axis=1))
+            assert clus.means(a[0])[p] == a[0, list(members)].mean()
+            assert np.array_equal(clus.spreads(a)[:, p], block.max(axis=1) - block.min(axis=1))
 
 
 def test_graph_of_matrix_support():

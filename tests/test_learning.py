@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cclab.dynamics import System, simulate
+from cclab.dynamics import System, Trajectory, simulate
 from cclab.generate import (
     example_alphas,
     example_clustering,
@@ -110,7 +110,7 @@ def test_per_state_paths_match_the_scalar_engine_bit_for_bit():
             signal=example_signal(),
         )
         traj = simulate(sys, prof.beliefs[:, s], 500)
-        assert np.array_equal(run.state_trajectory(s).states, traj.states)
+        assert np.array_equal(Trajectory(run.beliefs[:, :, s]).states, traj.states)
 
 
 def test_learning_supports_switching_schedules():
@@ -219,7 +219,7 @@ def test_learning_run_accessors():
     assert run.m == 2
     prof = run.profile(7)
     assert np.array_equal(prof.beliefs, run.beliefs[7])
-    assert run.state_trajectory(1).states.shape == (21, 9)
+    assert Trajectory(run.beliefs[:, :, 1]).states.shape == (21, 9)
 
 
 def test_learn_simulate_validates_arguments():

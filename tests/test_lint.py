@@ -1,0 +1,83 @@
+"""Static checks on the package source: no module-level import goes unused,
+and every name in an ``__all__`` is bound in its module."""
+
+import ast
+import pathlib
+
+import pytest
+
+import cclab
+
+SOURCES = sorted(pathlib.Path(cclab.__file__).parent.glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level imports, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return []
+
+
+def _bound(tree: ast.Module) -> set[str]:
+    """Names the module binds at top level."""
+    names = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_exported(tree))
+    return sorted(
+        f"line {line}: {name}" for name, line in _imported(tree).items() if name not in used
+    )
+
+
+def unresolved_exports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = _bound(tree)
+    return [name for name in _exported(tree) if name not in bound]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_module_level_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_exported_name_resolves(path):
+    assert unresolved_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_checks_catch_what_they_look_for():
+    source = (
+        "from __future__ import annotations\n"
+        "import itertools\n"
+        "import os.path\n"
+        "from typing import Optional, Sequence\n"
+        "def f(x: Optional[int]): return os.path.join(x)\n"
+        "__all__ = ['f', 'Sequence', 'g']\n"
+    )
+    assert unused_imports(source) == ["line 2: itertools"]
+    assert unresolved_exports(source) == ["g"]

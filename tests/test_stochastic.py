@@ -8,8 +8,6 @@ from cclab.generate import (
     example_clustering,
     example_matrix_static,
     example_quotient,
-    random_common_influence,
-    random_stochastic,
 )
 from cclab.stochastic import (
     MatrixSchedule,
@@ -20,9 +18,10 @@ from cclab.stochastic import (
     power_limit,
     product_range,
     quotient_matrix,
-    state_diameter,
     validate,
 )
+
+from random_instances import random_common_influence, random_stochastic
 
 
 def mu_bruteforce(a, clus):
@@ -129,13 +128,6 @@ def test_hajnal_inequality_for_common_influence_products():
         lhs = hajnal_diameter(a @ b, clus)
         rhs = (1.0 - ergodicity_coefficient(a, clus)) * hajnal_diameter(b, clus)
         assert lhs <= rhs + 1e-12
-
-
-def test_state_diameter():
-    clus = Clustering.from_sizes((2, 2))
-    x = np.array([1.0, 3.0, -1.0, -1.5])
-    assert state_diameter(x, clus) == pytest.approx(2.0)
-    assert state_diameter(np.zeros(4), clus) == 0.0
 
 
 def test_common_influence_deviation_hand_case():

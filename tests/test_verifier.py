@@ -18,6 +18,7 @@ from cclab.dynamics import (
 from cclab.generate import EXAMPLE_WINDOW, examples
 from cclab.graph import Clustering
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
+from cclab.stochastic import MatrixSchedule
 from cclab.verifier import (
     PERIOD_SUM_NOTE,
     ClaimError,
@@ -183,7 +184,8 @@ def test_switching_check_accepts_fixed_matrices():
 
 
 def test_switching_floor_override_flags_violations():
-    report = check_switching(SWITCHING, window=3, floor=0.3)
+    strict = MatrixSchedule(SWITCHING.coupling.matrices, floor=0.3)
+    report = check_switching(dataclasses.replace(SWITCHING, coupling=strict), window=3)
     assert not report.condition("entry-floor-b1").passed
 
 
@@ -197,8 +199,6 @@ def test_quotient_drift_breaks_b3star_only():
         a[0] = a[1] = [0.5 * (1 - w), 0.5 * (1 - w), 0.5 * w, 0.5 * w]
         a[2] = a[3] = [0.5 * w, 0.5 * w, 0.5 * (1 - w), 0.5 * (1 - w)]
         return a
-
-    from cclab.stochastic import MatrixSchedule
 
     sched = MatrixSchedule((coupled(0.2), coupled(0.4)), floor=0.1)
     sys = System(
