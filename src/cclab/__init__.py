@@ -60,8 +60,6 @@ from .verifier import (
     ReconcileResult,
     Thresholds,
     check_switching,
-    check_theorem_static_consensus,
-    check_theorem_static_sync,
     reconcile,
     run_ensemble,
 )
@@ -91,8 +89,6 @@ __all__ = [
     "Trajectory",
     "boundedness_report",
     "check_switching",
-    "check_theorem_static_consensus",
-    "check_theorem_static_sync",
     "cluster_spanning_tree_roots",
     "detect_periodic_limit",
     "ergodicity_coefficient",

@@ -30,6 +30,7 @@ from .config import (
     example_config,
     generated_config,
     load_config,
+    run_fields,
 )
 from .dynamics import (
     BoundReport,
@@ -118,10 +119,10 @@ def _run_ensemble(args: argparse.Namespace) -> int:
     seed = args.seed
     horizon = args.horizon
     if args.config:
-        doc = load_config(args.config)
-        theorem = theorem or doc.get("theorem")
-        seed = seed if seed is not None else doc.get("seed")
-        horizon = horizon if horizon is not None else doc.get("horizon")
+        fields = run_fields(load_config(args.config))
+        theorem = theorem or fields.get("theorem")
+        seed = seed if seed is not None else fields.get("seed")
+        horizon = horizon if horizon is not None else fields.get("horizon")
     if args.ensemble < 1:
         raise ConfigError(f"--ensemble needs at least 1 instance, got {args.ensemble}")
     if horizon is not None and horizon < 1:

@@ -25,6 +25,7 @@ from .generate import (
     EXAMPLE_LEARNING_STRENGTH,
     EXAMPLE_WINDOW,
     GeneratorSpec,
+    check_entry_floor,
     example_alphas,
     example_clustering,
     example_graphs_switching,
@@ -271,14 +272,19 @@ def _clustering(v, path) -> None:
         raise _invalid(path, "exactly one of 'sizes' and 'clusters' is required")
 
 
+# The fields an ensemble run reads from a config, too.
+_RUN_FIELDS = {
+    "seed": _number(0, integer=True),
+    "horizon": _number(1, integer=True),
+    "theorem": _enum(1, 2, 3, 4),
+}
+
 _DOCUMENT = _object(
     {
         "version": _enum(CONFIG_VERSION),
         "label": _string,
-        "seed": _number(0, integer=True),
-        "horizon": _number(1, integer=True),
         "window": _number(1, integer=True),
-        "theorem": _enum(1, 2, 3, 4),
+        **_RUN_FIELDS,
         "clustering": _clustering,
         "topology": _topology,
         "signal": _object(
@@ -319,6 +325,17 @@ _DOCUMENT = _object(
     },
     required=("version", "clustering", "topology"),
 )
+
+
+def run_fields(doc: dict) -> dict:
+    """The ``seed``, ``horizon`` and ``theorem`` that ``doc`` sets, checked by
+    the document's own rules and read as integers."""
+    fields = {}
+    for key, rule in _RUN_FIELDS.items():
+        if key in doc:
+            rule(doc[key], (key,))
+            fields[key] = int(doc[key])
+    return fields
 
 
 def _check_support(path: tuple, graph: Optional[list], a: np.ndarray) -> None:
@@ -375,11 +392,14 @@ def config_digest(doc: dict) -> str:
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise _invalid((), f"{doc!r} is not of type 'object'")
+    return doc
 
 
 def emit_config(doc: dict, path: Optional[str] = None) -> str:
@@ -392,13 +412,18 @@ def emit_config(doc: dict, path: Optional[str] = None) -> str:
 
 def _check_agent_count(doc: dict, n: int) -> None:
     """A fixed or switching topology's first matrix must have ``n`` rows
-    (or triplet ``n``); generator recipes take theirs from the clustering."""
+    (or triplet ``n``); a generator recipe takes its ``n`` from the
+    clustering, and its entry floor must be at most ``1/n``."""
     top = doc["topology"]
     if top["type"] == "fixed":
         path, m = ("topology", "matrix"), top["matrix"]
     elif top["type"] == "switching":
         path, m = ("topology", "matrices", 0), top["matrices"][0]
     else:
+        try:
+            check_entry_floor(top.get("entry_floor", 0.05), n)
+        except ValueError as exc:
+            raise ConfigError(f"topology: {exc}") from exc
         return
     if isinstance(m, dict):
         if m["n"] != n:

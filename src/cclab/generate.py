@@ -35,6 +35,13 @@ class InfeasibleError(ValueError):
     """The requested structure cannot be realized."""
 
 
+def check_entry_floor(entry_floor: float, n: int) -> None:
+    """Raise ``ValueError`` unless ``0 < entry_floor <= 1/n``: a larger floor
+    leaves no stochastic row on ``n`` agents that honors it."""
+    if not 0.0 < entry_floor <= 1.0 / n:
+        raise ValueError(f"entry floor must lie in (0, 1/n] = (0, {1.0 / n:.4f}]")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters for seeded instance generation.
@@ -58,10 +65,7 @@ class GeneratorSpec:
             raise ValueError("cluster sizes must be positive")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError("density must lie in [0, 1]")
-        if not 0.0 < self.entry_floor <= 1.0 / self.n:
-            raise ValueError(
-                f"entry floor must lie in (0, 1/n] = (0, {1.0 / self.n:.4f}]"
-            )
+        check_entry_floor(self.entry_floor, self.n)
         if self.quotient is not None:
             q = validate(np.asarray(self.quotient, dtype=float))
             if q.shape[0] != len(sizes):

@@ -269,6 +269,8 @@ def union_graph(graphs: Iterable[DirectedGraph]) -> DirectedGraph:
     graphs = list(graphs)
     if not graphs:
         raise ValueError("union of zero graphs")
+    if len(graphs) == 1:
+        return graphs[0]
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("graphs have mismatched vertex counts")

@@ -220,21 +220,22 @@ class MatrixSchedule:
 
     def floor_report(self) -> dict:
         """Entry-floor and diagonal-floor verdicts against ``self.floor``."""
-        e = self.floor
-        min_positive = np.inf
-        min_diag = np.inf
-        for m in self.matrices:
-            pos = m[m > 0]
-            if pos.size:
-                min_positive = min(min_positive, float(pos.min()))
-            min_diag = min(min_diag, float(np.diag(m).min()))
-        return {
-            "floor": e,
-            "min_positive_entry": min_positive,
-            "min_diagonal_entry": min_diag,
-            "entry_floor_ok": bool(min_positive >= e - 1e-15),
-            "diagonal_floor_ok": bool(min_diag >= e - 1e-15),
-        }
+        return floor_report(self.matrices, self.floor)
+
+
+def floor_report(matrices: Sequence[np.ndarray], floor: Optional[float] = None) -> dict:
+    """Entry-floor and diagonal-floor verdicts of stochastic ``matrices``
+    against ``floor``, by default their smallest positive entry."""
+    min_positive = min(float(m[m > 0].min()) for m in matrices)
+    min_diag = min(float(np.diag(m).min()) for m in matrices)
+    e = min_positive if floor is None else floor
+    return {
+        "floor": e,
+        "min_positive_entry": min_positive,
+        "min_diagonal_entry": min_diag,
+        "entry_floor_ok": bool(min_positive >= e - 1e-15),
+        "diagonal_floor_ok": bool(min_diag >= e - 1e-15),
+    }
 
 
 def product_range(schedule: MatrixSchedule, t: int, s: int) -> np.ndarray:

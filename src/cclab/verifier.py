@@ -1,15 +1,20 @@
 """Hypothesis checkers and outcome reconciliation.
 
-Four sufficient-condition sets make up the claim catalog:
+Four sufficient-condition sets make up the claim catalog. One checker,
+:func:`check_switching`, evaluates all of their conditions; a fixed coupling
+is the one-matrix schedule, and each claim reads the rows it needs:
 
-1. fixed coupling, intra-cluster synchronization: bounded signal and partial
-   sums, inter-cluster common influence, cluster spanning trees, positive
-   diagonal;
-2. fixed coupling, cluster consensus: self-links, common-link property,
-   cluster spanning trees, driven by a zero-sum periodic signal;
-3. switching coupling, intra-cluster synchronization: uniform all-or-nothing
-   cross links (property A), entry and diagonal floors, per-step common
-   influence, spanning trees in every window union;
+1. fixed coupling, intra-cluster synchronization: claim 3 for one matrix,
+   i.e. bounded signal and partial sums, the common-link property (property
+   A), a positive diagonal, inter-cluster common influence and cluster
+   spanning trees;
+2. fixed coupling, cluster consensus: claim 4 for one matrix, i.e. claim 1's
+   conditions driven by a zero-sum periodic signal (one matrix has a static
+   quotient);
+3. switching coupling, intra-cluster synchronization: bounded signal and
+   partial sums, uniform all-or-nothing cross links (property A), entry and
+   diagonal floors, per-step common influence, spanning trees in every
+   window union;
 4. switching coupling, cluster consensus: as 3 but with one static quotient
    and a zero-sum periodic signal.
 
@@ -21,7 +26,6 @@ the separation collapsed for this data).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -31,6 +35,7 @@ from .dynamics import (
     PeriodicLimit,
     System,
     Trajectory,
+    _couplings,
     detect_periodic_limit,
     limit_window_start,
     separation_metric,
@@ -39,21 +44,14 @@ from .dynamics import (
 )
 from .generate import GeneratorSpec, gen_common_influence_matrix, gen_graph_with_cluster_trees, gen_switching_schedule
 from .graph import (
-    Clustering,
-    cluster_roots,
     cluster_spanning_tree_roots,
-    common_link_violations,
     cover_counts,
     graph_of_matrix,
     in_cover,
     union_graph,
 )
 from .signals import ClusterOffsets, PeriodicInput, partial_sum_bound
-from .stochastic import (
-    MatrixSchedule,
-    common_influence_deviation,
-    schedule_quotient,
-)
+from .stochastic import floor_report, schedule_quotient
 
 PERIOD_SUM_NOTE = (
     "zero-sum convention: the signal's full period t=0..T-1 sums to zero;"
@@ -88,15 +86,15 @@ class HypothesisReport:
     """Per-condition verdicts with the outcome the claim catalog predicts.
 
     ``predicted`` is one of ``intra-sync``, ``cluster-consensus`` or
-    ``no-guarantee``; ``sync_ok``/``consensus_ok`` are None when that claim
-    was not evaluated by the producing checker.
+    ``no-guarantee``; ``sync_ok``/``consensus_ok`` say whether the
+    synchronization and the consensus hypotheses hold.
     """
 
     claim: str
     conditions: tuple[ConditionCheck, ...]
     predicted: str
-    sync_ok: Optional[bool] = None
-    consensus_ok: Optional[bool] = None
+    sync_ok: bool = False
+    consensus_ok: bool = False
     notes: tuple[str, ...] = ()
 
     def condition(self, name: str) -> ConditionCheck:
@@ -114,16 +112,6 @@ class HypothesisReport:
             "conditions": [c.to_dict() for c in self.conditions],
             "notes": list(self.notes),
         }
-
-
-def _trees_check(g, clus: Clustering) -> ConditionCheck:
-    roots = cluster_roots(g, clus)
-    bad = [p + 1 for p, r in enumerate(roots) if r is None]
-    if not bad:
-        detail = f"roots {tuple(r + 1 for r in roots)} (1-based)"
-    else:
-        detail = f"clusters without roots (1-based): {bad}"
-    return ConditionCheck("cluster-spanning-trees", not bad, detail)
 
 
 def _input_bounded_check(sys: System, horizon: Optional[int]) -> ConditionCheck:
@@ -177,101 +165,23 @@ def _zero_sum_input_check(sys: System) -> ConditionCheck:
     )
 
 
-def check_theorem_static_sync(
-    sys: System,
-    horizon: Optional[int] = None,
-    thresholds: Thresholds = Thresholds(),
-) -> HypothesisReport:
-    """Hypotheses for intra-cluster synchronization under a fixed coupling."""
-    if sys.is_switching:
-        raise ValueError("fixed-coupling check called on a switching system")
-    a = sys.coupling
-    clus = sys.clustering
-    g = graph_of_matrix(a, zero_tol=thresholds.zero)
-    conditions = [_input_bounded_check(sys, horizon)]
-    dev = common_influence_deviation(a, clus)
-    conditions.append(
-        ConditionCheck(
-            "common-influence",
-            dev <= thresholds.common_influence,
-            f"worst block-sum spread {dev:.3e} (tolerance {thresholds.common_influence:.1e})",
-        )
-    )
-    conditions.append(_trees_check(g, clus))
-    min_diag = float(np.diag(a).min())
-    conditions.append(
-        ConditionCheck(
-            "positive-diagonal",
-            min_diag > 0.0,
-            f"smallest diagonal entry {min_diag:.6g}",
-        )
-    )
-    ok = all(c.passed for c in conditions)
-    return HypothesisReport(
-        claim="static-sync",
-        conditions=tuple(conditions),
-        predicted="intra-sync" if ok else "no-guarantee",
-        sync_ok=ok,
-    )
-
-
-def check_theorem_static_consensus(
-    sys: System,
-    thresholds: Thresholds = Thresholds(),
-) -> HypothesisReport:
-    """Hypotheses for cluster consensus under a fixed coupling."""
-    if sys.is_switching:
-        raise ValueError("fixed-coupling check called on a switching system")
-    a = sys.coupling
-    clus = sys.clustering
-    g = graph_of_matrix(a, zero_tol=thresholds.zero)
-    missing = [v + 1 for v in range(g.n) if (v, v) not in g.edges]
-    conditions = [
-        ConditionCheck(
-            "self-links",
-            not missing,
-            "every vertex has a self-loop" if not missing
-            else f"vertices missing self-loops (1-based): {missing}",
-        )
-    ]
-    violations = common_link_violations(g, clus)
-    shown = [(p + 1, q + 1, v + 1) for p, q, v in violations[:5]]
-    conditions.append(
-        ConditionCheck(
-            "common-link-property",
-            not violations,
-            "cross links are all-or-nothing per cluster pair" if not violations
-            else f"uncovered (cluster, source cluster, vertex) triples (1-based): {shown}",
-        )
-    )
-    conditions.append(_trees_check(g, clus))
-    conditions.append(_zero_sum_input_check(sys))
-    ok = all(c.passed for c in conditions)
-    return HypothesisReport(
-        claim="static-consensus",
-        conditions=tuple(conditions),
-        predicted="cluster-consensus" if ok else "no-guarantee",
-        consensus_ok=ok,
-        notes=(PERIOD_SUM_NOTE,),
-    )
-
-
 def check_switching(
     sys: System,
     window: Optional[int] = None,
     horizon: Optional[int] = None,
     thresholds: Thresholds = Thresholds(),
 ) -> HypothesisReport:
-    """Hypotheses for the switching-coupling claims (sync and consensus)."""
-    if isinstance(sys.coupling, MatrixSchedule):
-        schedule = sys.coupling
-    else:
-        schedule = MatrixSchedule((sys.coupling,))
+    """Hypotheses of every claim, synchronization and consensus.
+
+    A fixed coupling is the one-matrix schedule; its floor is its smallest
+    positive entry. ``window`` defaults to the schedule's length.
+    """
+    matrices = _couplings(sys.coupling)
     clus = sys.clustering
-    window = schedule.period if window is None else int(window)
+    window = len(matrices) if window is None else int(window)
     if window < 1:
         raise ValueError("window must be at least 1")
-    graphs = [graph_of_matrix(m, zero_tol=thresholds.zero) for m in schedule.matrices]
+    graphs = [graph_of_matrix(m, zero_tol=thresholds.zero) for m in matrices]
 
     conditions = [_input_bounded_check(sys, horizon)]
 
@@ -279,18 +189,18 @@ def check_switching(
     # full coverage) must be the same in every graph of the set.
     # counts[l, p, q]: vertices of C_p with an in-neighbor in C_q in graph l.
     counts = np.stack([cover_counts(in_cover(g, clus), clus) for g in graphs])
-    sizes = clus.sizes
-    prop_a_bad: list[str] = []
-    for p, q in itertools.product(range(clus.k), repeat=2):
-        covered = counts[:, p, q]
-        prop_a_bad.extend(
-            f"graph {l + 1}: cluster pair ({p + 1}, {q + 1}) partially covered"
-            for l in np.flatnonzero((covered > 0) & (covered < sizes[p])).tolist()
-        )
-        if (covered == 0).any() and (covered == sizes[p]).any():
-            prop_a_bad.append(
-                f"cluster pair ({p + 1}, {q + 1}) switches between link branches"
-            )
+    full = np.array(clus.sizes)[:, None]
+    partial = (counts > 0) & (counts < full)
+    switches = (counts == 0).any(axis=0) & (counts == full).any(axis=0)
+    # faults[p, q, l]: graph l (a switch at l = len(graphs)) breaks the
+    # pair, so the faults come out pair by pair, each pair's switch last.
+    faults = np.concatenate([partial, switches[None]]).transpose(1, 2, 0)
+    prop_a_bad = [
+        f"graph {l + 1}: cluster pair ({p + 1}, {q + 1}) partially covered"
+        if l < len(graphs)
+        else f"cluster pair ({p + 1}, {q + 1}) switches between link branches"
+        for p, q, l in np.argwhere(faults).tolist()
+    ]
     conditions.append(
         ConditionCheck(
             "property-a-uniform-links",
@@ -300,7 +210,7 @@ def check_switching(
         )
     )
 
-    fr = schedule.floor_report()
+    fr = floor_report(matrices, sys.coupling.floor if sys.is_switching else None)
     conditions.append(
         ConditionCheck(
             "entry-floor-b1",
@@ -308,15 +218,19 @@ def check_switching(
             f"min positive entry {fr['min_positive_entry']:.6g} vs floor {fr['floor']:.6g}",
         )
     )
-    conditions.append(
-        ConditionCheck(
-            "diagonal-floor-b2",
-            fr["diagonal_floor_ok"],
-            f"min diagonal entry {fr['min_diagonal_entry']:.6g} vs floor {fr['floor']:.6g}",
+    # A diagonal entry at most the zero threshold is no self-link in the
+    # support graph that the cover and tree checks read.
+    diag = np.min([np.diag(m) for m in matrices], axis=0)
+    low = np.flatnonzero((diag < fr["floor"] - 1e-15) | (diag <= thresholds.zero))
+    detail = f"min diagonal entry {fr['min_diagonal_entry']:.6g} vs floor {fr['floor']:.6g}"
+    if low.size:
+        detail += (
+            f"; below the floor or at most {thresholds.zero:.1e} at vertices"
+            f" (1-based) {(low + 1).tolist()}"
         )
-    )
+    conditions.append(ConditionCheck("diagonal-floor-b2", not low.size, detail))
 
-    sq = schedule_quotient(schedule.matrices, clus, tol=thresholds.common_influence)
+    sq = schedule_quotient(matrices, clus, tol=thresholds.common_influence)
     b3_ok = sq.deviation <= thresholds.common_influence
     conditions.append(
         ConditionCheck(
@@ -332,8 +246,11 @@ def check_switching(
     conditions.append(ConditionCheck("static-quotient-b3star", sq.static, detail))
 
     bad_windows = []
-    for t in range(schedule.period):
-        union = union_graph([graphs[(t + i) % schedule.period] for i in range(window)])
+    for t in range(len(graphs)):
+        # A window of at least len(graphs) steps holds every graph once.
+        union = union_graph(
+            [graphs[(t + i) % len(graphs)] for i in range(min(window, len(graphs)))]
+        )
         if cluster_spanning_tree_roots(union, clus) is None:
             bad_windows.append(t)
     conditions.append(
@@ -352,6 +269,7 @@ def check_switching(
     sync_ok = all(
         by_name[n]
         for n in (
+            "input-bounded",
             "property-a-uniform-links",
             "entry-floor-b1",
             "diagonal-floor-b2",
@@ -381,6 +299,15 @@ class ClaimError(ValueError):
     """The claim does not apply to the system."""
 
 
+# Label and sole predicted outcome of claims 1-3; claim 4 keeps the
+# checker's three-way prediction.
+_ONE_OUTCOME = {
+    1: ("static-sync", "intra-sync"),
+    2: ("static-consensus", "cluster-consensus"),
+    3: ("switching", "intra-sync"),
+}
+
+
 def check_claim(
     sys: System,
     theorem: int,
@@ -392,24 +319,21 @@ def check_claim(
     docstring) and whether they hold: ``sync_ok`` for claims 1 and 3,
     ``consensus_ok`` for claims 2 and 4.
 
-    Claim 3 predicts intra-cluster synchronization at most, even where the
-    consensus hypotheses hold too. Claims 1 and 2 on a switching system
-    raise :class:`ClaimError`.
+    Claims 1-3 predict their one outcome or no guarantee; claim 3 predicts
+    intra-cluster synchronization at most, even where the consensus
+    hypotheses hold too. Claims 1 and 2 on a switching system raise
+    :class:`ClaimError`.
     """
     if theorem not in (1, 2, 3, 4):
         raise ValueError("claim number must be 1, 2, 3 or 4")
     if theorem in (1, 2) and sys.is_switching:
         raise ClaimError(f"claim {theorem} applies to fixed couplings only")
-    if theorem == 1:
-        report = check_theorem_static_sync(sys, horizon=horizon, thresholds=thresholds)
-    elif theorem == 2:
-        report = check_theorem_static_consensus(sys, thresholds=thresholds)
-    else:
-        report = check_switching(sys, window=window, horizon=horizon, thresholds=thresholds)
-    if theorem == 3:
-        report = replace(report, predicted="intra-sync" if report.sync_ok else "no-guarantee")
+    report = check_switching(sys, window=window, horizon=horizon, thresholds=thresholds)
     ok = report.sync_ok if theorem in (1, 3) else report.consensus_ok
-    return report, bool(ok)
+    if theorem != 4:
+        claim, outcome = _ONE_OUTCOME[theorem]
+        report = replace(report, claim=claim, predicted=outcome if ok else "no-guarantee")
+    return report, ok
 
 
 @dataclass(frozen=True)

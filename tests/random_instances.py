@@ -1,12 +1,15 @@
 """Random instances for the property suites: clusterings, stochastic
-matrices, matrices with exact common influence, and matrices whose graph
-has cluster spanning trees."""
+matrices, matrices with exact common influence, matrices whose graph has
+cluster spanning trees, and driven systems that meet or miss each claim's
+hypotheses."""
 
 import numpy as np
 
+from cclab.dynamics import System
 from cclab.generate import _random_tree
 from cclab.graph import Clustering
-from cclab.stochastic import validate
+from cclab.signals import ClusterOffsets, PeriodicInput
+from cclab.stochastic import MatrixSchedule, validate
 
 
 def random_clustering(
@@ -76,3 +79,82 @@ def random_clustered_tree_matrix(
         # Mix a uniform floor into the Dirichlet draw so no entry degenerates.
         a[i, nbrs] = 0.5 / d + 0.5 * rng.dirichlet(np.ones(d))
     return validate(a)
+
+
+def random_clustered_coupling(
+    rng: np.random.Generator,
+    clustering: Clustering,
+    hears: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Random stochastic matrix that meets or misses each structural
+    hypothesis by chance.
+
+    Each vertex has a self-link, and each cluster a spanning tree, with
+    probability 0.9. ``hears[p, q]`` (K x K, False on the diagonal) says
+    whether ``C_p`` has links from ``C_q``; each vertex of ``C_p`` then
+    misses them with probability 0.1, which leaves a partial cover. With
+    ``weights`` (K x K, rows summing to one) a vertex of ``C_p`` splits row
+    ``p`` over the clusters it hears, renormalized, so the block sums are
+    common wherever the clusters' covers agree; without, every row is one
+    Dirichlet draw over its in-neighbors.
+    """
+    n = clustering.n
+    labels = clustering.labels()
+    support = np.zeros((n, n), dtype=bool)
+    support[np.diag_indices(n)] = rng.random(n) < 0.9
+    for members in clustering.clusters:
+        if rng.random() < 0.9:
+            for parent, child in _random_tree(members, rng):
+                support[child, parent] = True
+    for p, q in np.argwhere(hears).tolist():
+        sources = np.array(clustering.clusters[q])
+        for i in clustering.clusters[p]:
+            if rng.random() < 0.9:
+                picked = sources[rng.random(sources.size) < 0.6]
+                support[i, picked if picked.size else sources[:1]] = True
+    a = np.zeros((n, n))
+    for i in range(n):
+        if not support[i].any():
+            support[i, i] = True
+        nbrs = np.flatnonzero(support[i])
+        if weights is None:
+            a[i, nbrs] = rng.dirichlet(np.ones(nbrs.size))
+            continue
+        heard = np.unique(labels[nbrs])
+        mass = weights[labels[i], heard] / weights[labels[i], heard].sum()
+        for q, m in zip(heard, mass):
+            block = nbrs[labels[nbrs] == q]
+            a[i, block] = m * rng.dirichlet(np.ones(block.size))
+    return validate(a)
+
+
+def random_driven_systems(seed: int) -> tuple[tuple[System, System], np.ndarray]:
+    """A fixed and a switching system (2-3 matrices) on one random
+    clustering of at most 7 agents and 3 clusters, both driven by one
+    zero-sum periodic signal, and an initial state.
+
+    The matrices share which cluster pairs are linked; 70% of the draws
+    split every row by common cluster weights, the rest draw rows freely.
+    """
+    rng = np.random.default_rng(seed)
+    clus = random_clustering(rng, n_max=7, k_max=3)
+    k = clus.k
+    hears = rng.random((k, k)) < 0.5
+    np.fill_diagonal(hears, False)
+    weights = rng.dirichlet(np.ones(k), size=k) if rng.random() < 0.7 else None
+    fixed = random_clustered_coupling(rng, clus, hears, weights)
+    schedule = MatrixSchedule(
+        tuple(
+            random_clustered_coupling(rng, clus, hears, weights)
+            for _ in range(int(rng.integers(2, 4)))
+        )
+    )
+    period = int(rng.integers(2, 5))
+    signal = PeriodicInput(period, tuple(rng.uniform(-1.6, 1.6, size=period - 1)))
+    offsets = ClusterOffsets(clus, tuple(np.cumsum(rng.uniform(0.3, 1.0, size=k)) - 1.0))
+    systems = tuple(
+        System(coupling=c, clustering=clus, offsets=offsets, signal=signal)
+        for c in (fixed, schedule)
+    )
+    return systems, rng.uniform(-1.0, 1.0, size=clus.n)

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from string import Template
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_check_passes_on_example_a(config_a, capsys):
     out = capsys.readouterr().out
     assert "claim: 2" in out
     assert "overall: pass" in out
-    assert "cluster-spanning-trees" in out
+    assert "window-union-spanning-trees" in out
 
 
 def test_check_passes_on_example_b(config_b, capsys):
@@ -234,6 +235,48 @@ def test_ensemble_horizon_below_one_is_an_input_error(config_a, capsys):
     assert capsys.readouterr().err == "error: horizon must be at least 1, got 0\n"
     assert main(["simulate", "--ensemble", "3", "--config", config_a, "--horizon", "0"]) == 1
     assert capsys.readouterr().err == "error: horizon must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", "abc", "error: config invalid at seed: 'abc' is not of type 'integer'\n"),
+        ("theorem", 7, "error: config invalid at theorem: 7 is not one of [1, 2, 3, 4]\n"),
+    ],
+    ids=["seed", "theorem"],
+)
+def test_ensemble_config_fields_are_checked(tmp_path, key, value, message):
+    config = tmp_path / "ens.json"
+    emit_config(dict(example_config("A"), **{key: value}), str(config))
+    code, out, err = _in_process(["simulate", "--ensemble", "2", "--config", str(config)])
+    assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--seed", "1"],
+        ["learn", "--horizon", "5"],
+        ["simulate", "--ensemble", "2"],
+    ],
+    ids=["check-seed", "learn-horizon", "ensemble"],
+)
+def test_a_config_that_is_not_an_object_is_an_input_error(tmp_path, argv):
+    config = tmp_path / "list.json"
+    config.write_text("[1]\n")
+    code, out, err = _in_process([*argv, "--config", str(config)])
+    assert (code, out, err) == (1, "", "error: config invalid at (root): [1] is not of type 'object'\n")
+
+
+@pytest.mark.parametrize("horizon", [2, 200])
+def test_an_integral_float_ensemble_horizon_runs_like_an_integer(tmp_path, horizon):
+    runs = []
+    for value in (horizon, float(horizon)):
+        config = tmp_path / "ens.json"
+        emit_config(dict(example_config("A"), horizon=value), str(config))
+        runs.append(_in_process(["simulate", "--ensemble", "3", "--config", str(config)]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 2) and runs[0][2] == ""
 
 
 def test_ensemble_requires_theorem_and_seed(capsys):
@@ -702,21 +745,33 @@ def test_the_cli_imports_no_third_party_package_but_numpy():
     assert done.stdout == "[]\n"
 
 
+_GENERATOR = {"type": "generator"}
+
+
 @pytest.mark.parametrize(
-    "command, path, value",
+    "command, edits, expected",
     [
-        ("check", ("clustering", "sizes"), [3, 3, 10**9]),
-        ("simulate", ("horizon",), 10**9),
-        ("learn", ("horizon",), 10**9),
+        ("check", {("clustering", "sizes"): [3, 3, 10**9]}, "matrix size disagrees"),
+        (
+            "check",
+            {("topology",): _GENERATOR, ("clustering", "sizes"): [3, 3, 10**9]},
+            "topology: entry floor must lie in (0, 1/n]",
+        ),
+        ("simulate", {("horizon",): 10**9}, "out of memory"),
+        ("learn", {("horizon",): 10**9}, "out of memory"),
     ],
-    ids=["sizes", "simulate-horizon", "learn-horizon"],
+    ids=["sizes", "generator-sizes", "simulate-horizon", "learn-horizon"],
 )
-def test_huge_sizes_and_horizons_exit_1_in_bounded_memory(tmp_path, command, path, value):
+def test_huge_sizes_and_horizons_exit_1_in_bounded_memory(tmp_path, command, edits, expected):
     """Run in a child whose address space is capped at 1.5 GB: the size
-    must be rejected before a tuple per vertex is built, and the horizon's
-    state array (67 GiB on A) must fail as one error line."""
+    must be rejected before a tuple per vertex is built (for a generator
+    recipe, by its entry floor against 1/n), and the horizon's state array
+    (67 GiB on A) must fail as one error line."""
+    doc = example_config("A")
+    for path, value in edits.items():
+        _set(doc, path, value)
     config = tmp_path / "huge.json"
-    emit_config(_set(example_config("A"), path, value), str(config))
+    emit_config(doc, str(config))
     out = str(tmp_path / command)
     done = _python(
         "-m", "cclab.cli", command, "--config", str(config), "--out", out,
@@ -725,7 +780,6 @@ def test_huge_sizes_and_horizons_exit_1_in_bounded_memory(tmp_path, command, pat
     assert done.returncode == 1
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
-    expected = "matrix size disagrees" if command == "check" else "out of memory"
     assert expected in done.stderr
 
 
@@ -799,20 +853,46 @@ _ENSEMBLE_OPTIONS = {
 }
 
 
+_CONFIG_OPTIONS = {
+    "--seed": st.integers(-2, 2**64),
+    "--theorem": st.integers(0, 5),
+    "--horizon": st.integers(-2, 5000),
+}
+
+
 @st.composite
 def _argv(draw):
-    if draw(st.booleans()):
+    """``gen``, an ensemble, or a config command on example ``$A`` or ``$B``
+    writing under ``$out``; the test puts in the paths."""
+    kind = draw(st.sampled_from(["gen", "ensemble", "config"]))
+    if kind == "gen":
         return ["gen", *_flags(draw, _GEN_OPTIONS)]
-    count = draw(st.integers(-1, 3))
-    return ["simulate", f"--ensemble={count}", *_flags(draw, _ENSEMBLE_OPTIONS)]
+    if kind == "ensemble":
+        count = draw(st.integers(-1, 3))
+        return ["simulate", f"--ensemble={count}", *_flags(draw, _ENSEMBLE_OPTIONS)]
+    command = draw(st.sampled_from(["check", "simulate", "report", "learn"]))
+    config = draw(st.sampled_from(["$A", "$B"]))
+    out = "$out/check.json" if command == "check" else f"$out/{command}"
+    return [command, "--config", config, "--out", out, *_flags(draw, _CONFIG_OPTIONS)]
+
+
+@pytest.fixture(scope="module")
+def example_paths(tmp_path_factory):
+    work = tmp_path_factory.mktemp("argv")
+    paths = {"out": str(work)}
+    for name in ("A", "B"):
+        paths[name] = str(work / f"{name}.json")
+        emit_config(example_config(name), paths[name])
+    return paths
 
 
 @settings(max_examples=200, deadline=None)
 @given(argv=_argv())
-def test_any_gen_or_ensemble_argv_ends_in_an_exit_code(argv):
-    """Whatever ``gen`` and ensemble flags are given, the command ends in a
-    documented exit code, and an input error in one ``error:`` line."""
-    code, _, err = _in_process(argv)
+def test_any_gen_or_ensemble_argv_ends_in_an_exit_code(example_paths, argv):
+    """Whatever ``gen``, ensemble and config-command flags are given, the
+    command ends in a documented exit code, and an input error in one
+    ``error:`` line."""
+    code, _, err = _in_process([Template(a).safe_substitute(example_paths) for a in argv])
     assert code in (0, 1, 2, 3, 4)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,18 +5,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from random_instances import random_driven_systems
 
 from cclab.dynamics import (
     DivergenceError,
     PeriodicLimit,
     System,
+    _couplings,
     detect_periodic_limit,
     limit_window_start,
     simulate,
     simulate_batch,
 )
 from cclab.generate import EXAMPLE_WINDOW, examples
-from cclab.graph import Clustering
+from cclab.graph import Clustering, cluster_spanning_tree_roots, graph_of_matrix
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
 from cclab.stochastic import MatrixSchedule
 from cclab.verifier import (
@@ -26,8 +30,6 @@ from cclab.verifier import (
     Thresholds,
     check_claim,
     check_switching,
-    check_theorem_static_consensus,
-    check_theorem_static_sync,
     ensemble_instance,
     reconcile,
     run_ensemble,
@@ -43,49 +45,45 @@ def test_sync_threshold_scales_with_initial_norm():
     assert th.sync_threshold(np.array([0.0, -4.0])) == pytest.approx(5e-8)
 
 
+CONDITIONS = [
+    "input-bounded",
+    "property-a-uniform-links",
+    "entry-floor-b1",
+    "diagonal-floor-b2",
+    "common-influence-b3",
+    "static-quotient-b3star",
+    "window-union-spanning-trees",
+    "periodic-zero-sum-input",
+]
+
+
 def test_static_sync_hypotheses_pass_on_the_example():
-    report = check_theorem_static_sync(STATIC)
-    names = [c.name for c in report.conditions]
-    assert names == [
-        "input-bounded",
-        "common-influence",
-        "cluster-spanning-trees",
-        "positive-diagonal",
-    ]
+    report, ok = check_claim(STATIC, 1)
+    assert [c.name for c in report.conditions] == CONDITIONS
     assert all(c.passed for c in report.conditions)
+    assert report.claim == "static-sync"
     assert report.predicted == "intra-sync"
-    assert report.sync_ok
-    assert "(3, 7, 7)" in report.condition("cluster-spanning-trees").detail
+    assert ok and report.sync_ok
+    graph = graph_of_matrix(STATIC.coupling)
+    assert cluster_spanning_tree_roots(graph, STATIC.clustering) == [2, 6, 6]
 
 
 def test_static_consensus_hypotheses_pass_on_the_example():
-    report = check_theorem_static_consensus(STATIC)
-    names = [c.name for c in report.conditions]
-    assert names == [
-        "self-links",
-        "common-link-property",
-        "cluster-spanning-trees",
-        "periodic-zero-sum-input",
-    ]
+    report, ok = check_claim(STATIC, 2)
+    assert [c.name for c in report.conditions] == CONDITIONS
     assert all(c.passed for c in report.conditions)
+    assert report.claim == "static-consensus"
     assert report.predicted == "cluster-consensus"
-    assert report.consensus_ok
+    assert ok and report.consensus_ok
     assert PERIOD_SUM_NOTE in report.notes
-
-
-def test_static_checkers_reject_switching_systems():
-    with pytest.raises(ValueError):
-        check_theorem_static_sync(SWITCHING)
-    with pytest.raises(ValueError):
-        check_theorem_static_consensus(SWITCHING)
 
 
 def test_missing_trees_are_called_out():
     clus = Clustering.from_sizes((2,))
     sys = System(coupling=np.eye(2), clustering=clus)
-    report = check_theorem_static_sync(sys)
-    assert not report.condition("cluster-spanning-trees").passed
-    assert report.condition("common-influence").passed
+    report = check_claim(sys, 1)[0]
+    assert not report.condition("window-union-spanning-trees").passed
+    assert report.condition("common-influence-b3").passed
     assert report.predicted == "no-guarantee"
 
 
@@ -99,16 +97,16 @@ def test_broken_common_influence_is_called_out():
             [0.0, 0.0, 0.5, 0.5],
         ]
     )
-    report = check_theorem_static_sync(System(coupling=a, clustering=clus))
-    assert not report.condition("common-influence").passed
+    report = check_claim(System(coupling=a, clustering=clus), 1)[0]
+    assert not report.condition("common-influence-b3").passed
 
 
 def test_zero_diagonal_is_called_out():
     clus = Clustering.from_sizes((2,))
     a = np.array([[0.0, 1.0], [0.0, 1.0]])
-    report = check_theorem_static_sync(System(coupling=a, clustering=clus))
-    assert not report.condition("positive-diagonal").passed
-    assert report.condition("cluster-spanning-trees").passed
+    report = check_claim(System(coupling=a, clustering=clus), 1)[0]
+    assert not report.condition("diagonal-floor-b2").passed
+    assert report.condition("window-union-spanning-trees").passed
 
 
 def test_missing_self_links_and_partial_cross_links_are_called_out():
@@ -121,17 +119,15 @@ def test_missing_self_links_and_partial_cross_links_are_called_out():
             [0.0, 0.0, 0.5, 0.5],
         ]
     )
-    report = check_theorem_static_consensus(System(coupling=a, clustering=clus))
-    assert not report.condition("self-links").passed
-    assert "3" in report.condition("self-links").detail
-    assert not report.condition("common-link-property").passed
+    report = check_claim(System(coupling=a, clustering=clus), 2)[0]
+    assert not report.condition("diagonal-floor-b2").passed
+    assert "(1-based) [3]" in report.condition("diagonal-floor-b2").detail
+    assert not report.condition("property-a-uniform-links").passed
 
 
 def test_undriven_system_fails_the_zero_sum_input_condition():
     clus = Clustering.from_sizes((3,))
-    report = check_theorem_static_consensus(
-        System(coupling=np.full((3, 3), 1.0 / 3.0), clustering=clus)
-    )
+    report = check_claim(System(coupling=np.full((3, 3), 1.0 / 3.0), clustering=clus), 2)[0]
     assert not report.condition("periodic-zero-sum-input").passed
     assert report.predicted == "no-guarantee"
 
@@ -144,10 +140,61 @@ def test_aperiodic_signal_is_not_accepted_as_zero_sum():
         offsets=ClusterOffsets(clus, (1.0, -1.0)),
         signal=SequenceInput(tuple(np.zeros(1200))),
     )
-    report = check_theorem_static_consensus(sys)
+    report = check_claim(sys, 2)[0]
     assert not report.condition("periodic-zero-sum-input").passed
-    sync = check_theorem_static_sync(sys)
+    sync = check_claim(sys, 1)[0]
     assert sync.condition("input-bounded").passed  # bounded, just not periodic
+
+
+def test_a_growing_signal_breaks_every_claim():
+    clus = Clustering.from_sizes((1, 1))
+    sys = System(
+        coupling=np.eye(2),
+        clustering=clus,
+        offsets=ClusterOffsets(clus, (1.0, -1.0)),
+        signal=SequenceInput(tuple(np.ones(1200))),
+    )
+    for theorem in (1, 2, 3, 4):
+        report, ok = check_claim(sys, theorem, horizon=1000)
+        assert not report.condition("input-bounded").passed
+        assert not ok and not report.sync_ok
+        assert report.predicted == "no-guarantee"
+
+
+def _edge_system(a, sizes):
+    clus = Clustering.from_sizes(sizes)
+    return System(
+        coupling=np.array(a),
+        clustering=clus,
+        offsets=ClusterOffsets(clus, (1.0, -1.0)),
+        signal=PeriodicInput(2, (-1.0,)),
+    )
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3, 4])
+def test_a_diagonal_entry_at_most_the_zero_threshold_breaks_every_claim(theorem):
+    """1e-13 is positive and is the smallest entry, so it meets the floor;
+    but it is no self-link in the support graph the other checks read."""
+    sys = _edge_system([[1e-13, 0.5 - 1e-13, 0.5], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]], (2, 1))
+    report, ok = check_claim(sys, theorem, window=1)
+    failed = [c.name for c in report.conditions if not c.passed]
+    assert failed == ["diagonal-floor-b2"]
+    assert "(1-based) [1]" in report.condition("diagonal-floor-b2").detail
+    assert not ok and report.predicted == "no-guarantee"
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3, 4])
+def test_a_partial_cover_within_the_common_influence_tolerance_breaks_every_claim(theorem):
+    """Vertex 1 hears cluster 2 with weight 2e-10 and vertex 2 does not:
+    the block sums agree within 1e-9, but the cover is partial."""
+    sys = _edge_system([[0.5, 0.5 - 2e-10, 2e-10], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], (2, 1))
+    report, ok = check_claim(sys, theorem, window=1)
+    failed = [c.name for c in report.conditions if not c.passed]
+    assert failed == ["property-a-uniform-links"]
+    assert report.condition("property-a-uniform-links").detail == (
+        "graph 1: cluster pair (1, 2) partially covered"
+    )
+    assert not ok and report.predicted == "no-guarantee"
 
 
 def test_switching_hypotheses_pass_on_the_example():
@@ -261,7 +308,7 @@ def test_reconcile_fail_when_predicted_sync_is_missing():
 def test_reconcile_vacuous_without_guarantees():
     clus = Clustering.from_sizes((2,))
     sys = System(coupling=np.eye(2), clustering=clus)
-    report = check_theorem_static_sync(sys)
+    report = check_claim(sys, 1)[0]
     traj = simulate(sys, np.array([1.0, -1.0]), 50)
     result = reconcile(report, sys, traj)
     assert result.status == "PASS-VACUOUS"
@@ -294,12 +341,13 @@ def test_reconcile_to_dict_round_trip():
 
 
 def test_report_to_dict_structure():
-    doc = check_theorem_static_sync(STATIC).to_dict()
+    report = check_claim(STATIC, 1)[0]
+    doc = report.to_dict()
     assert doc["claim"] == "static-sync"
     assert doc["sync_hypotheses_ok"] is True
-    assert {c["name"] for c in doc["conditions"]} >= {"common-influence"}
+    assert {c["name"] for c in doc["conditions"]} >= {"common-influence-b3"}
     with pytest.raises(KeyError):
-        check_theorem_static_sync(STATIC).condition("no-such-condition")
+        report.condition("no-such-condition")
 
 
 @pytest.mark.parametrize(
@@ -324,6 +372,62 @@ def test_check_claim_rejects_static_claims_on_switching_systems():
             check_claim(SWITCHING, theorem)
     with pytest.raises(ValueError):
         check_claim(STATIC, 5)
+
+
+def _sync_horizon(sys: System):
+    """Steps in which every intra-cluster difference shrinks by 1e-13, read
+    off the spectral radius of the coupling on the vectors that sum to zero
+    over each cluster; 2000 when that radius is 1, None past 20000 steps.
+
+    Under common influence the cluster indicator vectors span an invariant
+    subspace, so the couplings act on its orthogonal complement by
+    themselves."""
+    n, k = sys.n, sys.clustering.k
+    indicators = np.zeros((n, k))
+    indicators[np.arange(n), sys.clustering.labels()] = 1.0
+    basis = np.linalg.qr(indicators, mode="complete")[0][:, k:]
+    mats = _couplings(sys.coupling)
+    phi = np.eye(n - k)
+    for a in mats:
+        phi = basis.T @ a @ basis @ phi
+    rho = float(np.abs(np.linalg.eigvals(phi)).max(initial=0.0)) ** (1.0 / len(mats))
+    if rho >= 1.0 - 1e-12:
+        return 2000
+    steps = int(np.ceil(np.log(1e-13) / np.log(rho))) if rho > 0.0 else 0
+    return max(steps, 200) if steps <= 20000 else None
+
+
+def _reproducer():
+    """Claim 2's hypotheses without common influence: block sums 0.5 and 0.9
+    in cluster 1. The run never synchronizes (final diameter 0.28)."""
+    clus = Clustering.from_sizes((2, 1))
+    a = np.array([[0.5, 0.0, 0.5], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]])
+    offsets = ClusterOffsets(clus, (1.0, -1.0))
+    sys = System(coupling=a, clustering=clus, offsets=offsets, signal=PeriodicInput(2, (-1.0,)))
+    return (sys,), np.zeros(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=st.integers(0, 2**32 - 1).map(random_driven_systems))
+@example(draw=_reproducer())
+def test_a_claim_whose_hypotheses_hold_never_ends_fail(draw):
+    """Random driven systems (n <= 7, K <= 3), fixed and switching: wherever
+    a claim's check passes, the run to the draw's own sync horizon must not
+    end FAIL. Draws slower than 20000 steps are left out."""
+    systems, x0 = draw
+    for sys in systems:
+        horizon = _sync_horizon(sys)
+        window = len(_couplings(sys.coupling))
+        for theorem in (3, 4) if sys.is_switching else (1, 2):
+            report, ok = check_claim(sys, theorem, window=window)
+            if not ok or horizon is None:
+                continue
+            traj = simulate(sys, x0, horizon)
+            limit = None
+            if report.predicted == "cluster-consensus":
+                limit = detect_periodic_limit(traj, sys.clustering, sys.signal.period)
+            verdict = reconcile(report, sys, traj, limit)
+            assert verdict.status != "FAIL", (theorem, report.to_dict(), verdict.to_dict())
 
 
 @pytest.mark.parametrize("theorem", [1, 2, 3, 4])
