@@ -22,20 +22,15 @@ from .dynamics import (
 from .generate import (
     GeneratorSpec,
     InfeasibleError,
-    examples,
     gen_common_influence_matrix,
     gen_graph_with_cluster_trees,
     gen_switching_schedule,
 )
 from .graph import (
     Clustering,
-    DirectedGraph,
     cluster_spanning_tree_roots,
-    graph_of_matrix,
     has_common_link_property,
-    has_self_links,
     is_cluster_scrambling,
-    union_graph,
 )
 from .learning import (
     BeliefProfile,
@@ -73,7 +68,6 @@ __all__ = [
     "ClusterOffsets",
     "Clustering",
     "CulturalFlags",
-    "DirectedGraph",
     "DivergenceError",
     "GeneratorSpec",
     "HypothesisReport",
@@ -93,15 +87,12 @@ __all__ = [
     "detect_periodic_limit",
     "ergodicity_coefficient",
     "eval_u",
-    "examples",
     "gen_common_influence_matrix",
     "gen_graph_with_cluster_trees",
     "gen_switching_schedule",
-    "graph_of_matrix",
     "hajnal_diameter",
     "has_common_influence",
     "has_common_link_property",
-    "has_self_links",
     "is_cluster_scrambling",
     "learn_simulate",
     "partial_sum_bound",
@@ -113,7 +104,6 @@ __all__ = [
     "run_ensemble",
     "separation_metric",
     "simulate",
-    "union_graph",
     "validate",
     "z_limits",
 ]

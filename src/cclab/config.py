@@ -39,7 +39,7 @@ from .generate import (
     gen_switching_schedule,
     _streams,
 )
-from .graph import Clustering, DirectedGraph
+from .graph import Clustering, successors
 from .learning import DEFAULT_SLACK, BeliefProfile, CulturalFlags
 from .signals import ClusterOffsets, PeriodicInput
 from .stochastic import MatrixSchedule, validate
@@ -675,13 +675,6 @@ def build_scenario(doc: dict) -> Scenario:
 # Emitters used by the gen command.
 
 
-def _adjacency(g: DirectedGraph) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    for src, dst in sorted(g.edges):
-        out[src].append(dst)
-    return out
-
-
 def _matrix_doc(a: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in a]
 
@@ -726,7 +719,7 @@ def example_config(which: str) -> dict:
             topology={
                 "type": "fixed",
                 "matrix": _matrix_doc(example_matrix_static()),
-                "graph": _adjacency(example_graph_static()),
+                "graph": successors(example_graph_static()),
             },
         )
     else:
@@ -741,7 +734,7 @@ def example_config(which: str) -> dict:
                 "type": "switching",
                 "matrices": [_matrix_doc(m) for m in schedule.matrices],
                 "floor": schedule.floor,
-                "graphs": [_adjacency(g) for g in example_graphs_switching()],
+                "graphs": [successors(s) for s in example_graphs_switching()],
             },
         )
     return base
@@ -793,11 +786,11 @@ def generated_config(
             "floor": schedule.floor,
         }
     else:
-        g = gen_graph_with_cluster_trees(spec)
-        mat = gen_common_influence_matrix(spec, g, mode=mode)
+        s = gen_graph_with_cluster_trees(spec)
+        mat = gen_common_influence_matrix(spec, s, mode=mode)
         doc["horizon"] = horizon if horizon is not None else 2000
         doc["theorem"] = 2
         doc["topology"] = {"type": "fixed", "matrix": matrix_doc(mat)}
         if spec.n < SPARSE_FROM:
-            doc["topology"]["graph"] = _adjacency(g)
+            doc["topology"]["graph"] = successors(s)
     return doc

@@ -18,14 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import (
-    Clustering,
-    DirectedGraph,
-    cluster_spanning_tree_roots,
-    graph_of_matrix,
-    has_common_link_property,
-    union_graph,
-)
+from .graph import Clustering, cluster_spanning_tree_roots, has_common_link_property, support
 from .signals import ClusterOffsets, PeriodicInput
 from .stochastic import MatrixSchedule, has_common_influence, validate
 from .dynamics import System
@@ -140,8 +133,8 @@ def _cover_block(
         edges.update((u, v) for u in picks[:room])
 
 
-def gen_graph_with_cluster_trees(spec: GeneratorSpec) -> DirectedGraph:
-    """Seeded graph with self-links, cluster spanning trees, and the
+def gen_graph_with_cluster_trees(spec: GeneratorSpec) -> np.ndarray:
+    """Seeded support with self-links, cluster spanning trees, and the
     common-link property, with extra edges per ``density``.
 
     Every cluster gets an internal random arborescence (its head is then a
@@ -158,38 +151,39 @@ def gen_graph_with_cluster_trees(spec: GeneratorSpec) -> DirectedGraph:
         for q, sources in enumerate(clus.clusters):
             if b[p, q] > 0:
                 _cover_block(edges, targets, sources, b[p, q], spec, rng)
-    g = DirectedGraph(spec.n, frozenset(edges))
-    if cluster_spanning_tree_roots(g, clus) is None or not has_common_link_property(g, clus):
+    s = support(spec.n, edges)
+    if cluster_spanning_tree_roots(s, clus) is None or not has_common_link_property(s, clus):
         raise RuntimeError("generated graph failed its own structural checks")
-    return g
+    return s
 
 
 def _matrix_on_graph(
     b: np.ndarray,
     clus: Clustering,
-    g: DirectedGraph,
+    s: np.ndarray,
     entry_floor: float,
     mode: str,
     rng: np.random.Generator,
 ) -> np.ndarray:
     if mode not in ("random", "equal"):
         raise ValueError(f"unknown split mode {mode!r}")
-    inn = g.in_neighbors()
+    labels = clus.labels()
     n = clus.n
     a = np.zeros((n, n))
     for i in range(n):
-        p = clus.index_of(i)
-        for q, sources in enumerate(clus.clusters):
+        p = labels[i]
+        inn = np.flatnonzero(s[i])
+        for q in range(clus.k):
             mass = float(b[p, q])
-            nbrs = sorted(inn[i] & set(sources))
+            nbrs = inn[labels[inn] == q]
             if mass <= 0.0:
-                if nbrs:
+                if nbrs.size:
                     raise InfeasibleError(
                         f"graph links cluster {q} into vertex {i} but the quotient"
                         f" gives that block zero mass"
                     )
                 continue
-            if not nbrs:
+            if not nbrs.size:
                 raise InfeasibleError(
                     f"vertex {i} has no in-neighbor in cluster {q}, required by the quotient"
                 )
@@ -208,15 +202,15 @@ def _matrix_on_graph(
     a = validate(a)
     if not has_common_influence(a, clus, tol=1e-12):
         raise RuntimeError("generated matrix failed the common-influence check")
-    if graph_of_matrix(a).edges != g.edges:
+    if not np.array_equal(a > 1e-12, s):
         raise RuntimeError("generated matrix support does not match the graph")
     return a
 
 
 def gen_common_influence_matrix(
-    spec: GeneratorSpec, g: DirectedGraph, mode: str = "random"
+    spec: GeneratorSpec, s: np.ndarray, mode: str = "random"
 ) -> np.ndarray:
-    """Stochastic matrix supported exactly on ``g`` whose quotient is the
+    """Stochastic matrix supported exactly on ``s`` whose quotient is the
     spec's (resolved) quotient.
 
     ``mode="random"`` floors every positive entry at ``spec.entry_floor`` and
@@ -225,7 +219,7 @@ def gen_common_influence_matrix(
     """
     b = resolve_quotient(spec)
     rng = np.random.default_rng(_streams(spec.seed)["matrix"])
-    return _matrix_on_graph(b, spec.clustering(), g, spec.entry_floor, mode, rng)
+    return _matrix_on_graph(b, spec.clustering(), s, spec.entry_floor, mode, rng)
 
 
 def gen_switching_schedule(
@@ -290,15 +284,15 @@ def gen_switching_schedule(
             for q, sources in enumerate(clus.clusters):
                 if b[p, q] > 0 and p != q:
                     _cover_block(edges, targets, sources, b[p, q], spec, rng)
-        graphs.append(DirectedGraph(spec.n, frozenset(edges)))
+        graphs.append(support(spec.n, edges))
 
-    for l, g in enumerate(graphs):
-        if cluster_spanning_tree_roots(g, clus) is not None:
+    for l, s in enumerate(graphs):
+        if cluster_spanning_tree_roots(s, clus) is not None:
             raise RuntimeError(f"schedule graph {l} unexpectedly has cluster trees")
-    if cluster_spanning_tree_roots(union_graph(graphs), clus) is None:
+    if cluster_spanning_tree_roots(np.logical_or.reduce(graphs), clus) is None:
         raise RuntimeError("schedule union lost its cluster spanning trees")
     mats = tuple(
-        _matrix_on_graph(b, clus, g, spec.entry_floor, mode, rng) for g in graphs
+        _matrix_on_graph(b, clus, s, spec.entry_floor, mode, rng) for s in graphs
     )
     return MatrixSchedule(mats, floor=spec.entry_floor)
 
@@ -326,37 +320,32 @@ def example_alphas() -> tuple[float, ...]:
     return (1.0, 0.5, -0.5)
 
 
-def example_graph_static() -> DirectedGraph:
+def example_graph_static() -> np.ndarray:
     """Fixed-topology example: cluster 1 is led by vertex 2; vertex 6 roots
     both trailing clusters through mutual cross-cluster coverage."""
     edges = {(v, v) for v in range(9)}
     edges |= {(2, 0), (2, 1)}
     edges |= {(6, 3), (6, 4), (6, 5)}
     edges |= {(3, 6), (4, 7), (5, 8)}
-    return DirectedGraph(9, frozenset(edges))
+    return support(9, edges)
 
 
-def example_graphs_switching() -> tuple[DirectedGraph, DirectedGraph, DirectedGraph]:
+def example_graphs_switching() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three graphs, each missing cluster spanning trees, whose union has
     them; all share the static quotient of :func:`example_quotient`."""
     common = {(v, v) for v in range(9)} | {(3, 6), (4, 7), (5, 8)}
-    g1 = DirectedGraph(
-        9, frozenset(common | {(2, 0), (6, 3), (7, 4), (8, 5)})
+    return (
+        support(9, common | {(2, 0), (6, 3), (7, 4), (8, 5)}),
+        support(9, common | {(2, 1), (6, 3), (6, 4), (7, 4), (8, 5)}),
+        support(9, common | {(6, 3), (6, 5), (7, 4)}),
     )
-    g2 = DirectedGraph(
-        9, frozenset(common | {(2, 1), (6, 3), (6, 4), (7, 4), (8, 5)})
-    )
-    g3 = DirectedGraph(
-        9, frozenset(common | {(6, 3), (6, 5), (7, 4)})
-    )
-    return g1, g2, g3
 
 
-def _example_matrix(g: DirectedGraph) -> np.ndarray:
+def _example_matrix(s: np.ndarray) -> np.ndarray:
     clus = example_clustering()
     b = example_quotient()
     rng = np.random.default_rng(0)  # equal mode draws nothing
-    return _matrix_on_graph(b, clus, g, entry_floor=0.1, mode="equal", rng=rng)
+    return _matrix_on_graph(b, clus, s, entry_floor=0.1, mode="equal", rng=rng)
 
 
 def example_matrix_static() -> np.ndarray:
@@ -364,7 +353,7 @@ def example_matrix_static() -> np.ndarray:
 
 
 def example_schedule_switching() -> MatrixSchedule:
-    mats = tuple(_example_matrix(g) for g in example_graphs_switching())
+    mats = tuple(_example_matrix(s) for s in example_graphs_switching())
     return MatrixSchedule(mats, floor=0.1)
 
 

@@ -1,8 +1,13 @@
-"""Directed graphs, vertex clusterings, and structural predicates.
+"""Support graphs, vertex clusterings, and structural predicates.
 
-Vertices are integers ``0..n-1``.  An edge ``(j, i)`` is a directed link from
-``j`` to ``i``, matching the convention that a coupling entry ``A[i, j] > 0``
-means agent ``i`` listens to agent ``j``.
+A graph on vertices ``0..n-1`` is an (n, n) boolean support ``s`` laid out
+as the coupling it comes from: ``s[i, j]`` is True when ``a[i, j]``
+exceeds the zero threshold, that is, agent ``i`` listens to agent ``j``
+and the graph has a directed link ``j -> i``.  Row ``i`` holds the
+in-neighbors of ``i``, column ``j`` the successors of ``j``.  A coupling's
+support is ``a > zero``, the union of several is their
+``np.logical_or.reduce``, and ``s.diagonal().all()`` says every vertex has
+a self-link.
 
 A clustering partitions the vertex set into K nonempty, pairwise disjoint
 groups.  The predicates below are the structural hypotheses of the
@@ -26,36 +31,21 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-Edge = tuple[int, int]
 
-
-@dataclass(frozen=True)
-class DirectedGraph:
-    """Immutable directed graph; ``edges`` holds ordered pairs ``(src, dst)``."""
-
-    n: int
-    edges: frozenset[Edge]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        normalized = frozenset((int(j), int(i)) for j, i in self.edges)
-        for j, i in normalized:
-            if not (0 <= j < self.n and 0 <= i < self.n):
-                raise ValueError(f"edge ({j}, {i}) out of range for n={self.n}")
-        object.__setattr__(self, "edges", normalized)
-
-    def successors(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for j, i in self.edges:
-            out[j].append(i)
-        return out
-
-    def in_neighbors(self) -> list[set[int]]:
-        inn: list[set[int]] = [set() for _ in range(self.n)]
-        for j, i in self.edges:
-            inn[i].add(j)
-        return inn
+def support(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+    """(n, n) boolean support of the links ``(j, i)``, each from ``j`` to
+    ``i``: ``s[i, j]`` is True for each of them. A vertex outside ``0..n-1``
+    raises ``ValueError``."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    pairs = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if outside.any():
+        j, i = pairs[outside][0].tolist()
+        raise ValueError(f"edge ({j}, {i}) out of range for n={n}")
+    s = np.zeros((n, n), dtype=bool)
+    s[pairs[:, 1], pairs[:, 0]] = True
+    return s
 
 
 @dataclass(frozen=True)
@@ -145,17 +135,12 @@ class Clustering:
         return self._reduce(x, np.ptp)
 
 
-def graph_of_matrix(a: np.ndarray, zero_tol: float = 1e-12) -> DirectedGraph:
-    """Support graph of a square matrix: edge ``(j, i)`` iff ``a[i, j] > zero_tol``."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    src, dst = np.nonzero(a.T > zero_tol)
-    return DirectedGraph(a.shape[0], frozenset(zip(src.tolist(), dst.tolist())))
-
-
-def has_self_links(g: DirectedGraph) -> bool:
-    return all((v, v) in g.edges for v in range(g.n))
+def successors(s: np.ndarray) -> list[list[int]]:
+    """``[j]`` lists, in ascending order, the vertices a link from ``j``
+    reaches: column ``j`` of ``s``."""
+    src, dst = np.nonzero(s.T)
+    cuts = np.cumsum(np.bincount(src, minlength=len(s)))[:-1]
+    return [part.tolist() for part in np.split(dst, cuts)]
 
 
 def _bfs(succ: list[list[int]], v: int) -> set[int]:
@@ -170,7 +155,7 @@ def _bfs(succ: list[list[int]], v: int) -> set[int]:
     return seen
 
 
-def cluster_roots(g: DirectedGraph, clustering: Clustering) -> list[Optional[int]]:
+def cluster_roots(s: np.ndarray, clustering: Clustering) -> list[Optional[int]]:
     """One root per cluster, or None where the cluster has none.
 
     A root of cluster ``C_p`` is any vertex whose reachable set covers
@@ -181,14 +166,14 @@ def cluster_roots(g: DirectedGraph, clustering: Clustering) -> list[Optional[int
     reachable from a candidate that fails reaches a subset of what that
     candidate reaches, so it fails too and is skipped for that cluster.
     """
-    succ = g.successors()
+    succ = successors(s)
     reach: dict[int, set[int]] = {}
     roots: list[Optional[int]] = []
     for members in clustering.clusters:
         target = set(members)
         failed: set[int] = set()
         root = None
-        for v in range(g.n - 1, -1, -1):
+        for v in range(len(s) - 1, -1, -1):
             if v in failed:
                 continue
             if v not in reach:
@@ -201,38 +186,31 @@ def cluster_roots(g: DirectedGraph, clustering: Clustering) -> list[Optional[int
     return roots
 
 
-def cluster_spanning_tree_roots(
-    g: DirectedGraph, clustering: Clustering
-) -> Optional[list[int]]:
+def cluster_spanning_tree_roots(s: np.ndarray, clustering: Clustering) -> Optional[list[int]]:
     """:func:`cluster_roots`, or None if some cluster has no root."""
-    roots = cluster_roots(g, clustering)
+    roots = cluster_roots(s, clustering)
     return None if None in roots else roots
 
 
-def is_cluster_scrambling(g: DirectedGraph, clustering: Clustering) -> bool:
+def is_cluster_scrambling(s: np.ndarray, clustering: Clustering) -> bool:
     """True iff every same-cluster pair of vertices has a common in-neighbor.
 
     Pairs with ``i == j`` are included: each vertex needs at least one
-    in-neighbor (a self-loop suffices).
+    in-neighbor (a self-loop suffices).  ``[i, j]`` of the boolean product
+    of a cluster's rows with their transpose says whether ``i`` and ``j``
+    share one.
     """
-    inn = g.in_neighbors()
     for members in clustering.clusters:
-        for a_idx, i in enumerate(members):
-            if not inn[i]:
-                return False
-            for j in members[a_idx + 1 :]:
-                if inn[i].isdisjoint(inn[j]):
-                    return False
+        rows = s[list(members)]
+        if not (rows @ rows.T).all():
+            return False
     return True
 
 
-def in_cover(g: DirectedGraph, clustering: Clustering) -> np.ndarray:
+def in_cover(s: np.ndarray, clustering: Clustering) -> np.ndarray:
     """(n, K) table: ``[v, q]`` is True iff vertex ``v`` has an in-neighbor
     in ``C_q``."""
-    cover = np.zeros((g.n, clustering.k), dtype=bool)
-    edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
-    cover[edges[:, 1], clustering.labels()[edges[:, 0]]] = True
-    return cover
+    return clustering.sums(s) > 0
 
 
 def cover_counts(cover: np.ndarray, clustering: Clustering) -> np.ndarray:
@@ -241,12 +219,10 @@ def cover_counts(cover: np.ndarray, clustering: Clustering) -> np.ndarray:
     return clustering.sums(cover.T).T
 
 
-def common_link_violations(
-    g: DirectedGraph, clustering: Clustering
-) -> list[tuple[int, int, int]]:
+def common_link_violations(s: np.ndarray, clustering: Clustering) -> list[tuple[int, int, int]]:
     """Triples ``(p, q, v)``: cluster pair with some cross links where vertex
     ``v`` of ``C_p`` has no in-neighbor in ``C_q``."""
-    cover = in_cover(g, clustering)
+    cover = in_cover(s, clustering)
     counts = cover_counts(cover, clustering)
     partial = (counts > 0) & (counts < np.array(clustering.sizes)[:, None])
     return [
@@ -257,24 +233,8 @@ def common_link_violations(
     ]
 
 
-def has_common_link_property(g: DirectedGraph, clustering: Clustering) -> bool:
+def has_common_link_property(s: np.ndarray, clustering: Clustering) -> bool:
     """All-or-nothing cross links: for every ordered cluster pair ``(p, q)``,
     either no links go from ``C_q`` into ``C_p`` or every vertex of ``C_p``
     has one."""
-    return not common_link_violations(g, clustering)
-
-
-def union_graph(graphs: Iterable[DirectedGraph]) -> DirectedGraph:
-    """Edge union of graphs over a common vertex set."""
-    graphs = list(graphs)
-    if not graphs:
-        raise ValueError("union of zero graphs")
-    if len(graphs) == 1:
-        return graphs[0]
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValueError("graphs have mismatched vertex counts")
-    edges: set[Edge] = set()
-    for g in graphs:
-        edges |= g.edges
-    return DirectedGraph(n, frozenset(edges))
+    return not common_link_violations(s, clustering)

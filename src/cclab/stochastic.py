@@ -180,7 +180,7 @@ class MatrixSchedule:
 
     ``floor`` is the positivity floor the schedule is meant to satisfy
     (every nonzero entry and every diagonal entry at least ``floor``).  It
-    is recorded, not enforced: :meth:`floor_report` produces the verdicts so
+    is recorded, not enforced: :func:`floor_report` produces the verdicts so
     a checker can report violations instead of the constructor hiding them.
     When ``floor`` is omitted it defaults to the smallest positive entry
     found across the schedule.
@@ -217,10 +217,6 @@ class MatrixSchedule:
 
     def at(self, t: int) -> np.ndarray:
         return self.matrices[t % self.period]
-
-    def floor_report(self) -> dict:
-        """Entry-floor and diagonal-floor verdicts against ``self.floor``."""
-        return floor_report(self.matrices, self.floor)
 
 
 def floor_report(matrices: Sequence[np.ndarray], floor: Optional[float] = None) -> dict:

@@ -43,13 +43,7 @@ from .dynamics import (
     simulate_batch,
 )
 from .generate import GeneratorSpec, gen_common_influence_matrix, gen_graph_with_cluster_trees, gen_switching_schedule
-from .graph import (
-    cluster_spanning_tree_roots,
-    cover_counts,
-    graph_of_matrix,
-    in_cover,
-    union_graph,
-)
+from .graph import cluster_spanning_tree_roots, cover_counts, in_cover
 from .signals import ClusterOffsets, PeriodicInput, partial_sum_bound
 from .stochastic import floor_report, schedule_quotient
 
@@ -181,23 +175,23 @@ def check_switching(
     window = len(matrices) if window is None else int(window)
     if window < 1:
         raise ValueError("window must be at least 1")
-    graphs = [graph_of_matrix(m, zero_tol=thresholds.zero) for m in matrices]
+    supports = [m > thresholds.zero for m in matrices]
 
     conditions = [_input_bounded_check(sys, horizon)]
 
     # Property A: per ordered cluster pair, the cross-link branch (absent vs
     # full coverage) must be the same in every graph of the set.
     # counts[l, p, q]: vertices of C_p with an in-neighbor in C_q in graph l.
-    counts = np.stack([cover_counts(in_cover(g, clus), clus) for g in graphs])
+    counts = np.stack([cover_counts(in_cover(s, clus), clus) for s in supports])
     full = np.array(clus.sizes)[:, None]
     partial = (counts > 0) & (counts < full)
     switches = (counts == 0).any(axis=0) & (counts == full).any(axis=0)
-    # faults[p, q, l]: graph l (a switch at l = len(graphs)) breaks the
+    # faults[p, q, l]: graph l (a switch at l = len(supports)) breaks the
     # pair, so the faults come out pair by pair, each pair's switch last.
     faults = np.concatenate([partial, switches[None]]).transpose(1, 2, 0)
     prop_a_bad = [
         f"graph {l + 1}: cluster pair ({p + 1}, {q + 1}) partially covered"
-        if l < len(graphs)
+        if l < len(supports)
         else f"cluster pair ({p + 1}, {q + 1}) switches between link branches"
         for p, q, l in np.argwhere(faults).tolist()
     ]
@@ -246,10 +240,10 @@ def check_switching(
     conditions.append(ConditionCheck("static-quotient-b3star", sq.static, detail))
 
     bad_windows = []
-    for t in range(len(graphs)):
-        # A window of at least len(graphs) steps holds every graph once.
-        union = union_graph(
-            [graphs[(t + i) % len(graphs)] for i in range(min(window, len(graphs)))]
+    for t in range(len(supports)):
+        # A window of at least len(supports) steps holds every graph once.
+        union = np.logical_or.reduce(
+            [supports[(t + i) % len(supports)] for i in range(min(window, len(supports)))]
         )
         if cluster_spanning_tree_roots(union, clus) is None:
             bad_windows.append(t)

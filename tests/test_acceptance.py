@@ -20,7 +20,7 @@ from cclab.dynamics import (
     z_limits,
 )
 from cclab.generate import example_graphs_switching
-from cclab.graph import cluster_spanning_tree_roots, union_graph
+from cclab.graph import cluster_spanning_tree_roots
 from cclab.learning import CulturalFlags, learn_simulate
 from cclab.signals import ClusterOffsets, PeriodicInput
 from cclab.stochastic import (
@@ -178,7 +178,7 @@ def test_criterion_06_switching_example_needs_the_union(tmp_path):
     )
     windows_pass = all(
         cluster_spanning_tree_roots(
-            union_graph([graphs[(s + i) % 3] for i in range(3)]), clus
+            np.logical_or.reduce([graphs[(s + i) % 3] for i in range(3)]), clus
         )
         is not None
         for s in range(3)

@@ -476,6 +476,18 @@ def test_a_graph_that_disagrees_with_the_matrix_is_an_input_error(tmp_path, caps
     )
 
 
+def test_a_graph_index_past_int64_is_compared_not_converted(tmp_path, capsys):
+    doc = example_config("A")
+    doc["topology"]["graph"][0] = [10**30]
+    path = tmp_path / "graph.json"
+    emit_config(doc, str(path))
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config invalid at topology/graph/0: lists [{10**30}],"
+        " but column 0 of the matrix is positive at [0]\n"
+    )
+
+
 def test_a_switching_graph_that_disagrees_with_its_matrix_is_an_input_error(tmp_path, capsys):
     doc = example_config("B")
     doc["topology"]["graphs"][2][3] = []

@@ -20,12 +20,10 @@ from cclab.generate import (
 from cclab.graph import (
     cluster_roots,
     cluster_spanning_tree_roots,
-    graph_of_matrix,
     has_common_link_property,
-    has_self_links,
-    union_graph,
+    support,
 )
-from cclab.stochastic import has_common_influence, quotient_matrix
+from cclab.stochastic import floor_report, has_common_influence, quotient_matrix
 
 from random_instances import (
     random_clustered_tree_matrix,
@@ -76,10 +74,10 @@ def test_generated_graph_satisfies_all_structural_hypotheses():
         spec = GeneratorSpec(cluster_sizes=(3, 2, 4), seed=seed, density=0.4)
         g = gen_graph_with_cluster_trees(spec)
         clus = spec.clustering()
-        assert has_self_links(g)
+        assert g.diagonal().all()
         assert cluster_spanning_tree_roots(g, clus) is not None
         assert has_common_link_property(g, clus)
-        assert gen_graph_with_cluster_trees(spec).edges == g.edges
+        assert np.array_equal(gen_graph_with_cluster_trees(spec), g)
 
 
 def test_generated_matrix_realizes_the_quotient_on_the_graph():
@@ -87,7 +85,7 @@ def test_generated_matrix_realizes_the_quotient_on_the_graph():
     g = gen_graph_with_cluster_trees(spec)
     clus = spec.clustering()
     a = gen_common_influence_matrix(spec, g)
-    assert graph_of_matrix(a).edges == g.edges
+    assert np.array_equal(a > 0, g)
     assert has_common_influence(a, clus, tol=1e-12)
     assert np.abs(quotient_matrix(a, clus) - resolve_quotient(spec)).max() < 1e-12
     positive = a[a > 0]
@@ -108,9 +106,7 @@ def test_infeasible_quotient_support_is_reported():
     # the graph wires cluster 2 into cluster 1 but the quotient forbids it
     q = np.array([[1.0, 0.0], [0.5, 0.5]])
     spec = GeneratorSpec(cluster_sizes=(2, 1), seed=3, quotient=q)
-    from cclab.graph import DirectedGraph
-
-    g = DirectedGraph(3, frozenset({(v, v) for v in range(3)} | {(2, 0), (2, 1), (0, 1)}))
+    g = support(3, {(v, v) for v in range(3)} | {(2, 0), (2, 1), (0, 1)})
     with pytest.raises(InfeasibleError):
         gen_common_influence_matrix(spec, g)
 
@@ -130,23 +126,23 @@ def test_switching_schedule_structure():
             b = q
         else:
             assert np.abs(q - b).max() < 1e-12  # one static quotient across the schedule
-        g = graph_of_matrix(mat)
+        g = mat > 0
         graphs.append(g)
         assert None in cluster_roots(g, clus), "an individual graph must miss some tree"
         positive = mat[mat > 0]
         assert positive.min() >= spec.entry_floor - 1e-12
         assert np.diag(mat).min() >= spec.entry_floor - 1e-12
-    assert cluster_spanning_tree_roots(union_graph(graphs), clus) is not None
+    assert cluster_spanning_tree_roots(np.logical_or.reduce(graphs), clus) is not None
 
 
 def test_switching_schedule_every_window_union_has_trees():
     spec = GeneratorSpec(cluster_sizes=(2, 2), seed=8)
     sched = gen_switching_schedule(spec, m=2, window=2)
     clus = spec.clustering()
-    graphs = [graph_of_matrix(m) for m in sched.matrices]
+    graphs = [m > 0 for m in sched.matrices]
     for shift in range(2):
         window = [graphs[(shift + i) % 2] for i in range(2)]
-        assert cluster_spanning_tree_roots(union_graph(window), clus) is not None
+        assert cluster_spanning_tree_roots(np.logical_or.reduce(window), clus) is not None
 
 
 def test_switching_schedule_is_deterministic():
@@ -173,7 +169,7 @@ def test_switching_single_matrix_reduces_to_the_static_generator():
     sched = gen_switching_schedule(spec, m=1, window=1)
     assert sched.period == 1
     clus = spec.clustering()
-    assert cluster_spanning_tree_roots(graph_of_matrix(sched.at(0)), clus) is not None
+    assert cluster_spanning_tree_roots(sched.at(0) > 0, clus) is not None
 
 
 def test_switching_needs_two_droppable_tree_edges():
@@ -192,7 +188,7 @@ def test_example_fixtures_are_consistent():
     assert switching.is_switching
     assert np.abs(quotient_matrix(static.coupling, clus) - example_quotient()).max() < 1e-15
     sched = example_schedule_switching()
-    report = sched.floor_report()
+    report = floor_report(sched.matrices, sched.floor)
     assert report["entry_floor_ok"] and report["diagonal_floor_ok"]
     assert sched.floor == 0.1
     for mat in sched.matrices:
@@ -207,6 +203,6 @@ def test_random_helpers_produce_valid_objects():
         a = random_common_influence(rng, clus)
         assert has_common_influence(a, clus, tol=1e-12)
         t = random_clustered_tree_matrix(rng, clus)
-        g = graph_of_matrix(t)
-        assert has_self_links(g)
+        g = t > 0
+        assert g.diagonal().all()
         assert cluster_spanning_tree_roots(g, clus) is not None

@@ -6,17 +6,15 @@ import pytest
 from cclab import graph as graph_module
 from cclab.graph import (
     Clustering,
-    DirectedGraph,
     _bfs,
     cluster_roots,
     cluster_spanning_tree_roots,
     common_link_violations,
-    graph_of_matrix,
     has_common_link_property,
-    has_self_links,
     in_cover,
     is_cluster_scrambling,
-    union_graph,
+    successors,
+    support,
 )
 from cclab.generate import (
     example_clustering,
@@ -25,21 +23,30 @@ from cclab.generate import (
 )
 
 
-def closure_matrix(g):
+def closure_matrix(s):
     """Floyd-Warshall transitive closure; reach[a, b] means a path a -> b."""
-    reach = np.eye(g.n, dtype=bool)
-    for src, dst in g.edges:
+    n = len(s)
+    reach = np.eye(n, dtype=bool)
+    for dst, src in np.argwhere(s):
         reach[src, dst] = True
-    for k in range(g.n):
+    for k in range(n):
         reach |= reach[:, k][:, None] & reach[k, :][None, :]
     return reach
+
+
+def in_neighbors(s):
+    """In-neighbor sets read link by link: ``j`` is one of ``i``'s when ``s[i, j]``."""
+    inn = [set() for _ in range(len(s))]
+    for i, j in np.argwhere(s).tolist():
+        inn[i].add(j)
+    return inn
 
 
 def random_graph(rng, n, p=0.2, self_loops=True):
     edges = {(v, v) for v in range(n)} if self_loops else set()
     mask = rng.random((n, n)) < p
     edges |= {(int(u), int(v)) for u, v in np.argwhere(mask)}
-    return DirectedGraph(n, frozenset(edges))
+    return support(n, edges)
 
 
 def random_clustering_of(rng, n):
@@ -59,12 +66,12 @@ def test_reachable_set_matches_transitive_closure():
         g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.5)))
         reach = closure_matrix(g)
         for v in range(n):
-            assert _bfs(g.successors(), v) == set(np.nonzero(reach[v])[0].tolist())
+            assert _bfs(successors(g), v) == set(np.nonzero(reach[v])[0].tolist())
 
 
 def test_reachable_set_contains_start_vertex():
-    g = DirectedGraph(3, frozenset({(0, 1)}))
-    assert _bfs(g.successors(), 2) == {2}
+    g = support(3, {(0, 1)})
+    assert _bfs(successors(g), 2) == {2}
 
 
 def test_roots_match_bruteforce_descending_scan():
@@ -116,7 +123,7 @@ def test_root_scan_skips_what_a_failed_candidate_reaches(monkeypatch):
     for members in clus.clusters:
         edges |= {(v, members[(i + 1) % size]) for i, v in enumerate(members)}
     edges |= {(clus.clusters[p][-1], clus.clusters[p + 1][0]) for p in range(k - 1)}
-    g = DirectedGraph(k * size, frozenset(edges))
+    g = support(k * size, edges)
     calls = []
     original = graph_module._bfs
     monkeypatch.setattr(graph_module, "_bfs", lambda succ, v: calls.append(v) or original(succ, v))
@@ -130,7 +137,7 @@ def test_example_static_roots():
     roots = cluster_spanning_tree_roots(g, clus)
     assert roots == [2, 6, 6]
     assert tuple(r + 1 for r in roots) == (3, 7, 7)
-    assert has_self_links(g)
+    assert g.diagonal().all()
     assert has_common_link_property(g, clus)
 
 
@@ -140,22 +147,22 @@ def test_example_switching_graphs_rootless_until_united():
     for g in graphs:
         assert cluster_roots(g, clus) == [None, None, None]
         assert cluster_spanning_tree_roots(g, clus) is None
-    union = union_graph(graphs)
+    union = np.logical_or.reduce(graphs)
     assert cluster_spanning_tree_roots(union, clus) == [2, 6, 6]
     # any window of three consecutive schedule entries sees all three graphs
     for shift in range(3):
         window = [graphs[(shift + i) % 3] for i in range(3)]
-        assert cluster_spanning_tree_roots(union_graph(window), clus) == [2, 6, 6]
+        assert cluster_spanning_tree_roots(np.logical_or.reduce(window), clus) == [2, 6, 6]
 
 
 def test_scrambling_requires_shared_in_neighbors():
     clus = Clustering.from_sizes((3,))
-    star = DirectedGraph(3, frozenset({(0, 0), (0, 1), (0, 2)}))
+    star = support(3, {(0, 0), (0, 1), (0, 2)})
     assert is_cluster_scrambling(star, clus)
-    chain = DirectedGraph(3, frozenset({(0, 1), (1, 2), (0, 0), (1, 1), (2, 2)}))
+    chain = support(3, {(0, 1), (1, 2), (0, 0), (1, 1), (2, 2)})
     assert not is_cluster_scrambling(chain, clus)  # vertices 0 and 2 share nothing
     # a vertex with no in-neighbors at all fails even alone in its cluster
-    naked = DirectedGraph(2, frozenset({(0, 0)}))
+    naked = support(2, {(0, 0)})
     assert not is_cluster_scrambling(naked, Clustering.from_sizes((1, 1)))
 
 
@@ -165,7 +172,7 @@ def test_scrambling_matches_definition_on_random_graphs():
         n = int(rng.integers(2, 8))
         g = random_graph(rng, n, p=0.3, self_loops=bool(rng.integers(2)))
         clus = random_clustering_of(rng, n)
-        inn = g.in_neighbors()
+        inn = in_neighbors(g)
         expected = all(
             bool(inn[i] & inn[j]) if i != j else bool(inn[i])
             for members in clus.clusters
@@ -177,11 +184,9 @@ def test_scrambling_matches_definition_on_random_graphs():
 
 def test_common_link_property_is_all_or_nothing():
     clus = Clustering.from_sizes((2, 2))
-    full = DirectedGraph(
-        4, frozenset({(v, v) for v in range(4)} | {(2, 0), (3, 1)})
-    )
+    full = support(4, {(v, v) for v in range(4)} | {(2, 0), (3, 1)})
     assert has_common_link_property(full, clus)
-    partial = DirectedGraph(4, frozenset({(v, v) for v in range(4)} | {(2, 0)}))
+    partial = support(4, {(v, v) for v in range(4)} | {(2, 0)})
     violations = common_link_violations(partial, clus)
     assert violations == [(0, 1, 1)]  # vertex 1 of cluster 0 lacks a source in cluster 1
     assert not has_common_link_property(partial, clus)
@@ -193,7 +198,7 @@ def test_in_cover_and_common_link_violations_match_in_neighbor_oracle():
         n = int(rng.integers(1, 10))
         g = random_graph(rng, n, p=float(rng.uniform(0.0, 0.5)), self_loops=bool(rng.integers(2)))
         clus = random_clustering_of(rng, n)
-        inn = g.in_neighbors()
+        inn = in_neighbors(g)
         expected_cover = np.array(
             [[bool(inn[v] & set(c)) for c in clus.clusters] for v in range(n)], dtype=bool
         ).reshape(n, clus.k)
@@ -205,17 +210,7 @@ def test_in_cover_and_common_link_violations_match_in_neighbor_oracle():
                 if 0 < len(hit) < len(targets):
                     expected.extend((p, q, v) for v in targets if v not in hit)
         assert common_link_violations(g, clus) == expected
-    assert not in_cover(DirectedGraph(2, frozenset()), Clustering.from_sizes((1, 1))).any()
-
-
-def test_union_graph_collects_edges():
-    a = DirectedGraph(3, frozenset({(0, 1)}))
-    b = DirectedGraph(3, frozenset({(1, 2)}))
-    assert union_graph([a, b]).edges == frozenset({(0, 1), (1, 2)})
-    with pytest.raises(ValueError):
-        union_graph([a, DirectedGraph(4, frozenset())])
-    with pytest.raises(ValueError):
-        union_graph([])
+    assert not in_cover(support(2, ()), Clustering.from_sizes((1, 1))).any()
 
 
 def test_clustering_validation():
@@ -264,21 +259,18 @@ def test_cluster_reductions_add_in_member_order():
             assert np.array_equal(clus.spreads(a)[:, p], block.max(axis=1) - block.min(axis=1))
 
 
-def test_graph_of_matrix_support():
-    a = np.array([[0.5, 0.5], [0.0, 1.0]])
-    g = graph_of_matrix(a)
-    # a[i, j] > 0 becomes an edge j -> i
-    assert g.edges == frozenset({(0, 0), (1, 0), (1, 1)})
-    tiny = np.array([[1.0 - 1e-15, 1e-15], [0.0, 1.0]])
-    assert graph_of_matrix(tiny).edges == frozenset({(0, 0), (1, 1)})
-    with pytest.raises(ValueError):
-        graph_of_matrix(np.ones((2, 3)))
+def test_support_lays_links_out_as_the_coupling():
+    # a link j -> i is s[i, j], where a coupling that listens along it is positive
+    s = support(2, {(1, 0), (np.int64(1), np.int64(1))})
+    assert s.tolist() == [[False, True], [False, True]]
+    assert s.dtype == bool
+    assert successors(s) == [[], [0, 1]]
 
 
-def test_edge_normalization_and_bounds():
-    g = DirectedGraph(2, frozenset({(np.int64(0), np.int64(1))}))
-    assert (0, 1) in g.edges
+def test_support_rejects_an_out_of_range_edge():
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range for n=2"):
+        support(2, {(0, 0), (0, 2)})
+    with pytest.raises(ValueError, match=r"edge \(-1, 0\) out of range"):
+        support(2, {(-1, 0)})
     with pytest.raises(ValueError):
-        DirectedGraph(2, frozenset({(0, 2)}))
-    with pytest.raises(ValueError):
-        DirectedGraph(0, frozenset())
+        support(0, ())

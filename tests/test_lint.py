@@ -1,5 +1,6 @@
 """Static checks on the package source: no module-level import goes unused,
-and every name in an ``__all__`` is bound in its module."""
+every name in an ``__all__`` is bound in its module, and every public name
+of the package has a user in the package or the benchmark."""
 
 import ast
 import pathlib
@@ -9,6 +10,18 @@ import pytest
 import cclab
 
 SOURCES = sorted(pathlib.Path(cclab.__file__).parent.glob("*.py"))
+BENCH = sorted((pathlib.Path(__file__).resolve().parents[1] / "bench").rglob("*.py"))
+
+# Public names with no user yet, each with the ROADMAP item that adopts it.
+AWAITING = {
+    "ergodicity_coefficient": "item 4",
+    "hajnal_diameter": "item 4",
+    "is_cluster_scrambling": "item 4",
+    "z_limits": "item 5",
+    "quotient_simulate": "item 5",
+    "product_range": "item 5",
+    "quotient_matrix": "item 7, final sweep",
+}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -54,6 +67,28 @@ def unused_imports(source: str) -> list[str]:
     )
 
 
+def used_names(source: str) -> set[str]:
+    """Names a module reads, bare, as an attribute or as a part of a dotted
+    string such as ``"signals.SequenceInput.value"``, outside the top-level
+    definition that binds them."""
+    used = set()
+    for node in ast.parse(source).body:
+        names = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) and "." in n.value:
+                parts = n.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    names.update(parts)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(node.name)
+        used |= names
+    return used
+
+
 def unresolved_exports(source: str) -> list[str]:
     tree = ast.parse(source)
     bound = _bound(tree)
@@ -70,6 +105,15 @@ def test_every_exported_name_resolves(path):
     assert unresolved_exports(path.read_text(encoding="utf-8")) == []
 
 
+def test_every_public_name_has_a_user_or_awaits_its_roadmap_item():
+    users = [p for p in SOURCES if p.name != "__init__.py"] + BENCH
+    used = set().union(*(used_names(p.read_text(encoding="utf-8")) for p in users))
+    assert sorted(set(cclab.__all__) - used - set(AWAITING)) == []
+    # an adopted or deleted name leaves the list
+    assert sorted(set(AWAITING) & used) == []
+    assert sorted(set(AWAITING) - set(cclab.__all__)) == []
+
+
 def test_the_checks_catch_what_they_look_for():
     source = (
         "from __future__ import annotations\n"
@@ -81,3 +125,10 @@ def test_the_checks_catch_what_they_look_for():
     )
     assert unused_imports(source) == ["line 2: itertools"]
     assert unresolved_exports(source) == ["g"]
+    used = used_names(
+        "def f(n): return f(n - 1) + g.h\n"
+        "class C:\n    x = C\n"
+        "SKIP = ('signals.SequenceInput.value', 'not a path')\n"
+    )
+    assert {"g", "h", "signals", "SequenceInput", "value"} <= used
+    assert not {"f", "C", "path"} & used

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cclab.graph import Clustering, graph_of_matrix, is_cluster_scrambling
+from cclab.graph import Clustering, is_cluster_scrambling
 from cclab.generate import (
     example_clustering,
     example_matrix_static,
@@ -13,6 +13,7 @@ from cclab.stochastic import (
     MatrixSchedule,
     common_influence_deviation,
     ergodicity_coefficient,
+    floor_report,
     hajnal_diameter,
     has_common_influence,
     power_limit,
@@ -106,7 +107,7 @@ def test_mu_is_unit_interval_and_detects_scrambling():
         clus = random_clustering_of(rng, n)
         mu = ergodicity_coefficient(a, clus)
         assert 0.0 <= mu <= 1.0
-        scrambling = is_cluster_scrambling(graph_of_matrix(a), clus)
+        scrambling = is_cluster_scrambling(a > 0, clus)
         assert (mu > 0.0) == scrambling
 
 
@@ -201,12 +202,12 @@ def test_matrix_schedule_cycles_and_reports_floor():
     assert np.array_equal(sched.at(0), sched.at(4))
     assert np.array_equal(sched.at(3), b)
     assert sched.floor == pytest.approx(0.1)  # defaults to smallest positive entry
-    report = MatrixSchedule((a, b), floor=0.3).floor_report()
+    report = floor_report(sched.matrices, 0.3)
     assert report["min_positive_entry"] == pytest.approx(0.1)
     assert report["min_diagonal_entry"] == pytest.approx(0.5)
     assert not report["entry_floor_ok"]
     assert report["diagonal_floor_ok"]
-    ok = MatrixSchedule((a, b), floor=0.1).floor_report()
+    ok = floor_report(sched.matrices, 0.1)
     assert ok["entry_floor_ok"] and ok["diagonal_floor_ok"]
 
 
