@@ -44,10 +44,8 @@ from .stochastic import (
     MatrixSchedule,
     ergodicity_coefficient,
     hajnal_diameter,
-    has_common_influence,
     power_limit,
     product_range,
-    quotient_matrix,
     validate,
 )
 from .verifier import (
@@ -91,14 +89,12 @@ __all__ = [
     "gen_graph_with_cluster_trees",
     "gen_switching_schedule",
     "hajnal_diameter",
-    "has_common_influence",
     "has_common_link_property",
     "is_cluster_scrambling",
     "learn_simulate",
     "partial_sum_bound",
     "power_limit",
     "product_range",
-    "quotient_matrix",
     "quotient_simulate",
     "reconcile",
     "run_ensemble",

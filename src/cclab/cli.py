@@ -9,9 +9,9 @@ Subcommands:
 * ``learn``     run the social-learning dynamics, emit belief/zeta CSVs
 * ``report``    render the condition table plus a run summary
 
-Exit codes: 0 success, 1 malformed input, 2 hypothesis failure (``check``)
-or a FAIL verdict (``simulate``, ``report``, ensembles), 3 divergence,
-4 belief-validity violation.
+Exit codes: 0 success, 1 malformed input or an unwritable output path,
+2 hypothesis failure (``check``) or a FAIL verdict (``simulate``,
+``report``, ensembles), 3 divergence, 4 belief-validity violation.
 """
 
 from __future__ import annotations
@@ -249,6 +249,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    if args.switching < 1:
+        raise ConfigError(f"--switching needs at least 1 matrix, got {args.switching}")
     if args.paper_example:
         doc = example_config(args.paper_example)
         if args.seed is not None:
@@ -288,16 +290,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if scenario.learning is None:
         raise ConfigError("config has no learning section")
     setup = scenario.learning
-    sys_ = scenario.system
     outdir = _outdir(args)
     run = learn_simulate(
-        sys_.coupling,
-        sys_.clustering,
-        setup.flags,
-        sys_.signal,
-        setup.profile0,
-        scenario.horizon,
-        slack=setup.slack,
+        scenario.system, setup.flags, setup.profile0, scenario.horizon, slack=setup.slack
     )
     p, q = setup.zeta_clusters
     zeta = run.zeta_series(p, q, setup.zeta_state)
@@ -426,6 +421,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_VALIDITY
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

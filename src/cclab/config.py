@@ -42,7 +42,7 @@ from .generate import (
 from .graph import Clustering, successors
 from .learning import DEFAULT_SLACK, BeliefProfile, CulturalFlags
 from .signals import ClusterOffsets, PeriodicInput
-from .stochastic import MatrixSchedule, validate
+from .stochastic import MatrixSchedule
 from .verifier import Thresholds
 
 CONFIG_VERSION = 1
@@ -410,21 +410,38 @@ def emit_config(doc: dict, path: Optional[str] = None) -> str:
     return text
 
 
-def _check_agent_count(doc: dict, n: int) -> None:
-    """A fixed or switching topology's first matrix must have ``n`` rows
-    (or triplet ``n``); a generator recipe takes its ``n`` from the
-    clustering, and its entry floor must be at most ``1/n``."""
-    top = doc["topology"]
+def _inline(top: dict) -> Optional[tuple[list, list]]:
+    """The matrices and the adjacency lists of an inline topology, each a
+    list of ``(config path, entry)``; a ``fixed`` topology reads as the
+    one-entry ``switching`` one, and a missing adjacency list as None.
+    None for a generator recipe."""
     if top["type"] == "fixed":
-        path, m = ("topology", "matrix"), top["matrix"]
-    elif top["type"] == "switching":
-        path, m = ("topology", "matrices", 0), top["matrices"][0]
-    else:
+        return [(("topology", "matrix"), top["matrix"])], [
+            (("topology", "graph"), top.get("graph"))
+        ]
+    if top["type"] != "switching":
+        return None
+    mats = top["matrices"]
+    graphs = top.get("graphs", [None] * len(mats))
+    return (
+        [(("topology", "matrices", p), m) for p, m in enumerate(mats)],
+        [(("topology", "graphs", p), g) for p, g in enumerate(graphs)],
+    )
+
+
+def _check_agent_count(doc: dict, n: int) -> None:
+    """An inline topology's first matrix must have ``n`` rows (or triplet
+    ``n``); a generator recipe takes its ``n`` from the clustering, and its
+    entry floor must be at most ``1/n``."""
+    top = doc["topology"]
+    inline = _inline(top)
+    if inline is None:
         try:
             check_entry_floor(top.get("entry_floor", 0.05), n)
         except ValueError as exc:
             raise ConfigError(f"topology: {exc}") from exc
         return
+    path, m = inline[0][0]
     if isinstance(m, dict):
         if m["n"] != n:
             raise _invalid((*path, "n"), f"{m['n']!r} agents, but the clustering has {n}")
@@ -480,31 +497,30 @@ def _sparse_matrix(sp: dict, path: tuple, n: int) -> np.ndarray:
 
 
 def _coupling_matrix(m, path: tuple, n: int) -> np.ndarray:
-    """Validate one coupling matrix given as rows or as triplets."""
+    """One coupling matrix given as rows or as triplets, as parsed; the
+    schedule validates it."""
     if isinstance(m, dict):
-        return validate(_sparse_matrix(m, path, n))
-    return validate(np.array(m, dtype=float))
+        return _sparse_matrix(m, path, n)
+    return np.array(m, dtype=float)
 
 
 def _build_topology(doc: dict, clustering: Clustering):
     _check_agent_count(doc, clustering.n)
     top = doc["topology"]
-    kind = top["type"]
-    if kind == "fixed":
-        mat = _coupling_matrix(top["matrix"], ("topology", "matrix"), clustering.n)
-        _check_support(("topology", "graph"), top.get("graph"), mat)
-        return mat
-    if kind == "switching":
-        mats = tuple(
-            _coupling_matrix(m, ("topology", "matrices", p), clustering.n)
-            for p, m in enumerate(top["matrices"])
+    inline = _inline(top)
+    if inline is not None:
+        matrices, graphs = inline
+        sched = MatrixSchedule(
+            tuple(_coupling_matrix(m, path, clustering.n) for path, m in matrices),
+            floor=top.get("floor"),
         )
-        graphs = top.get("graphs", [None] * len(mats))
-        if len(graphs) != len(mats):
-            raise _invalid(("topology", "graphs"), f"{len(graphs)} graphs for {len(mats)} matrices")
-        for p, (g, mat) in enumerate(zip(graphs, mats)):
-            _check_support(("topology", "graphs", p), g, mat)
-        return MatrixSchedule(mats, floor=top.get("floor"))
+        if len(graphs) != sched.period:
+            raise _invalid(
+                ("topology", "graphs"), f"{len(graphs)} graphs for {sched.period} matrices"
+            )
+        for (path, g), mat in zip(graphs, sched.matrices):
+            _check_support(path, g, mat)
+        return sched
     # generator recipes need the contiguous sizes layout
     sizes = clustering.sizes
     if clustering != Clustering.from_sizes(sizes):
@@ -523,7 +539,7 @@ def _build_topology(doc: dict, clustering: Clustering):
         density=top.get("density", 0.3),
     )
     mode = top.get("mode", "random")
-    if kind == "generator":
+    if top["type"] == "generator":
         return gen_common_influence_matrix(
             spec, gen_graph_with_cluster_trees(spec), mode=mode
         )
@@ -644,12 +660,9 @@ def build_scenario(doc: dict) -> Scenario:
 
     learning = _build_learning(doc, clustering, rng)
 
-    switching = isinstance(coupling, MatrixSchedule)
+    switching = system.is_switching
     horizon = int(doc.get("horizon", 5000 if switching else 2000))
-    if switching:
-        window = doc.get("window", doc["topology"].get("window", coupling.period))
-    else:
-        window = doc.get("window", 1)
+    window = doc.get("window", doc["topology"].get("window", system.coupling.period))
     theorem = doc.get(
         "theorem",
         (4 if sig is not None else 3) if switching else (2 if sig is not None else 1),

@@ -1,11 +1,12 @@
 """Driven averaging dynamics and their asymptotics.
 
-The state update is ``x(t+1) = A(t) x(t) + sigma * u(t)`` where ``A(t)`` is a
-fixed stochastic matrix or a periodic schedule, ``sigma`` is a per-cluster
-offset vector and ``u`` a scalar signal.  Because the offsets are constant on
-clusters and the couplings have inter-cluster common influence, the cluster
-averages follow the reduced recursion ``y(t+1) = B y(t) + alpha * u(t)`` with
-``B`` the quotient matrix.
+The state update is ``x(t+1) = A(t) x(t) + sigma * u(t)`` where ``A(t)``
+cycles through a schedule of stochastic matrices (one matrix for a fixed
+coupling), ``sigma`` is a per-cluster offset vector and ``u`` a scalar
+signal.  Because the offsets are constant on clusters and the couplings
+have inter-cluster common influence, the cluster averages follow the
+reduced recursion ``y(t+1) = B y(t) + alpha * u(t)`` with ``B`` the
+quotient matrix.
 
 With a zero-sum signal of period ``T`` the reduced state sampled at times
 ``n T + 1`` converges to ``Z1 y(0) + Z2 alpha`` where ``Z1`` is the limit of
@@ -33,8 +34,6 @@ from .stochastic import (
     validate,
 )
 
-Coupling = Union[np.ndarray, MatrixSchedule]
-
 
 class DivergenceError(RuntimeError):
     """A simulated state stopped being finite.
@@ -53,24 +52,21 @@ class DivergenceError(RuntimeError):
 class System:
     """Driven averaging system over a clustered vertex set.
 
-    ``offsets`` may be None for an undriven run (the signal, if any, is then
-    ignored), which is how a zero-strength control is expressed without
-    violating the distinct-gains rule.
+    ``coupling`` is a :class:`MatrixSchedule`; a bare matrix is taken as
+    the one-matrix schedule. ``offsets`` may be None for an undriven run
+    (the signal, if any, is then ignored), which is how a zero-strength
+    control is expressed without violating the distinct-gains rule.
     """
 
-    coupling: Coupling
+    coupling: Union[MatrixSchedule, np.ndarray]
     clustering: Clustering
     offsets: Optional[ClusterOffsets] = None
     signal: Optional[Signal] = None
 
     def __post_init__(self):
-        if isinstance(self.coupling, MatrixSchedule):
-            n = self.coupling.n
-        else:
-            a = validate(self.coupling)
-            a.setflags(write=False)
-            object.__setattr__(self, "coupling", a)
-            n = a.shape[0]
+        if not isinstance(self.coupling, MatrixSchedule):
+            object.__setattr__(self, "coupling", MatrixSchedule((self.coupling,)))
+        n = self.coupling.n
         if n != self.clustering.n:
             raise ValueError(
                 f"coupling is {n}-dimensional but clustering covers {self.clustering.n}"
@@ -84,7 +80,7 @@ class System:
 
     @property
     def is_switching(self) -> bool:
-        return isinstance(self.coupling, MatrixSchedule)
+        return self.coupling.period > 1
 
     def driven(self) -> bool:
         return self.offsets is not None and self.signal is not None
@@ -116,12 +112,6 @@ class Trajectory:
 
     def max_norm(self) -> float:
         return float(np.abs(self.states).max())
-
-
-def _couplings(coupling: Coupling) -> tuple[np.ndarray, ...]:
-    if isinstance(coupling, MatrixSchedule):
-        return coupling.matrices
-    return (coupling,)
 
 
 def _drive(sigma: np.ndarray, signals: Sequence[Signal], horizon: int) -> np.ndarray:
@@ -173,6 +163,14 @@ def _advance(
     return rows[..., 0]
 
 
+def _addressable(horizon: int, x0: np.ndarray) -> None:
+    """Raise ``MemoryError`` when the ``horizon + 1`` rows of states that
+    :func:`_advance` keeps from ``x0`` pass numpy's index range, which
+    numpy refuses with a ``ValueError``."""
+    if (horizon + 1) * x0.nbytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"{horizon} steps of {x0.size} states pass the addressable size")
+
+
 def _checked(states: np.ndarray) -> Trajectory:
     """The trajectory, or :class:`DivergenceError` at its first non-finite
     state ``x(t)``, with the states before it as the partial trajectory."""
@@ -190,10 +188,11 @@ def simulate(sys: System, x0: np.ndarray, horizon: int) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.n,):
         raise ValueError(f"initial state must have shape ({sys.n},)")
+    _addressable(horizon, x0)
     drive = None
     if sys.driven():
         drive = _drive(sys.offsets.vector()[None], [sys.signal], horizon)
-    return _checked(_advance(_couplings(sys.coupling), drive, x0[None], horizon, 0)[:, 0])
+    return _checked(_advance(sys.coupling.matrices, drive, x0[None], horizon, 0)[:, 0])
 
 
 def simulate_batch(
@@ -219,7 +218,7 @@ def simulate_batch(
         raise ValueError("need one initial state per system, all of one size")
     if not all(s.driven() for s in systems):
         raise ValueError("batched runs need driven systems")
-    mats = [_couplings(s.coupling) for s in systems]
+    mats = [s.coupling.matrices for s in systems]
     phases = math.lcm(*(len(m) for m in mats))
     couplings = [np.stack([m[t % len(m)] for m in mats]) for t in range(phases)]
     sigma = np.stack([s.offsets.vector() for s in systems])
@@ -405,7 +404,7 @@ def boundedness_report(
     x0_norm = float(np.abs(traj.states[0]).max())
     if not sys.driven():
         return BoundReport(max_norm, x0_norm, True, "undriven: peak equals initial norm bound")
-    sq = schedule_quotient(_couplings(sys.coupling), sys.clustering, tol)
+    sq = schedule_quotient(sys.coupling.matrices, sys.clustering, tol)
     if sq.quotient is None:
         return BoundReport(
             max_norm,

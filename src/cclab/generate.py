@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Clustering, cluster_spanning_tree_roots, has_common_link_property, support
 from .signals import ClusterOffsets, PeriodicInput
-from .stochastic import MatrixSchedule, has_common_influence, validate
+from .stochastic import MatrixSchedule, schedule_quotient, validate
 from .dynamics import System
 
 
@@ -200,7 +200,7 @@ def _matrix_on_graph(
                     np.ones(d)
                 )
     a = validate(a)
-    if not has_common_influence(a, clus, tol=1e-12):
+    if schedule_quotient((a,), clus, tol=1e-12).quotient is None:
         raise RuntimeError("generated matrix failed the common-influence check")
     if not np.array_equal(a > 1e-12, s):
         raise RuntimeError("generated matrix support does not match the graph")

@@ -12,14 +12,12 @@ excursions beyond it abort with an error naming the strength.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .dynamics import DivergenceError, _advance, _couplings, _drive
+from .dynamics import DivergenceError, System, _addressable, _advance, _drive
 from .graph import Clustering
-from .signals import Signal
-from .stochastic import MatrixSchedule
 
 DEFAULT_SLACK = 0.1
 _LOG_CAP = 64
@@ -234,42 +232,42 @@ def _validity(rows: np.ndarray, slack: float, strength: float) -> ValidityLog:
 
 
 def learn_simulate(
-    coupling: Union[np.ndarray, MatrixSchedule],
-    clustering: Clustering,
+    sys: System,
     flags: CulturalFlags,
-    sig: Optional[Signal],
     profile0: BeliefProfile,
     horizon: int,
     slack: float = DEFAULT_SLACK,
 ) -> LearningRun:
-    """Run the belief dynamics for ``horizon`` steps.
+    """Run the belief dynamics of ``sys`` for ``horizon`` steps.
 
-    States evolve independently (the update is linear per state), so the
-    belief columns advance together as one batch of driven trajectories
-    through the simulation kernel.
+    The coupling, clustering and signal come from ``sys``; the flags, not
+    the system's offsets, set the per-cluster drive. States evolve
+    independently (the update is linear per state), so the belief columns
+    advance together as one batch of driven trajectories through the
+    simulation kernel.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if slack < 0:
         raise ValueError("slack must be nonnegative")
-    if profile0.n != clustering.n:
+    if profile0.n != sys.n:
         raise ValueError("profile and clustering disagree on the agent count")
-    if not isinstance(coupling, MatrixSchedule):
-        coupling = np.asarray(coupling, dtype=float)
+    x0 = np.ascontiguousarray(profile0.beliefs.T)
+    _addressable(horizon, x0)
+    sig = sys.signal
     # An overflowing push shows up in the range scan as a non-finite row.
     with np.errstate(over="ignore", invalid="ignore"):
-        push = flags.strength * flags.expanded(clustering).T
+        push = flags.strength * flags.expanded(sys.clustering).T
         if sig is None or flags.strength == 0.0:
             # A zero drive, not none: adding 0.0 * push can turn a -0.0
             # belief into 0.0, and the written beliefs show the sign.
             drive = (0.0 * push)[None, ..., None]
         else:
             drive = _drive(push, [sig] * profile0.m, horizon)
-    x0 = np.ascontiguousarray(profile0.beliefs.T)
-    rows = _advance(_couplings(coupling), drive, x0, horizon, 0)
+    rows = _advance(sys.coupling.matrices, drive, x0, horizon, 0)
     return LearningRun(
         beliefs=rows.transpose(0, 2, 1),
-        clustering=clustering,
+        clustering=sys.clustering,
         flags=flags,
         validity=_validity(rows, slack, flags.strength),
         labels=profile0.labels,

@@ -89,63 +89,14 @@ def hajnal_diameter(a: np.ndarray, clustering: Clustering) -> float:
     return diam
 
 
-def block_sums(a: np.ndarray, clustering: Clustering) -> np.ndarray:
-    """(n, K) table of block row sums: ``[i, q]`` is ``sum_{j in C_q} a[i, j]``."""
-    return clustering.sums(np.asarray(a, dtype=float))
-
-
-def _deviation(table: np.ndarray, clustering: Clustering) -> float:
-    """Worst spread of a :func:`block_sums` table's entries ``[i, q]`` over
-    ``i`` within one cluster."""
-    return float(clustering.spreads(table.T).max())
-
-
-def common_influence_deviation(a: np.ndarray, clustering: Clustering) -> float:
-    """Worst spread of block row sums within a cluster.
-
-    For inter-cluster common influence the sum ``sum_{j in C_q} a[i, j]``
-    must not depend on which ``i in C_p`` is taken; this returns the largest
-    max-minus-min spread over all ordered cluster pairs.
-    """
-    return _deviation(block_sums(a, clustering), clustering)
-
-
-def has_common_influence(
-    a: np.ndarray, clustering: Clustering, tol: float = COMMON_INFLUENCE_TOL
-) -> bool:
-    return common_influence_deviation(a, clustering) <= tol
-
-
-def _reduced(table: np.ndarray, clustering: Clustering, tol: float) -> np.ndarray:
-    """The quotient of a :func:`block_sums` table: its rows at the first
-    vertex of each cluster."""
-    b = table[clustering.order[clustering.starts]]
-    return validate(b, tol=max(ROW_SUM_TOL, clustering.k * tol))
-
-
-def quotient_matrix(
-    a: np.ndarray, clustering: Clustering, tol: float = COMMON_INFLUENCE_TOL
-) -> np.ndarray:
-    """K-by-K reduced matrix of cluster block sums.
-
-    Requires inter-cluster common influence within ``tol``; the entry
-    ``(p, q)`` is the block sum of the first vertex of cluster ``p``.
-    """
-    table = block_sums(a, clustering)
-    dev = _deviation(table, clustering)
-    if dev > tol:
-        raise ValueError(
-            f"matrix lacks inter-cluster common influence (spread {dev:.3e} > {tol:.1e})"
-        )
-    return _reduced(table, clustering, tol)
-
-
 @dataclass(frozen=True)
 class ScheduleQuotient:
     """Per-step common influence (B3) and a static quotient (B3*) across a
     list of couplings.
 
-    ``deviation`` is the worst block-sum spread over the couplings. Within
+    ``deviation`` is the worst block-sum spread over the couplings: how far
+    the sum of a row over one cluster varies between the rows of another,
+    zero exactly under inter-cluster common influence. Within
     the tolerance, ``quotient`` is the first coupling's quotient matrix and
     ``spread`` the largest entry gap between any coupling's quotient and
     it; both are None otherwise. ``static`` holds when ``spread`` is at most
@@ -165,18 +116,23 @@ def schedule_quotient(
 ) -> ScheduleQuotient:
     """The B3 and B3* verdicts of ``matrices`` at common-influence tolerance
     ``tol``; see :class:`ScheduleQuotient`."""
-    tables = [block_sums(m, clustering) for m in matrices]
-    deviation = max(_deviation(t, clustering) for t in tables)
+    # tables[l][i, q] is the sum of row i of matrix l over cluster C_q.
+    tables = [clustering.sums(np.asarray(m, dtype=float)) for m in matrices]
+    deviation = max(float(clustering.spreads(t.T).max()) for t in tables)
     if deviation > tol:
         return ScheduleQuotient(deviation, None, None, False)
-    quotients = [_reduced(t, clustering, tol) for t in tables]
+    # Each quotient is its table's rows at the first vertex of each cluster.
+    firsts = clustering.order[clustering.starts]
+    row_tol = max(ROW_SUM_TOL, clustering.k * tol)
+    quotients = [validate(t[firsts], tol=row_tol) for t in tables]
     spread = max(float(np.abs(q - quotients[0]).max()) for q in quotients)
     return ScheduleQuotient(deviation, quotients[0], spread, spread <= max(tol, 1e-12) * 10)
 
 
 @dataclass(frozen=True)
 class MatrixSchedule:
-    """Finite list of stochastic matrices cycled periodically.
+    """Finite list of stochastic matrices cycled periodically; a fixed
+    coupling is the one-matrix schedule.
 
     ``floor`` is the positivity floor the schedule is meant to satisfy
     (every nonzero entry and every diagonal entry at least ``floor``).  It
@@ -200,10 +156,7 @@ class MatrixSchedule:
             m.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
         if self.floor is None:
-            smallest = min(
-                float(m[m > 0].min()) for m in mats if np.any(m > 0)
-            )
-            object.__setattr__(self, "floor", smallest)
+            object.__setattr__(self, "floor", min(float(m[m > 0].min()) for m in mats))
         elif not 0 < self.floor <= 1:
             raise ValueError("floor must lie in (0, 1]")
 
@@ -215,22 +168,19 @@ class MatrixSchedule:
     def period(self) -> int:
         return len(self.matrices)
 
-    def at(self, t: int) -> np.ndarray:
-        return self.matrices[t % self.period]
 
 
-def floor_report(matrices: Sequence[np.ndarray], floor: Optional[float] = None) -> dict:
+def floor_report(matrices: Sequence[np.ndarray], floor: float) -> dict:
     """Entry-floor and diagonal-floor verdicts of stochastic ``matrices``
-    against ``floor``, by default their smallest positive entry."""
+    against ``floor``."""
     min_positive = min(float(m[m > 0].min()) for m in matrices)
     min_diag = min(float(np.diag(m).min()) for m in matrices)
-    e = min_positive if floor is None else floor
     return {
-        "floor": e,
+        "floor": floor,
         "min_positive_entry": min_positive,
         "min_diagonal_entry": min_diag,
-        "entry_floor_ok": bool(min_positive >= e - 1e-15),
-        "diagonal_floor_ok": bool(min_diag >= e - 1e-15),
+        "entry_floor_ok": bool(min_positive >= floor - 1e-15),
+        "diagonal_floor_ok": bool(min_diag >= floor - 1e-15),
     }
 
 
@@ -243,9 +193,10 @@ def product_range(schedule: MatrixSchedule, t: int, s: int) -> np.ndarray:
     """
     if s < t:
         raise ValueError(f"empty product range [{t}, {s}]")
-    acc = schedule.at(t).copy()
+    mats = schedule.matrices
+    acc = mats[t % len(mats)].copy()
     for count, tau in enumerate(range(t + 1, s + 1), start=1):
-        acc = schedule.at(tau) @ acc
+        acc = mats[tau % len(mats)] @ acc
         if count % RENORM_EVERY == 0:
             sums = acc.sum(axis=1)
             drift = float(np.abs(sums - 1.0).max())

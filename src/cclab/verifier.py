@@ -35,7 +35,6 @@ from .dynamics import (
     PeriodicLimit,
     System,
     Trajectory,
-    _couplings,
     detect_periodic_limit,
     limit_window_start,
     separation_metric,
@@ -167,10 +166,11 @@ def check_switching(
 ) -> HypothesisReport:
     """Hypotheses of every claim, synchronization and consensus.
 
-    A fixed coupling is the one-matrix schedule; its floor is its smallest
-    positive entry. ``window`` defaults to the schedule's length.
+    The entry and diagonal floors are the schedule's ``floor``, by default
+    its smallest positive entry. ``window`` defaults to the schedule's
+    length.
     """
-    matrices = _couplings(sys.coupling)
+    matrices = sys.coupling.matrices
     clus = sys.clustering
     window = len(matrices) if window is None else int(window)
     if window < 1:
@@ -204,7 +204,7 @@ def check_switching(
         )
     )
 
-    fr = floor_report(matrices, sys.coupling.floor if sys.is_switching else None)
+    fr = floor_report(matrices, sys.coupling.floor)
     conditions.append(
         ConditionCheck(
             "entry-floor-b1",
@@ -315,8 +315,8 @@ def check_claim(
 
     Claims 1-3 predict their one outcome or no guarantee; claim 3 predicts
     intra-cluster synchronization at most, even where the consensus
-    hypotheses hold too. Claims 1 and 2 on a switching system raise
-    :class:`ClaimError`.
+    hypotheses hold too. Claims 1 and 2 on a schedule of two or more
+    matrices raise :class:`ClaimError`.
     """
     if theorem not in (1, 2, 3, 4):
         raise ValueError("claim number must be 1, 2, 3 or 4")

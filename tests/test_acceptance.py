@@ -26,7 +26,7 @@ from cclab.signals import ClusterOffsets, PeriodicInput
 from cclab.stochastic import (
     ergodicity_coefficient,
     hajnal_diameter,
-    quotient_matrix,
+    schedule_quotient,
 )
 from cclab.verifier import run_ensemble
 
@@ -138,7 +138,7 @@ def test_criterion_05_static_example_periodic_limit_and_z2_spectrum():
     traj = simulate(scenario.system, scenario.x0, 2000)
     limit = detect_periodic_limit(traj, clus, period=2)
     sep = separation_metric(limit)[1, 2] if limit is not None else 0.0
-    b = quotient_matrix(scenario.system.coupling, clus)
+    b = schedule_quotient(scenario.system.coupling.matrices, clus).quotient
     sig = scenario.system.signal
     _, z2 = z_limits(b, sig)
     nus = np.linalg.eigvals(b)
@@ -203,7 +203,7 @@ def test_criterion_07_full_and_quotient_runs_agree():
     for _ in range(50):
         clus = random_clustering(rng, n_max=10, k_max=4)
         a = random_common_influence(rng, clus)
-        b = quotient_matrix(a, clus)
+        b = schedule_quotient((a,), clus).quotient
         T = int(rng.integers(2, 5))
         sig = PeriodicInput(T, tuple(rng.uniform(-1, 1, T - 1)))
         offs = ClusterOffsets(clus, distinct_alphas(rng, clus.k))
@@ -221,16 +221,14 @@ def test_criterion_08_learning_inputs_separate_the_clusters():
     setup = scenario.learning
     sys_ = scenario.system
     driven = learn_simulate(
-        sys_.coupling, sys_.clustering, setup.flags, sys_.signal,
-        setup.profile0, scenario.horizon, slack=setup.slack,
+        sys_, setup.flags, setup.profile0, scenario.horizon, slack=setup.slack
     )
     p, q = setup.zeta_clusters
     tail = float(driven.zeta_series(p, q, setup.zeta_state)[-20:].max())
     drift = driven.sum_drift()
     control_flags = CulturalFlags(setup.flags.table, strength=0.0)
     control = learn_simulate(
-        sys_.coupling, sys_.clustering, control_flags, sys_.signal,
-        setup.profile0, scenario.horizon, slack=setup.slack,
+        sys_, control_flags, setup.profile0, scenario.horizon, slack=setup.slack
     )
     control_tail = float(control.zeta_series(p, q, setup.zeta_state)[-20:].max())
     ok = tail > 1e-3 and drift <= 1e-12 and control_tail < 1e-6

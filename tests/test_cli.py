@@ -676,6 +676,28 @@ def _outputs(tmp_path, capsys, command, doc, name):
     return code, captured.out, captured.err, files
 
 
+def test_a_one_matrix_switching_config_runs_as_the_fixed_coupling(tmp_path, capsys):
+    """A schedule of one matrix is the fixed coupling: it takes the fixed
+    defaults (claim 2, horizon 2000), claim 1 applies to it, and every
+    output equals the ``fixed`` topology's, trajectory bytes included."""
+    fixed = example_config("A")
+    del fixed["theorem"], fixed["horizon"]
+    top = fixed["topology"]
+    one = {"type": "switching", "matrices": [top["matrix"]], "graphs": [top["graph"]]}
+    outputs = {
+        form: [
+            _outputs(tmp_path, capsys, command, dict(doc, **fields), f"{form}-{command}")
+            for command, fields in (("simulate", {}), ("check", {"theorem": 1}))
+        ]
+        for form, doc in (("fixed", fixed), ("one", dict(fixed, topology=one)))
+    }
+    assert outputs["one"] == outputs["fixed"]
+    (code, _, _, files), checked = outputs["one"]
+    assert (code, checked[0]) == (0, 0)
+    assert files["metrics.json"]["hypotheses"]["claim"] == "static-consensus"
+    assert files["trajectory.csv"].count(b"\n") == 2002  # a header and steps 0..2000
+
+
 _SWITCHING_GENERATOR = {
     "version": 1,
     "seed": 3,
@@ -771,8 +793,22 @@ _GENERATOR = {"type": "generator"}
         ),
         ("simulate", {("horizon",): 10**9}, "out of memory"),
         ("learn", {("horizon",): 10**9}, "out of memory"),
+        # Past numpy's index range, where numpy refuses the array outright.
+        ("simulate", {("horizon",): 10**20}, "out of memory"),
+        ("learn", {("horizon",): 10**20}, "out of memory"),
+        ("simulate", {("horizon",): 2**62}, "out of memory"),
+        ("learn", {("horizon",): 2**62}, "out of memory"),
     ],
-    ids=["sizes", "generator-sizes", "simulate-horizon", "learn-horizon"],
+    ids=[
+        "sizes",
+        "generator-sizes",
+        "simulate-horizon",
+        "learn-horizon",
+        "simulate-horizon-1e20",
+        "learn-horizon-1e20",
+        "simulate-horizon-2^62",
+        "learn-horizon-2^62",
+    ],
 )
 def test_huge_sizes_and_horizons_exit_1_in_bounded_memory(tmp_path, command, edits, expected):
     """Run in a child whose address space is capped at 1.5 GB: the size
@@ -821,6 +857,8 @@ def _in_process(argv):
         (["gen", "--sizes", "3,3", "--seed", "1", "--entry-floor", "0"], "entry floor must lie in"),
         (["simulate", "--ensemble", "3", "--theorem", "2", "--seed", "-1"],
          "seed must be nonnegative"),
+        (["gen", "--sizes", "3,3", "--seed", "1", "--switching", "0"], "--switching needs at least 1"),
+        (["gen", "--sizes", "3,3", "--seed", "1", "--switching", "-2"], "--switching needs at least 1"),
     ],
 )
 def test_bad_gen_flags_and_ensemble_seeds_exit_1_with_one_line(argv, message):
@@ -828,6 +866,28 @@ def test_bad_gen_flags_and_ensemble_seeds_exit_1_with_one_line(argv, message):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--config", "$A", "--out", "$dir"],
+        ["simulate", "--config", "$A", "--out", "$file"],
+        ["report", "--config", "$A", "--out", "$file"],
+        ["learn", "--config", "$A", "--out", "$file"],
+        ["simulate", "--ensemble", "2", "--theorem", "2", "--seed", "1", "--out", "$dir"],
+        ["gen", "--paper-example", "A", "--out", "$dir"],
+    ],
+    ids=["check", "simulate", "report", "learn", "ensemble", "gen"],
+)
+def test_an_unwritable_out_exits_1_with_one_line(tmp_path, config_a, argv):
+    """A file where a directory is wanted, or a directory where a file is."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    paths = {"A": config_a, "dir": str(tmp_path), "file": str(taken)}
+    code, _, err = _in_process([Template(a).substitute(paths) for a in argv])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_a_vanishing_entry_floor_still_generates():

@@ -26,7 +26,7 @@ from cclab.generate import (
     gen_graph_with_cluster_trees,
     gen_switching_schedule,
 )
-from cclab.stochastic import MatrixSchedule
+from cclab.stochastic import MatrixSchedule, validate
 
 
 def test_example_a_materializes_a_fixed_driven_scenario():
@@ -207,9 +207,10 @@ def test_generator_topology_builds_from_seed():
         "signal": {"period": 2, "free_values": [-1.0], "alphas": [1.0, 0.25]},
     }
     scenario = build_scenario(doc)
-    assert scenario.system.coupling.shape == (5, 5)
+    (a,) = scenario.system.coupling.matrices
+    assert a.shape == (5, 5)
     assert build_scenario(doc).digest == scenario.digest
-    assert np.array_equal(build_scenario(doc).system.coupling, scenario.system.coupling)
+    assert np.array_equal(build_scenario(doc).system.coupling.matrices[0], a)
 
 
 def test_generator_topology_requires_contiguous_sizes():
@@ -278,8 +279,7 @@ def test_generated_config_bytes_are_pinned_in_triplet_form(m, digest):
 
 
 def _couplings(scenario):
-    coupling = scenario.system.coupling
-    return [a.tobytes() for a in getattr(coupling, "matrices", [coupling])]
+    return [a.tobytes() for a in scenario.system.coupling.matrices]
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -307,6 +307,22 @@ def test_triplet_configs_rebuild_the_generated_matrices(m):
     else:
         rows_doc["topology"]["matrices"] = [a.tolist() for a in realized]
     assert _couplings(build_scenario(doc)) == _couplings(build_scenario(rows_doc))
+
+
+@pytest.mark.parametrize("form", ["triplets", "rows"])
+def test_a_loaded_coupling_is_validated_once(form):
+    """The schedule validates each parsed matrix, and nothing else does: on
+    the three 40-agent clusters a second validation moves the last bits."""
+    doc = generated_config((40, 40, 40), seed=1, entry_floor=0.005)
+    t = doc["topology"]["matrix"]
+    parsed = np.zeros((t["n"], t["n"]))
+    parsed[t["rows"], t["cols"]] = t["vals"]
+    if form == "rows":
+        doc["topology"]["matrix"] = parsed.tolist()
+    (loaded,) = build_scenario(doc).system.coupling.matrices
+    once = validate(parsed)
+    assert loaded.tobytes() == once.tobytes()
+    assert validate(once).tobytes() != once.tobytes()
 
 
 def _shuffled_triplets(a, rng):

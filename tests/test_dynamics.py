@@ -29,7 +29,7 @@ from cclab.generate import (
 from cclab.config import build_scenario, example_config
 from cclab.graph import Clustering
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
-from cclab.stochastic import MatrixSchedule, power_limit, quotient_matrix, validate
+from cclab.stochastic import MatrixSchedule, power_limit, schedule_quotient, validate
 
 from random_instances import random_common_influence
 
@@ -51,7 +51,7 @@ def test_simulate_matches_hand_rolled_recursion():
     sys = example_system_static()
     traj = simulate(sys, X0, 40)
     x = X0.copy()
-    a = sys.coupling
+    (a,) = sys.coupling.matrices
     sigma = sys.offsets.vector()
     for t in range(40):
         x = a @ x + sigma * sys.signal.value(t)
@@ -63,7 +63,7 @@ def test_simulate_matches_hand_rolled_recursion():
 def test_step_agrees_with_simulate():
     sys = example_system_static()
     traj = simulate(sys, X0, 3)
-    a = sys.coupling
+    (a,) = sys.coupling.matrices
     sigma = sys.offsets.vector()
     assert np.array_equal(a @ X0 + sigma * sys.signal.value(0), traj.states[1])
     assert np.array_equal(a @ traj.states[1] + sigma * sys.signal.value(1), traj.states[2])
@@ -108,7 +108,7 @@ def test_switching_system_uses_the_schedule():
     traj = simulate(sys, X0, 7)
     x = X0.copy()
     for t in range(7):
-        x = sched.at(t) @ x
+        x = sched.matrices[t % 3] @ x
         assert np.array_equal(traj.states[t + 1], x)
 
 
@@ -137,7 +137,7 @@ def test_consensus_subspace_is_invariant():
 def test_full_and_quotient_simulations_agree_on_cluster_means():
     sys = example_system_static()
     clus = sys.clustering
-    b = quotient_matrix(sys.coupling, clus)
+    b = schedule_quotient(sys.coupling.matrices, clus).quotient
     y0 = np.array([X0[list(members)].mean() for members in clus.clusters])
     x0 = y0[clus.labels()]
     traj = simulate(sys, x0, 2000)
@@ -171,7 +171,7 @@ def test_periodic_limit_matches_closed_form():
     limit = detect_periodic_limit(traj, clus, period=2)
     assert limit is not None
     assert limit.residual < 1e-8
-    a = sys.coupling
+    (a,) = sys.coupling.matrices
     sigma = sys.offsets.vector()
     a_inf = power_limit(a).limit
     x1 = a @ X0 + sigma  # u(0) = +1

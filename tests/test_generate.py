@@ -23,7 +23,7 @@ from cclab.graph import (
     has_common_link_property,
     support,
 )
-from cclab.stochastic import floor_report, has_common_influence, quotient_matrix
+from cclab.stochastic import floor_report, schedule_quotient
 
 from random_instances import (
     random_clustered_tree_matrix,
@@ -86,8 +86,9 @@ def test_generated_matrix_realizes_the_quotient_on_the_graph():
     clus = spec.clustering()
     a = gen_common_influence_matrix(spec, g)
     assert np.array_equal(a > 0, g)
-    assert has_common_influence(a, clus, tol=1e-12)
-    assert np.abs(quotient_matrix(a, clus) - resolve_quotient(spec)).max() < 1e-12
+    sq = schedule_quotient((a,), clus, tol=1e-12)
+    assert sq.deviation <= 1e-12
+    assert np.abs(sq.quotient - resolve_quotient(spec)).max() < 1e-12
     positive = a[a > 0]
     assert positive.min() >= spec.entry_floor - 1e-12
 
@@ -120,8 +121,9 @@ def test_switching_schedule_structure():
     b = None
     graphs = []
     for mat in sched.matrices:
-        assert has_common_influence(mat, clus, tol=1e-9)
-        q = quotient_matrix(mat, clus)
+        sq = schedule_quotient((mat,), clus, tol=1e-9)
+        assert sq.deviation <= 1e-9
+        q = sq.quotient
         if b is None:
             b = q
         else:
@@ -169,7 +171,7 @@ def test_switching_single_matrix_reduces_to_the_static_generator():
     sched = gen_switching_schedule(spec, m=1, window=1)
     assert sched.period == 1
     clus = spec.clustering()
-    assert cluster_spanning_tree_roots(sched.at(0) > 0, clus) is not None
+    assert cluster_spanning_tree_roots(sched.matrices[0] > 0, clus) is not None
 
 
 def test_switching_needs_two_droppable_tree_edges():
@@ -186,13 +188,13 @@ def test_example_fixtures_are_consistent():
     clus = example_clustering()
     assert not static.is_switching
     assert switching.is_switching
-    assert np.abs(quotient_matrix(static.coupling, clus) - example_quotient()).max() < 1e-15
+    assert np.abs(schedule_quotient(static.coupling.matrices, clus).quotient - example_quotient()).max() < 1e-15
     sched = example_schedule_switching()
     report = floor_report(sched.matrices, sched.floor)
     assert report["entry_floor_ok"] and report["diagonal_floor_ok"]
     assert sched.floor == 0.1
     for mat in sched.matrices:
-        assert np.abs(quotient_matrix(mat, clus) - example_quotient()).max() < 1e-15
+        assert np.abs(schedule_quotient((mat,), clus).quotient - example_quotient()).max() < 1e-15
 
 
 def test_random_helpers_produce_valid_objects():
@@ -201,7 +203,7 @@ def test_random_helpers_produce_valid_objects():
         clus = random_clustering(rng)
         assert sum(clus.sizes) == clus.n
         a = random_common_influence(rng, clus)
-        assert has_common_influence(a, clus, tol=1e-12)
+        assert schedule_quotient((a,), clus, tol=1e-12).deviation <= 1e-12
         t = random_clustered_tree_matrix(rng, clus)
         g = t > 0
         assert g.diagonal().all()

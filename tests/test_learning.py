@@ -24,15 +24,21 @@ from cclab.learning import (
 from cclab.signals import ClusterOffsets, SequenceInput
 
 
+def undriven(coupling=None, clustering=None, signal=None):
+    """A system that learning drives by its flags: the example's coupling,
+    clustering and signal unless given, and no offsets."""
+    return System(
+        coupling=example_matrix_static() if coupling is None else coupling,
+        clustering=clustering or example_clustering(),
+        signal=signal or example_signal(),
+    )
+
+
 def example_learning(strength=0.01, horizon=2000, profile0=None, slack=0.1):
-    clus = example_clustering()
     flags = CulturalFlags(example_learning_flags(), strength=strength)
     if profile0 is None:
         profile0 = BeliefProfile.uniform(9, 2)
-    return learn_simulate(
-        example_matrix_static(), clus, flags, example_signal(), profile0, horizon,
-        slack=slack,
-    )
+    return learn_simulate(undriven(), flags, profile0, horizon, slack=slack)
 
 
 def test_belief_profile_rows_must_sum_to_one():
@@ -76,7 +82,7 @@ def test_learn_step_matches_manual_update():
     prof = BeliefProfile.uniform(9, 2)
     a = example_matrix_static()
     sig = example_signal()
-    nxt = learn_simulate(a, clus, flags, sig, prof, horizon=1).profile(1)
+    nxt = learn_simulate(undriven(a), flags, prof, horizon=1).profile(1)
     push = 0.01 * flags.expanded(clus)
     for s in range(2):
         manual = a @ prof.beliefs[:, s] + sig.value(0) * push[:, s]
@@ -98,9 +104,7 @@ def test_per_state_paths_match_the_scalar_engine_bit_for_bit():
     flags = CulturalFlags(example_learning_flags(), strength=c)
     rng = np.random.default_rng(99)
     prof = BeliefProfile.random(rng, 9, 2)
-    run = learn_simulate(
-        example_matrix_static(), clus, flags, example_signal(), prof, 500
-    )
+    run = learn_simulate(undriven(), flags, prof, 500)
     for s in range(2):
         gains = tuple(c * f for f in example_learning_flags()[:, s])
         sys = System(
@@ -114,12 +118,9 @@ def test_per_state_paths_match_the_scalar_engine_bit_for_bit():
 
 
 def test_learning_supports_switching_schedules():
-    clus = example_clustering()
     flags = CulturalFlags(example_learning_flags(), strength=0.01)
-    run = learn_simulate(
-        example_schedule_switching(), clus, flags, example_signal(),
-        BeliefProfile.uniform(9, 2), 800,
-    )
+    prof = BeliefProfile.uniform(9, 2)
+    run = learn_simulate(undriven(example_schedule_switching()), flags, prof, 800)
     assert run.sum_drift() <= 1e-12
     assert run.validity.ok
 
@@ -200,7 +201,7 @@ def test_an_earlier_state_fails_before_a_later_one_is_scanned():
     prof = BeliefProfile(np.tile([0.5, -0.5, 1.0], (9, 1)))
     sig = SequenceInput((0.0, 0.0, 0.0, 1.0, 0.0, 0.0))
     with pytest.raises(BeliefRangeError) as info:
-        learn_simulate(example_matrix_static(), example_clustering(), flags, sig, prof, 6)
+        learn_simulate(undriven(signal=sig), flags, prof, 6)
     err = info.value
     assert (err.t, err.state, err.agent, err.value) == (4, 0, 6, -0.5)
 
@@ -223,17 +224,14 @@ def test_learning_run_accessors():
 
 
 def test_learn_simulate_validates_arguments():
-    clus = example_clustering()
     flags = CulturalFlags(example_learning_flags(), strength=0.01)
     prof = BeliefProfile.uniform(9, 2)
     with pytest.raises(ValueError):
-        learn_simulate(example_matrix_static(), clus, flags, example_signal(), prof, 0)
+        learn_simulate(undriven(), flags, prof, 0)
+    with pytest.raises(ValueError):
+        learn_simulate(undriven(), flags, prof, 10, slack=-0.1)
     with pytest.raises(ValueError):
         learn_simulate(
-            example_matrix_static(), clus, flags, example_signal(), prof, 10, slack=-0.1
-        )
-    with pytest.raises(ValueError):
-        learn_simulate(
-            example_matrix_static(), Clustering.from_sizes((4, 5)), flags,
-            example_signal(), BeliefProfile.uniform(8, 2), 10,
+            undriven(clustering=Clustering.from_sizes((4, 5))), flags,
+            BeliefProfile.uniform(8, 2), 10,
         )

@@ -1,6 +1,7 @@
 """Static checks on the package source: no module-level import goes unused,
-every name in an ``__all__`` is bound in its module, and every public name
-of the package has a user in the package or the benchmark."""
+every name in an ``__all__`` is bound in its module, every public name of
+the package has a user in the package or the benchmark, and one place tells
+a bare coupling matrix from a schedule."""
 
 import ast
 import pathlib
@@ -20,7 +21,6 @@ AWAITING = {
     "z_limits": "item 5",
     "quotient_simulate": "item 5",
     "product_range": "item 5",
-    "quotient_matrix": "item 7, final sweep",
 }
 
 
@@ -89,6 +89,34 @@ def used_names(source: str) -> set[str]:
     return used
 
 
+def isinstance_sites(source: str, name: str) -> list[str]:
+    """Qualified names of the functions and classes whose own code calls
+    ``isinstance(x, <types naming name>)``, ``<module>`` for top level."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance"
+                and len(child.args) == 2
+                and any(
+                    isinstance(n, ast.Name) and n.id == name
+                    or isinstance(n, ast.Attribute) and n.attr == name
+                    for n in ast.walk(child.args[1])
+                )
+            ):
+                sites.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
 def unresolved_exports(source: str) -> list[str]:
     tree = ast.parse(source)
     bound = _bound(tree)
@@ -114,6 +142,18 @@ def test_every_public_name_has_a_user_or_awaits_its_roadmap_item():
     assert sorted(set(AWAITING) - set(cclab.__all__)) == []
 
 
+def test_only_the_system_constructor_tells_a_matrix_from_a_schedule():
+    """A fixed coupling is the one-matrix schedule from the config to the
+    kernel: ``System`` wraps a bare matrix once, and every other reader
+    takes ``coupling.matrices``."""
+    sites = [
+        f"{p.stem}.{site}"
+        for p in SOURCES
+        for site in isinstance_sites(p.read_text(encoding="utf-8"), "MatrixSchedule")
+    ]
+    assert sites == ["dynamics.System.__post_init__"]
+
+
 def test_the_checks_catch_what_they_look_for():
     source = (
         "from __future__ import annotations\n"
@@ -132,3 +172,12 @@ def test_the_checks_catch_what_they_look_for():
     )
     assert {"g", "h", "signals", "SequenceInput", "value"} <= used
     assert not {"f", "C", "path"} & used
+    sites = isinstance_sites(
+        "isinstance(a, S)\n"
+        "class C:\n"
+        "    def f(self, a):\n"
+        "        return [isinstance(a, (int, m.S)) for _ in a], isinstance(a, T)\n"
+        "def g(a): return isinstance(a, str) or h(isinstance(a, S))\n",
+        "S",
+    )
+    assert sites == ["<module>", "C.f", "g"]

@@ -10,15 +10,14 @@ from cclab.generate import (
     example_quotient,
 )
 from cclab.stochastic import (
+    COMMON_INFLUENCE_TOL,
     MatrixSchedule,
-    common_influence_deviation,
     ergodicity_coefficient,
     floor_report,
     hajnal_diameter,
-    has_common_influence,
     power_limit,
     product_range,
-    quotient_matrix,
+    schedule_quotient,
     validate,
 )
 
@@ -142,8 +141,9 @@ def test_common_influence_deviation_hand_case():
         ]
     )
     clus = Clustering.from_sizes((2, 2))
-    assert common_influence_deviation(a, clus) == pytest.approx(0.3)
-    assert not has_common_influence(a, clus)
+    sq = schedule_quotient((a,), clus)
+    assert sq.deviation == pytest.approx(0.3)
+    assert sq.deviation > COMMON_INFLUENCE_TOL
 
 
 def test_quotient_matrix_matches_block_sums():
@@ -152,7 +152,7 @@ def test_quotient_matrix_matches_block_sums():
         n = int(rng.integers(3, 10))
         clus = random_clustering_of(rng, n)
         a = random_common_influence(rng, clus)
-        b = quotient_matrix(a, clus)
+        b = schedule_quotient((a,), clus).quotient
         for p, targets in enumerate(clus.clusters):
             for q, sources in enumerate(clus.clusters):
                 expected = float(a[targets[0], list(sources)].sum())
@@ -163,12 +163,13 @@ def test_quotient_matrix_matches_block_sums():
 def test_quotient_matrix_requires_common_influence():
     clus = Clustering.from_sizes((2, 1))
     a = np.array([[0.9, 0.1, 0.0], [0.1, 0.1, 0.8], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError, match="common influence"):
-        quotient_matrix(a, clus)
+    sq = schedule_quotient((a,), clus)
+    assert sq.deviation == pytest.approx(0.8)
+    assert (sq.quotient, sq.spread, sq.static) == (None, None, False)
 
 
 def test_example_quotient_recovered_from_full_matrix():
-    b = quotient_matrix(example_matrix_static(), example_clustering())
+    b = schedule_quotient((example_matrix_static(),), example_clustering()).quotient
     assert np.abs(b - example_quotient()).max() < 1e-15
 
 
@@ -177,9 +178,9 @@ def test_product_range_matches_naive_product():
     mats = tuple(random_stochastic(rng, 5) for _ in range(4))
     sched = MatrixSchedule(mats)
     for t, s in [(0, 0), (0, 3), (2, 7), (1, 9)]:
-        naive = sched.at(t).copy()
+        naive = sched.matrices[t % 4].copy()
         for tau in range(t + 1, s + 1):
-            naive = sched.at(tau) @ naive
+            naive = sched.matrices[tau % 4] @ naive
         assert np.array_equal(product_range(sched, t, s), naive)
     with pytest.raises(ValueError):
         product_range(sched, 3, 2)
@@ -199,8 +200,7 @@ def test_matrix_schedule_cycles_and_reports_floor():
     sched = MatrixSchedule((a, b))
     assert sched.period == 2
     assert sched.n == 2
-    assert np.array_equal(sched.at(0), sched.at(4))
-    assert np.array_equal(sched.at(3), b)
+    assert np.array_equal(sched.matrices[1], b)
     assert sched.floor == pytest.approx(0.1)  # defaults to smallest positive entry
     report = floor_report(sched.matrices, 0.3)
     assert report["min_positive_entry"] == pytest.approx(0.1)

@@ -13,7 +13,6 @@ from cclab.dynamics import (
     DivergenceError,
     PeriodicLimit,
     System,
-    _couplings,
     detect_periodic_limit,
     limit_window_start,
     simulate,
@@ -64,7 +63,7 @@ def test_static_sync_hypotheses_pass_on_the_example():
     assert report.claim == "static-sync"
     assert report.predicted == "intra-sync"
     assert ok and report.sync_ok
-    assert cluster_spanning_tree_roots(STATIC.coupling > 0, STATIC.clustering) == [2, 6, 6]
+    assert cluster_spanning_tree_roots(STATIC.coupling.matrices[0] > 0, STATIC.clustering) == [2, 6, 6]
 
 
 def test_static_consensus_hypotheses_pass_on_the_example():
@@ -385,7 +384,7 @@ def _sync_horizon(sys: System):
     indicators = np.zeros((n, k))
     indicators[np.arange(n), sys.clustering.labels()] = 1.0
     basis = np.linalg.qr(indicators, mode="complete")[0][:, k:]
-    mats = _couplings(sys.coupling)
+    mats = sys.coupling.matrices
     phi = np.eye(n - k)
     for a in mats:
         phi = basis.T @ a @ basis @ phi
@@ -411,8 +410,8 @@ def _relabelled(sys, perm):
     columns and the clusters move together."""
     inv = np.argsort(perm)
     clus = Clustering(sys.n, tuple(tuple(inv[list(c)].tolist()) for c in sys.clustering.clusters))
-    mats = tuple(m[np.ix_(perm, perm)] for m in _couplings(sys.coupling))
-    coupling = MatrixSchedule(mats, floor=sys.coupling.floor) if sys.is_switching else mats[0]
+    mats = tuple(m[np.ix_(perm, perm)] for m in sys.coupling.matrices)
+    coupling = MatrixSchedule(mats, floor=sys.coupling.floor)
     offsets = ClusterOffsets(clus, sys.offsets.alphas)
     return System(coupling=coupling, clustering=clus, offsets=offsets, signal=sys.signal)
 
@@ -448,7 +447,7 @@ def test_a_claim_whose_hypotheses_hold_never_ends_fail(draw, order):
     perm = np.random.default_rng(order).permutation(len(x0))
     for sys in systems:
         horizon = _sync_horizon(sys)
-        window = len(_couplings(sys.coupling))
+        window = sys.coupling.period
         moved = _relabelled(sys, perm)
         for theorem in (3, 4) if sys.is_switching else (1, 2):
             report, ok = check_claim(sys, theorem, window=window)
