@@ -29,7 +29,6 @@ from .generate import (
 from .graph import (
     Clustering,
     cluster_spanning_tree_roots,
-    has_common_link_property,
     is_cluster_scrambling,
 )
 from .learning import (
@@ -89,7 +88,6 @@ __all__ = [
     "gen_graph_with_cluster_trees",
     "gen_switching_schedule",
     "hajnal_diameter",
-    "has_common_link_property",
     "is_cluster_scrambling",
     "learn_simulate",
     "partial_sum_bound",

@@ -37,8 +37,6 @@ from .dynamics import (
     DivergenceError,
     Trajectory,
     boundedness_report,
-    detect_periodic_limit,
-    simulate,
 )
 from .generate import InfeasibleError
 from .learning import BeliefRangeError, learn_simulate
@@ -56,7 +54,7 @@ from .verifier import (
     HypothesisReport,
     ReconcileResult,
     check_claim,
-    reconcile,
+    run,
     run_ensemble,
 )
 
@@ -96,9 +94,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         horizon=scenario.horizon,
         thresholds=scenario.thresholds,
     )
-    print(f"config: {scenario.label}  claim: {scenario.theorem}")
-    print(render_condition_table(report))
-    print(f"overall: {'pass' if ok else 'FAIL'}")
     if args.out:
         write_json(
             args.out,
@@ -111,6 +106,9 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "report": report.to_dict(),
             },
         )
+    print(f"config: {scenario.label}  claim: {scenario.theorem}")
+    print(render_condition_table(report))
+    print(f"overall: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
@@ -134,7 +132,6 @@ def _run_ensemble(args: argparse.Namespace) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     summary = run_ensemble(theorem, count=args.ensemble, seed=seed, horizon=horizon)
-    print(render_ensemble(summary))
     if args.out:
         write_json(
             args.out,
@@ -146,21 +143,23 @@ def _run_ensemble(args: argparse.Namespace) -> int:
                 "errors": list(summary.exceptions),
             },
         )
+    print(render_ensemble(summary))
     bad = summary.counts.get("FAIL", 0) > 0 or summary.exceptions
     return EXIT_HYPOTHESIS if bad else EXIT_OK
 
 
 @dataclass(frozen=True)
 class _Run:
-    """One config run, checked, simulated and reconciled.
-
-    ``verdict`` and ``bound`` are None when the run diverged; ``traj`` then
-    holds the finite prefix and ``metrics`` the divergence record.
+    """One config run, checked, simulated and reconciled, and its output
+    directory. ``verdict`` and ``bound`` are None when the run diverged;
+    ``traj`` then holds the finite prefix and ``metrics`` the divergence
+    record.
     """
 
     scenario: Scenario
     report: HypothesisReport
     ok: bool
+    outdir: str
     traj: Trajectory
     metrics: dict
     verdict: Optional[ReconcileResult] = None
@@ -174,7 +173,7 @@ class _Run:
 
 
 def _run_config(args: argparse.Namespace) -> _Run:
-    """check -> simulate -> limit -> bound -> reconcile for ``--config``.
+    """check -> output directory -> run -> bound for ``--config``.
 
     A divergence prints its one error line here; the caller still writes
     the record it gets back.
@@ -194,37 +193,33 @@ def _run_config(args: argparse.Namespace) -> _Run:
             f"horizon {scenario.horizon} too short for signal period {period}:"
             f" need at least {4 * period - 1} steps"
         )
-    try:
-        traj = simulate(sys_, scenario.x0, scenario.horizon)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    outdir = _outdir(args)
+    (out,) = run([sys_], scenario.x0[None], [report], scenario.horizon, scenario.thresholds)
+    if isinstance(out, DivergenceError):
+        print(f"error: {out}", file=sys.stderr)
         metrics = {
             "label": scenario.label,
             "config_sha256": scenario.digest,
             "seed": scenario.seed,
-            "diverged_at": exc.t,
-            "note": str(exc),
+            "diverged_at": out.t,
+            "note": str(out),
         }
-        return _Run(scenario, report, ok, Trajectory(exc.partial), metrics)
-    limit = None
-    if period is not None:
-        limit = detect_periodic_limit(
-            traj, sys_.clustering, period, tol=scenario.thresholds.periodic
-        )
-    bound = boundedness_report(sys_, traj, tol=scenario.thresholds.common_influence)
-    verdict = reconcile(report, sys_, traj, limit, scenario.thresholds)
+        return _Run(scenario, report, ok, outdir, Trajectory(out.partial), metrics)
+    if isinstance(out, Exception):
+        raise out
+    bound = boundedness_report(sys_, out.traj, tol=scenario.thresholds.common_influence)
     metrics = metrics_document(
         digest=scenario.digest,
         seed=scenario.seed,
         label=scenario.label,
-        traj=traj,
-        diameters=traj.diameter_series(sys_.clustering),
+        traj=out.traj,
+        diameters=out.traj.diameter_series(sys_.clustering),
         report=report,
-        verdict=verdict,
-        limit=limit,
+        verdict=out.verdict,
+        limit=out.limit,
         bound=bound,
     )
-    return _Run(scenario, report, ok, traj, metrics, verdict, bound)
+    return _Run(scenario, report, ok, outdir, out.traj, metrics, out.verdict, bound)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -232,18 +227,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _run_ensemble(args)
     if not args.config:
         raise ConfigError("--config required (or use --ensemble)")
-    run = _run_config(args)
-    outdir = _outdir(args)
-    if run.traj.horizon >= 1:
-        write_trajectory_csv(os.path.join(outdir, "trajectory.csv"), run.traj)
-    write_json(os.path.join(outdir, "metrics.json"), run.metrics)
-    if run.verdict is not None:
+    done = _run_config(args)
+    if done.traj.horizon >= 1:
+        write_trajectory_csv(os.path.join(done.outdir, "trajectory.csv"), done.traj)
+    write_json(os.path.join(done.outdir, "metrics.json"), done.metrics)
+    if done.verdict is not None:
         print(
-            f"{run.scenario.label}: verdict {run.verdict.status}"
-            f" (predicted {run.verdict.predicted});"
-            f" final intra diameter {run.verdict.final_diameter:.3e}"
+            f"{done.scenario.label}: verdict {done.verdict.status}"
+            f" (predicted {done.verdict.predicted});"
+            f" final intra diameter {done.verdict.final_diameter:.3e}"
         )
-    return run.exit_code
+    return done.exit_code
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -321,11 +315,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    verdict, bound = run.verdict, run.bound
-    print(f"config: {run.scenario.label}  claim: {run.scenario.theorem}")
-    print(render_condition_table(run.report))
-    print(f"overall: {'pass' if run.ok else 'FAIL'}")
+    done = _run_config(args)
+    verdict, bound = done.verdict, done.bound
+    print(f"config: {done.scenario.label}  claim: {done.scenario.theorem}")
+    print(render_condition_table(done.report))
+    print(f"overall: {'pass' if done.ok else 'FAIL'}")
     if verdict is not None:
         print(f"verdict: {verdict.status}")
         print(
@@ -342,8 +336,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         else:
             print(f"peak norm {bound.max_norm:.6g} ({bound.note})")
     if args.out:
-        write_json(os.path.join(_outdir(args), "metrics.json"), run.metrics)
-    return run.exit_code
+        write_json(os.path.join(done.outdir, "metrics.json"), done.metrics)
+    return done.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -163,12 +163,12 @@ def _advance(
     return rows[..., 0]
 
 
-def _addressable(horizon: int, x0: np.ndarray) -> None:
-    """Raise ``MemoryError`` when the ``horizon + 1`` rows of states that
+def _addressable(steps: int, x0: np.ndarray) -> None:
+    """Raise ``MemoryError`` when the ``steps + 1`` rows of states that
     :func:`_advance` keeps from ``x0`` pass numpy's index range, which
     numpy refuses with a ``ValueError``."""
-    if (horizon + 1) * x0.nbytes > np.iinfo(np.intp).max:
-        raise MemoryError(f"{horizon} steps of {x0.size} states pass the addressable size")
+    if (steps + 1) * x0.nbytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"{steps} steps of {x0.size} states pass the addressable size")
 
 
 def _checked(states: np.ndarray) -> Trajectory:
@@ -182,29 +182,21 @@ def _checked(states: np.ndarray) -> Trajectory:
 
 
 def simulate(sys: System, x0: np.ndarray, horizon: int) -> Trajectory:
-    """Roll the system forward ``horizon`` steps from ``x0``."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.n,):
-        raise ValueError(f"initial state must have shape ({sys.n},)")
-    _addressable(horizon, x0)
-    drive = None
-    if sys.driven():
-        drive = _drive(sys.offsets.vector()[None], [sys.signal], horizon)
-    return _checked(_advance(sys.coupling.matrices, drive, x0[None], horizon, 0)[:, 0])
+    """Roll the system forward ``horizon`` steps from ``x0``: a batch of one."""
+    return _checked(simulate_batch([sys], np.asarray(x0, dtype=float)[None], horizon)[:, 0])
 
 
 def simulate_batch(
-    systems: Sequence[System], x0: np.ndarray, horizon: int, first: int
+    systems: Sequence[System], x0: np.ndarray, horizon: int, first: int = 0
 ) -> np.ndarray:
-    """Advance driven systems of one size together.
+    """Advance systems of one size together, all driven or all undriven.
 
     ``x0`` has shape (B, n), one row per system. Returns the states after
     ``first..horizon`` steps, shape (horizon + 1 - first, B, n); row ``i``
     of system ``b`` equals ``simulate(systems[b], x0[b], horizon)`` at step
     ``first + i`` bit for bit, because a stack of matrix-vector products runs
-    the same BLAS kernel per system as a single one. Finiteness is not
+    the same BLAS kernel per system as a single one. A batch of one reads
+    its matrices as given, without a stacked copy. Finiteness is not
     checked: a non-finite state stays non-finite under stochastic couplings,
     so a caller that finds one in the kept rows replays that system through
     :func:`simulate` for its :class:`DivergenceError`.
@@ -216,13 +208,20 @@ def simulate_batch(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (len(systems), systems[0].n):
         raise ValueError("need one initial state per system, all of one size")
-    if not all(s.driven() for s in systems):
-        raise ValueError("batched runs need driven systems")
+    driven = {s.driven() for s in systems}
+    if len(driven) > 1:
+        raise ValueError("a batch must be all driven or all undriven")
+    _addressable(horizon - first, x0)
     mats = [s.coupling.matrices for s in systems]
-    phases = math.lcm(*(len(m) for m in mats))
-    couplings = [np.stack([m[t % len(m)] for m in mats]) for t in range(phases)]
-    sigma = np.stack([s.offsets.vector() for s in systems])
-    drive = _drive(sigma, [s.signal for s in systems], horizon)
+    if len(mats) == 1:
+        couplings = mats[0]
+    else:
+        phases = math.lcm(*(len(m) for m in mats))
+        couplings = [np.stack([m[t % len(m)] for m in mats]) for t in range(phases)]
+    drive = None
+    if driven == {True}:
+        sigma = np.stack([s.offsets.vector() for s in systems])
+        drive = _drive(sigma, [s.signal for s in systems], horizon)
     return _advance(couplings, drive, x0, horizon, first)
 
 

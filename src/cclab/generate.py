@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Clustering, cluster_spanning_tree_roots, has_common_link_property, support
+from .graph import Clustering, cluster_spanning_tree_roots, common_link_faults, support
 from .signals import ClusterOffsets, PeriodicInput
 from .stochastic import MatrixSchedule, schedule_quotient, validate
 from .dynamics import System
@@ -152,7 +152,7 @@ def gen_graph_with_cluster_trees(spec: GeneratorSpec) -> np.ndarray:
             if b[p, q] > 0:
                 _cover_block(edges, targets, sources, b[p, q], spec, rng)
     s = support(spec.n, edges)
-    if cluster_spanning_tree_roots(s, clus) is None or not has_common_link_property(s, clus):
+    if cluster_spanning_tree_roots(s, clus) is None or common_link_faults([s], clus)[0].any():
         raise RuntimeError("generated graph failed its own structural checks")
     return s
 

@@ -213,28 +213,17 @@ def in_cover(s: np.ndarray, clustering: Clustering) -> np.ndarray:
     return clustering.sums(s) > 0
 
 
-def cover_counts(cover: np.ndarray, clustering: Clustering) -> np.ndarray:
-    """(K, K) count of an :func:`in_cover` table: ``[p, q]`` is the number
-    of vertices of ``C_p`` with an in-neighbor in ``C_q``."""
-    return clustering.sums(cover.T).T
-
-
-def common_link_violations(s: np.ndarray, clustering: Clustering) -> list[tuple[int, int, int]]:
-    """Triples ``(p, q, v)``: cluster pair with some cross links where vertex
-    ``v`` of ``C_p`` has no in-neighbor in ``C_q``."""
-    cover = in_cover(s, clustering)
-    counts = cover_counts(cover, clustering)
-    partial = (counts > 0) & (counts < np.array(clustering.sizes)[:, None])
-    return [
-        (p, q, v)
-        for p, q in np.argwhere(partial).tolist()
-        for v in clustering.clusters[p]
-        if not cover[v, q]
-    ]
-
-
-def has_common_link_property(s: np.ndarray, clustering: Clustering) -> bool:
-    """All-or-nothing cross links: for every ordered cluster pair ``(p, q)``,
-    either no links go from ``C_q`` into ``C_p`` or every vertex of ``C_p``
-    has one."""
-    return not common_link_violations(s, clustering)
+def common_link_faults(
+    supports: Sequence[np.ndarray], clustering: Clustering
+) -> tuple[np.ndarray, np.ndarray]:
+    """Property A over a set of supports, the all-or-nothing rule for cross
+    links: ``partial[l, p, q]`` is True iff in support ``l`` some but not
+    every vertex of ``C_p`` has an in-neighbor in ``C_q``, and
+    ``switches[p, q]`` iff the pair has no such link in one support and
+    full coverage in another."""
+    # counts[l, p, q]: vertices of C_p with an in-neighbor in C_q in support l.
+    counts = np.stack([clustering.sums(in_cover(s, clustering).T).T for s in supports])
+    full = np.array(clustering.sizes)[:, None]
+    partial = (counts > 0) & (counts < full)
+    switches = (counts == 0).any(axis=0) & (counts == full).any(axis=0)
+    return partial, switches

@@ -27,7 +27,7 @@ the separation collapsed for this data).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .dynamics import (
     PeriodicLimit,
     System,
     Trajectory,
+    _checked,
     detect_periodic_limit,
     limit_window_start,
     separation_metric,
@@ -42,7 +43,7 @@ from .dynamics import (
     simulate_batch,
 )
 from .generate import GeneratorSpec, gen_common_influence_matrix, gen_graph_with_cluster_trees, gen_switching_schedule
-from .graph import cluster_spanning_tree_roots, cover_counts, in_cover
+from .graph import cluster_spanning_tree_roots, common_link_faults
 from .signals import ClusterOffsets, PeriodicInput, partial_sum_bound
 from .stochastic import floor_report, schedule_quotient
 
@@ -181,11 +182,7 @@ def check_switching(
 
     # Property A: per ordered cluster pair, the cross-link branch (absent vs
     # full coverage) must be the same in every graph of the set.
-    # counts[l, p, q]: vertices of C_p with an in-neighbor in C_q in graph l.
-    counts = np.stack([cover_counts(in_cover(s, clus), clus) for s in supports])
-    full = np.array(clus.sizes)[:, None]
-    partial = (counts > 0) & (counts < full)
-    switches = (counts == 0).any(axis=0) & (counts == full).any(axis=0)
+    partial, switches = common_link_faults(supports, clus)
     # faults[p, q, l]: graph l (a switch at l = len(supports)) breaks the
     # pair, so the faults come out pair by pair, each pair's switch last.
     faults = np.concatenate([partial, switches[None]]).transpose(1, 2, 0)
@@ -426,6 +423,53 @@ def reconcile(
     )
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """One system's states after ``first..horizon`` steps, the periodic
+    limit read off them, if any, and the verdict."""
+
+    traj: Trajectory
+    limit: Optional[PeriodicLimit]
+    verdict: ReconcileResult
+
+
+def run(
+    systems: Sequence[System],
+    x0: np.ndarray,
+    reports: Sequence[HypothesisReport],
+    horizon: int,
+    thresholds: Thresholds = Thresholds(),
+    first: int = 0,
+) -> list:
+    """simulate -> limit -> reconcile for same-size systems, one batch from
+    ``x0`` of shape (B, n), keeping the states after ``first..horizon``
+    steps; ``first`` may not pass a periodic signal's
+    :func:`limit_window_start`. Returns each system's :class:`Outcome`, or
+    the exception that ended its run: a :class:`DivergenceError` holds the
+    finite prefix of the run in ``partial``."""
+    rows = simulate_batch(systems, x0, horizon, first)
+
+    def outcome(b: int) -> Outcome:
+        sys, start = systems[b], first
+        if start == 0:
+            traj = _checked(rows[:, b])
+        elif np.isfinite(rows[:, b]).all():
+            traj = Trajectory(rows[:, b])
+        else:
+            # A non-finite state stays non-finite, so the replay from step 0
+            # raises DivergenceError at the first non-finite step.
+            traj, start = simulate(sys, x0[b], horizon), 0
+        limit = None
+        if isinstance(sys.signal, PeriodicInput):
+            limit = detect_periodic_limit(
+                traj, sys.clustering, sys.signal.period, tol=thresholds.periodic, first=start
+            )
+        ends = Trajectory(np.stack([x0[b], traj.states[-1]]))
+        return Outcome(traj, limit, reconcile(reports[b], sys, ends, limit, thresholds))
+
+    return [_safe(outcome, b) for b in range(len(systems))]
+
+
 # ---------------------------------------------------------------------------
 # Seeded ensembles.
 
@@ -499,59 +543,6 @@ def ensemble_instance(
     return EnsembleInstance(sys, report, x0)
 
 
-def _detects_limit(inst: EnsembleInstance) -> bool:
-    return inst.report.predicted == "cluster-consensus"
-
-
-def _instance_status(
-    inst: EnsembleInstance,
-    tail: np.ndarray,
-    first: int,
-    horizon: int,
-    thresholds: Thresholds,
-) -> str:
-    """Verdict of one instance from its states after ``first..horizon`` steps."""
-    sys = inst.system
-    traj = Trajectory(tail)
-    if not np.isfinite(tail).all():
-        # A non-finite state stays non-finite, so the reference run raises
-        # DivergenceError at the first non-finite step.
-        traj, first = simulate(sys, inst.x0, horizon), 0
-    limit = None
-    if _detects_limit(inst):
-        limit = detect_periodic_limit(
-            traj, sys.clustering, sys.signal.period, tol=thresholds.periodic, first=first
-        )
-    # reconcile reads the initial and the final state only.
-    ends = Trajectory(np.stack([inst.x0, traj.states[-1]]))
-    return reconcile(inst.report, sys, ends, limit, thresholds).status
-
-
-def _run_batch(
-    insts: list[EnsembleInstance], horizon: int, thresholds: Thresholds
-) -> list:
-    """Advance same-size instances together, keeping only the rows their
-    verdicts read; returns each instance's status or exception."""
-    first = min(
-        (
-            limit_window_start(horizon + 1, inst.system.signal.period)
-            for inst in insts
-            if _detects_limit(inst)
-        ),
-        default=horizon,
-    )
-    try:
-        rows = simulate_batch(
-            [inst.system for inst in insts], np.stack([inst.x0 for inst in insts]), horizon, first
-        )
-    except Exception as exc:  # surfaced in the summary for every instance
-        return [exc] * len(insts)
-    return [
-        _safe(_instance_status, inst, rows[:, b], first, horizon, thresholds)
-        for b, inst in enumerate(insts)
-    ]
-
-
 def run_ensemble(
     theorem: int,
     count: int,
@@ -578,9 +569,14 @@ def run_ensemble(
         else:
             batches.setdefault(inst.system.n, []).append((i, inst))
     for batch in batches.values():
-        statuses = _run_batch([inst for _, inst in batch], span, thresholds)
-        for (i, _), status in zip(batch, statuses):
-            results[i] = status
+        index, systems, reports, x0 = zip(*((i, e.system, e.report, e.x0) for i, e in batch))
+        first = min(limit_window_start(span + 1, s.signal.period) for s in systems)
+        outcomes = _safe(run, systems, np.stack(x0), reports, span, thresholds, first)
+        if isinstance(outcomes, Exception):
+            outcomes = [outcomes] * len(batch)
+        # Keep the status only, so each batch's rows are freed in turn.
+        for i, out in zip(index, outcomes):
+            results[i] = out if isinstance(out, Exception) else out.verdict.status
 
     counts: dict[str, int] = {}
     errors: list[str] = []
@@ -593,7 +589,11 @@ def run_ensemble(
 
 
 def _safe(fn, *args):
+    """``fn(*args)``, or the exception it raised. Running out of memory ends
+    the whole run, not one instance, so a ``MemoryError`` propagates."""
     try:
         return fn(*args)
+    except MemoryError:
+        raise
     except Exception as exc:  # surfaced in the summary, not swallowed
         return exc

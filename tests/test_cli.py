@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cclab
+from cclab import cli as cli_module
 from cclab import config as config_module
 from cclab import stochastic
 from cclab.cli import main
@@ -798,6 +799,9 @@ _GENERATOR = {"type": "generator"}
         ("learn", {("horizon",): 10**20}, "out of memory"),
         ("simulate", {("horizon",): 2**62}, "out of memory"),
         ("learn", {("horizon",): 2**62}, "out of memory"),
+        # An ensemble takes no config: the run, not one instance, ends.
+        ("simulate --ensemble 2 --theorem 2 --seed 1 --horizon 100000000000000000000", None,
+         "out of memory"),
     ],
     ids=[
         "sizes",
@@ -808,6 +812,7 @@ _GENERATOR = {"type": "generator"}
         "learn-horizon-1e20",
         "simulate-horizon-2^62",
         "learn-horizon-2^62",
+        "ensemble-horizon-1e20",
     ],
 )
 def test_huge_sizes_and_horizons_exit_1_in_bounded_memory(tmp_path, command, edits, expected):
@@ -815,16 +820,15 @@ def test_huge_sizes_and_horizons_exit_1_in_bounded_memory(tmp_path, command, edi
     must be rejected before a tuple per vertex is built (for a generator
     recipe, by its entry floor against 1/n), and the horizon's state array
     (67 GiB on A) must fail as one error line."""
-    doc = example_config("A")
-    for path, value in edits.items():
-        _set(doc, path, value)
-    config = tmp_path / "huge.json"
-    emit_config(doc, str(config))
-    out = str(tmp_path / command)
-    done = _python(
-        "-m", "cclab.cli", command, "--config", str(config), "--out", out,
-        address_space=1_500_000_000,
-    )
+    argv = command.split()
+    if edits is not None:
+        doc = example_config("A")
+        for path, value in edits.items():
+            _set(doc, path, value)
+        config = tmp_path / "huge.json"
+        emit_config(doc, str(config))
+        argv += ["--config", str(config), "--out", str(tmp_path / command)]
+    done = _python("-m", "cclab.cli", *argv, address_space=1_500_000_000)
     assert done.returncode == 1
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
@@ -880,13 +884,20 @@ def test_bad_gen_flags_and_ensemble_seeds_exit_1_with_one_line(argv, message):
     ],
     ids=["check", "simulate", "report", "learn", "ensemble", "gen"],
 )
-def test_an_unwritable_out_exits_1_with_one_line(tmp_path, config_a, argv):
-    """A file where a directory is wanted, or a directory where a file is."""
+def test_an_unwritable_out_exits_1_with_one_line(tmp_path, config_a, argv, monkeypatch):
+    """A file where a directory is wanted, or a directory where a file is:
+    found before anything is printed, and before a config run starts."""
+
+    def unreached(*args):
+        raise AssertionError("the run started before the output path was made")
+
+    monkeypatch.setattr(cli_module, "run", unreached)
     taken = tmp_path / "taken"
     taken.write_text("")
     paths = {"A": config_a, "dir": str(tmp_path), "file": str(taken)}
-    code, _, err = _in_process([Template(a).substitute(paths) for a in argv])
+    code, out, err = _in_process([Template(a).substitute(paths) for a in argv])
     assert code == 1
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -20,7 +20,7 @@ from cclab.generate import (
 from cclab.graph import (
     cluster_roots,
     cluster_spanning_tree_roots,
-    has_common_link_property,
+    common_link_faults,
     support,
 )
 from cclab.stochastic import floor_report, schedule_quotient
@@ -76,7 +76,7 @@ def test_generated_graph_satisfies_all_structural_hypotheses():
         clus = spec.clustering()
         assert g.diagonal().all()
         assert cluster_spanning_tree_roots(g, clus) is not None
-        assert has_common_link_property(g, clus)
+        assert not common_link_faults([g], clus)[0].any()
         assert np.array_equal(gen_graph_with_cluster_trees(spec), g)
 
 

@@ -9,8 +9,7 @@ from cclab.graph import (
     _bfs,
     cluster_roots,
     cluster_spanning_tree_roots,
-    common_link_violations,
-    has_common_link_property,
+    common_link_faults,
     in_cover,
     is_cluster_scrambling,
     successors,
@@ -138,7 +137,7 @@ def test_example_static_roots():
     assert roots == [2, 6, 6]
     assert tuple(r + 1 for r in roots) == (3, 7, 7)
     assert g.diagonal().all()
-    assert has_common_link_property(g, clus)
+    assert not common_link_faults([g], clus)[0].any()
 
 
 def test_example_switching_graphs_rootless_until_united():
@@ -184,32 +183,43 @@ def test_scrambling_matches_definition_on_random_graphs():
 
 def test_common_link_property_is_all_or_nothing():
     clus = Clustering.from_sizes((2, 2))
-    full = support(4, {(v, v) for v in range(4)} | {(2, 0), (3, 1)})
-    assert has_common_link_property(full, clus)
-    partial = support(4, {(v, v) for v in range(4)} | {(2, 0)})
-    violations = common_link_violations(partial, clus)
-    assert violations == [(0, 1, 1)]  # vertex 1 of cluster 0 lacks a source in cluster 1
-    assert not has_common_link_property(partial, clus)
+    loops = {(v, v) for v in range(4)}
+    full = support(4, loops | {(2, 0), (3, 1)})
+    partial, switches = common_link_faults([full], clus)
+    assert not partial.any() and not switches.any()
+    partial, _ = common_link_faults([support(4, loops | {(2, 0)})], clus)
+    # vertex 1 of cluster 0 lacks a source in cluster 1
+    assert np.argwhere(partial).tolist() == [[0, 0, 1]]
+    partial, switches = common_link_faults([full, support(4, loops)], clus)
+    assert not partial.any()
+    assert np.argwhere(switches).tolist() == [[0, 1]]
 
 
 def test_in_cover_and_common_link_violations_match_in_neighbor_oracle():
     rng = np.random.default_rng(19)
     for _ in range(60):
         n = int(rng.integers(1, 10))
-        g = random_graph(rng, n, p=float(rng.uniform(0.0, 0.5)), self_loops=bool(rng.integers(2)))
         clus = random_clustering_of(rng, n)
-        inn = in_neighbors(g)
-        expected_cover = np.array(
-            [[bool(inn[v] & set(c)) for c in clus.clusters] for v in range(n)], dtype=bool
-        ).reshape(n, clus.k)
-        assert np.array_equal(in_cover(g, clus), expected_cover)
-        expected = []
-        for p, targets in enumerate(clus.clusters):
-            for q, sources in enumerate(clus.clusters):
-                hit = [v for v in targets if inn[v] & set(sources)]
-                if 0 < len(hit) < len(targets):
-                    expected.extend((p, q, v) for v in targets if v not in hit)
-        assert common_link_violations(g, clus) == expected
+        graphs = [
+            random_graph(rng, n, p=float(rng.uniform(0.0, 0.5)), self_loops=bool(rng.integers(2)))
+            for _ in range(2)
+        ]
+        # hits[l, p, q]: vertices of C_p with an in-neighbor in C_q in graph l
+        hits = np.zeros((2, clus.k, clus.k), dtype=int)
+        for l, g in enumerate(graphs):
+            inn = in_neighbors(g)
+            expected_cover = np.array(
+                [[bool(inn[v] & set(c)) for c in clus.clusters] for v in range(n)], dtype=bool
+            ).reshape(n, clus.k)
+            assert np.array_equal(in_cover(g, clus), expected_cover)
+            for p, targets in enumerate(clus.clusters):
+                for q, sources in enumerate(clus.clusters):
+                    hits[l, p, q] = sum(bool(inn[v] & set(sources)) for v in targets)
+        size = np.array([len(c) for c in clus.clusters])[None, :, None]
+        partial, switches = common_link_faults(graphs, clus)
+        assert np.array_equal(partial, (0 < hits) & (hits < size))
+        assert np.array_equal(switches, (hits == 0).any(axis=0) & (hits == size).any(axis=0))
+        assert np.array_equal(common_link_faults(graphs[:1], clus)[0], partial[:1])
     assert not in_cover(support(2, ()), Clustering.from_sizes((1, 1))).any()
 
 

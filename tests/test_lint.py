@@ -1,7 +1,8 @@
 """Static checks on the package source: no module-level import goes unused,
 every name in an ``__all__`` is bound in its module, every public name of
-the package has a user in the package or the benchmark, and one place tells
-a bare coupling matrix from a schedule."""
+the package has a user in the package or the benchmark, one place tells a
+bare coupling matrix from a schedule, and one pipeline detects the limit and
+reconciles."""
 
 import ast
 import pathlib
@@ -89,9 +90,9 @@ def used_names(source: str) -> set[str]:
     return used
 
 
-def isinstance_sites(source: str, name: str) -> list[str]:
-    """Qualified names of the functions and classes whose own code calls
-    ``isinstance(x, <types naming name>)``, ``<module>`` for top level."""
+def _sites(source: str, hit) -> list[str]:
+    """Qualified names of the functions and classes whose own code holds a
+    node that ``hit`` accepts, ``<module>`` for top level."""
     sites = []
 
     def visit(node, scope):
@@ -99,22 +100,37 @@ def isinstance_sites(source: str, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, (*scope, child.name))
                 continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id == "isinstance"
-                and len(child.args) == 2
-                and any(
-                    isinstance(n, ast.Name) and n.id == name
-                    or isinstance(n, ast.Attribute) and n.attr == name
-                    for n in ast.walk(child.args[1])
-                )
-            ):
+            if hit(child):
                 sites.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return sites
+
+
+def _names(node, name: str) -> bool:
+    """Whether ``node`` is ``name``, bare or as an attribute."""
+    return (
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def isinstance_sites(source: str, name: str) -> list[str]:
+    """The :func:`_sites` that call ``isinstance(x, <types naming name>)``."""
+    return _sites(
+        source,
+        lambda n: isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "isinstance"
+        and len(n.args) == 2
+        and any(_names(t, name) for t in ast.walk(n.args[1])),
+    )
+
+
+def call_sites(source: str, name: str) -> list[str]:
+    """The :func:`_sites` that call ``name``, bare or as an attribute."""
+    return _sites(source, lambda n: isinstance(n, ast.Call) and _names(n.func, name))
 
 
 def unresolved_exports(source: str) -> list[str]:
@@ -154,6 +170,18 @@ def test_only_the_system_constructor_tells_a_matrix_from_a_schedule():
     assert sites == ["dynamics.System.__post_init__"]
 
 
+@pytest.mark.parametrize("name", ["detect_periodic_limit", "reconcile"])
+def test_one_pipeline_detects_the_limit_and_reconciles(name):
+    """A config run and an ensemble instance are judged by the same code:
+    the pipeline ``verifier.run`` is the only caller of each step."""
+    sites = [
+        f"{p.stem}.{site}"
+        for p in SOURCES
+        for site in call_sites(p.read_text(encoding="utf-8"), name)
+    ]
+    assert sites == ["verifier.run.outcome"]
+
+
 def test_the_checks_catch_what_they_look_for():
     source = (
         "from __future__ import annotations\n"
@@ -181,3 +209,11 @@ def test_the_checks_catch_what_they_look_for():
         "S",
     )
     assert sites == ["<module>", "C.f", "g"]
+    calls = call_sites(
+        "def f(a): return g(a)\n"
+        "def h(a):\n"
+        "    def inner(b): return m.g(b)\n"
+        "    return g, inner(a)\n",
+        "g",
+    )
+    assert calls == ["f", "h.inner"]

@@ -31,8 +31,8 @@ from cclab.verifier import (
     check_switching,
     ensemble_instance,
     reconcile,
+    run,
     run_ensemble,
-    _run_batch,
 )
 
 STATIC, SWITCHING = examples()
@@ -476,13 +476,24 @@ def test_run_ensemble_rejects_unknown_claims():
 
 
 def test_ensemble_with_a_short_horizon_reports_in_seed_order():
-    summary = run_ensemble(2, count=10, seed=3, horizon=9)
-    assert summary.total == 10
-    assert summary.counts == {"FAIL": 1}
-    assert summary.exceptions == tuple(
-        f"ValueError('trajectory too short for period {T}: need at least {4 * T} states')"
-        for T in (3, 3, 4, 4, 4, 4, 3, 4, 3)
-    )
+    """Every instance's signal is periodic, so every instance detects its
+    limit, and one shorter than four periods raises. Claims 1 and 2 draw the
+    same instances, and so do claims 3 and 4."""
+    fixed = (3, 3, 4, 4, 4, 4, 3, 4, 3)
+    switching = (3, 4, 4, 3, 4, 4, 4, 3)
+    for theorem, counts, periods in [
+        (1, {"FAIL": 1}, fixed),
+        (2, {"FAIL": 1}, fixed),
+        (3, {"FAIL": 2}, switching),
+        (4, {"FAIL": 2}, switching),
+    ]:
+        summary = run_ensemble(theorem, count=10, seed=3, horizon=9)
+        assert summary.total == 10
+        assert summary.counts == counts
+        assert summary.exceptions == tuple(
+            f"ValueError('trajectory too short for period {T}: need at least {4 * T} states')"
+            for T in periods
+        )
 
 
 def _batches(theorem, seed, count, horizon):
@@ -496,17 +507,79 @@ def _batches(theorem, seed, count, horizon):
     return list(groups.values())
 
 
+def _run(group, horizon, first=0):
+    """:func:`run` over ensemble instances."""
+    return run(
+        [inst.system for inst in group],
+        np.stack([inst.x0 for inst in group]),
+        [inst.report for inst in group],
+        horizon,
+        Thresholds(),
+        first,
+    )
+
+
+def _first(group, horizon):
+    """The first step an ensemble keeps for ``group``."""
+    return min(limit_window_start(horizon + 1, inst.system.signal.period) for inst in group)
+
+
 @pytest.mark.parametrize("seed", [5, 17])
 @pytest.mark.parametrize("theorem", [1, 2, 3, 4])
 def test_batched_rows_equal_simulate(theorem, seed):
     horizon = 5000 if theorem in (3, 4) else 2000
     first = limit_window_start(horizon + 1, 4)
     for group in _batches(theorem, seed, 12, horizon):
-        x0 = np.stack([inst.x0 for inst in group])
-        rows = simulate_batch([inst.system for inst in group], x0, horizon, first)
-        for b, inst in enumerate(group):
+        for inst, out in zip(group, _run(group, horizon, first)):
             ref = simulate(inst.system, inst.x0, horizon).states
-            assert np.array_equal(rows[:, b], ref[first:])
+            assert np.array_equal(out.traj.states, ref[first:])
+
+
+def _undriven(inst):
+    return dataclasses.replace(inst, system=dataclasses.replace(inst.system, offsets=None))
+
+
+def _same_outcome(batched, alone):
+    """Equal statuses, limit cycles, final states and divergences, bit for bit."""
+    if isinstance(alone, DivergenceError):
+        assert repr(batched) == repr(alone)
+        assert batched.partial.tobytes() == alone.partial.tobytes()
+        return
+    assert batched.verdict == alone.verdict
+    assert (batched.limit is None) == (alone.limit is None)
+    if alone.limit is not None:
+        assert batched.limit.cycles.tobytes() == alone.limit.cycles.tobytes()
+    assert batched.traj.states[-1].tobytes() == alone.traj.states[-1].tobytes()
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+@pytest.mark.parametrize("theorem", [1, 2, 3, 4])
+def test_a_batch_gives_each_system_the_outcome_of_its_batch_of_one(theorem, seed):
+    """One instance per batch diverges; the rest keep only their limit
+    window, where a batch of one keeps every row."""
+    horizon = 5000 if theorem in (3, 4) else 2000
+    for group in _batches(theorem, seed, 12, horizon):
+        first = _first(group, horizon)
+        group[-1] = _break_signal(group[-1], horizon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = _run(group, horizon, first)
+        assert isinstance(outcomes[-1], DivergenceError)
+        for inst, batched in zip(group, outcomes):
+            _same_outcome(batched, _run([inst], horizon)[0])
+
+
+def test_an_undriven_batch_runs_and_a_mixed_one_is_refused():
+    horizon = 300
+    group = [_undriven(inst) for inst in max(_batches(2, 5, 12, horizon), key=len)]
+    outcomes = _run(group, horizon, _first(group, horizon))
+    for inst, batched in zip(group, outcomes):
+        alone = _run([inst], horizon)[0]
+        _same_outcome(batched, alone)
+        assert np.array_equal(alone.traj.states, simulate(inst.system, inst.x0, horizon).states)
+    mixed = group[:1] + max(_batches(2, 5, 12, horizon), key=len)[1:]
+    with pytest.raises(ValueError, match="all driven or all undriven"):
+        simulate_batch([inst.system for inst in mixed], np.stack([i.x0 for i in mixed]), horizon)
 
 
 def _break_signal(inst, horizon):
@@ -531,17 +604,16 @@ def test_non_finite_instance_in_a_batch(theorem, breaker, message):
     horizon = 200
     group = max(_batches(theorem, 8, 30, horizon), key=len)
     assert len(group) >= 3
+    first = _first(group, horizon)
     group[1] = breaker(group[1], horizon)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        results = _run_batch(group, horizon, Thresholds())
+        results = _run(group, horizon, first)
     assert repr(results[1]) == message
     with pytest.raises(DivergenceError) as info:
         simulate(group[1].system, group[1].x0, horizon)
     assert repr(info.value) == message
-    for inst, status in zip(group[:1] + group[2:], results[:1] + results[2:]):
+    for inst, out in zip(group[:1] + group[2:], results[:1] + results[2:]):
         traj = simulate(inst.system, inst.x0, horizon)
-        limit = None
-        if inst.report.predicted == "cluster-consensus":
-            limit = detect_periodic_limit(traj, inst.system.clustering, inst.system.signal.period)
-        assert status == reconcile(inst.report, inst.system, traj, limit).status
+        limit = detect_periodic_limit(traj, inst.system.clustering, inst.system.signal.period)
+        assert out.verdict == reconcile(inst.report, inst.system, traj, limit)
