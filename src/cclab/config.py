@@ -557,18 +557,10 @@ def _build_offsets(
     if "alphas" not in sec:
         return None, sig
     strength = sec.get("strength", 1.0)
-    if strength == 0.0:
-        raise ConfigError(
-            "zero signal strength collapses all cluster gains; drop 'alphas'"
-            " for an undriven run"
-        )
     alphas = tuple(strength * a for a in sec["alphas"])
     if len(alphas) != clustering.k:
         raise ConfigError("one alpha per cluster required")
-    try:
-        return ClusterOffsets(clustering, alphas), sig
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ClusterOffsets(clustering, alphas), sig
 
 
 def _build_learning(

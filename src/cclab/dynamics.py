@@ -54,8 +54,7 @@ class System:
 
     ``coupling`` is a :class:`MatrixSchedule`; a bare matrix is taken as
     the one-matrix schedule. ``offsets`` may be None for an undriven run
-    (the signal, if any, is then ignored), which is how a zero-strength
-    control is expressed without violating the distinct-gains rule.
+    (the signal, if any, is then ignored).
     """
 
     coupling: Union[MatrixSchedule, np.ndarray]
@@ -123,7 +122,9 @@ def _drive(sigma: np.ndarray, signals: Sequence[Signal], horizon: int) -> np.nda
     periods = [s.period if isinstance(s, PeriodicInput) else horizon for s in signals]
     phases = min(math.lcm(*periods), horizon)
     u = np.array([[eval_u(s, t) for s in signals] for t in range(phases)])
-    return (sigma * u[:, :, None])[..., None]
+    # Silenced as in _advance: an infinite gain times u = 0 is NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (sigma * u[:, :, None])[..., None]
 
 
 def _advance(
@@ -195,11 +196,11 @@ def simulate_batch(
     ``first..horizon`` steps, shape (horizon + 1 - first, B, n); row ``i``
     of system ``b`` equals ``simulate(systems[b], x0[b], horizon)`` at step
     ``first + i`` bit for bit, because a stack of matrix-vector products runs
-    the same BLAS kernel per system as a single one. A batch of one reads
-    its matrices as given, without a stacked copy. Finiteness is not
-    checked: a non-finite state stays non-finite under stochastic couplings,
-    so a caller that finds one in the kept rows replays that system through
-    :func:`simulate` for its :class:`DivergenceError`.
+    the same BLAS kernel per system as a single one. Systems on one schedule
+    object step on its matrices as given, without a stacked copy. Finiteness
+    is not checked: a non-finite state stays non-finite under stochastic
+    couplings, so a caller that finds one in the kept rows replays that
+    system through :func:`simulate` for its :class:`DivergenceError`.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -212,10 +213,10 @@ def simulate_batch(
     if len(driven) > 1:
         raise ValueError("a batch must be all driven or all undriven")
     _addressable(horizon - first, x0)
-    mats = [s.coupling.matrices for s in systems]
-    if len(mats) == 1:
-        couplings = mats[0]
+    if all(s.coupling is systems[0].coupling for s in systems):
+        couplings = systems[0].coupling.matrices
     else:
+        mats = [s.coupling.matrices for s in systems]
         phases = math.lcm(*(len(m) for m in mats))
         couplings = [np.stack([m[t % len(m)] for m in mats]) for t in range(phases)]
     drive = None

@@ -11,13 +11,14 @@ excursions beyond it abort with an error naming the strength.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import DivergenceError, System, _addressable, _advance, _drive
+from .dynamics import DivergenceError, System, simulate_batch
 from .graph import Clustering
+from .signals import ClusterOffsets
 
 DEFAULT_SLACK = 0.1
 _LOG_CAP = 64
@@ -112,12 +113,6 @@ class CulturalFlags:
     @property
     def m(self) -> int:
         return self.table.shape[1]
-
-    def expanded(self, clustering: Clustering) -> np.ndarray:
-        """n x states matrix replicating each cluster row over its members."""
-        if clustering.k != self.k:
-            raise ValueError("one flag row per cluster required")
-        return self.table[clustering.labels()]
 
 
 @dataclass(frozen=True)
@@ -242,29 +237,18 @@ def learn_simulate(
 
     The coupling, clustering and signal come from ``sys``; the flags, not
     the system's offsets, set the per-cluster drive. States evolve
-    independently (the update is linear per state), so the belief columns
-    advance together as one batch of driven trajectories through the
-    simulation kernel.
+    independently (the update is linear per state): state ``s`` is ``sys``
+    with the gains ``strength * flags[:, s]``, and all states advance as one
+    :func:`simulate_batch` batch on the shared schedule.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     if slack < 0:
         raise ValueError("slack must be nonnegative")
-    if profile0.n != sys.n:
-        raise ValueError("profile and clustering disagree on the agent count")
-    x0 = np.ascontiguousarray(profile0.beliefs.T)
-    _addressable(horizon, x0)
-    sig = sys.signal
-    # An overflowing push shows up in the range scan as a non-finite row.
-    with np.errstate(over="ignore", invalid="ignore"):
-        push = flags.strength * flags.expanded(sys.clustering).T
-        if sig is None or flags.strength == 0.0:
-            # A zero drive, not none: adding 0.0 * push can turn a -0.0
-            # belief into 0.0, and the written beliefs show the sign.
-            drive = (0.0 * push)[None, ..., None]
-        else:
-            drive = _drive(push, [sig] * profile0.m, horizon)
-    rows = _advance(sys.coupling.matrices, drive, x0, horizon, 0)
+    # Python floats: an overflowing gain is inf, with no warning.
+    systems = [
+        replace(sys, offsets=ClusterOffsets(sys.clustering, [flags.strength * f for f in col]))
+        for col in flags.table.T.tolist()
+    ]
+    rows = simulate_batch(systems, np.ascontiguousarray(profile0.beliefs.T), horizon)
     return LearningRun(
         beliefs=rows.transpose(0, 2, 1),
         clustering=sys.clustering,

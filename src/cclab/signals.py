@@ -84,10 +84,10 @@ def partial_sum_bound(sig: Signal, horizon: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ClusterOffsets:
-    """Pairwise distinct per-cluster gains ``alpha_1..alpha_K``.
+    """Per-cluster gains ``alpha_1..alpha_K``.
 
-    Distinctness is what makes the driven input pull clusters apart; equal
-    gains would collapse two clusters onto the same trajectory.
+    Gains may repeat: distinct gains are a hypothesis of cluster consensus
+    (the ``distinct-inputs`` check), not a rule of the input.
     """
 
     clustering: Clustering
@@ -100,8 +100,6 @@ class ClusterOffsets:
             raise ValueError(
                 f"need one gain per cluster ({self.clustering.k}), got {len(alphas)}"
             )
-        if len(set(alphas)) != len(alphas):
-            raise ValueError("cluster gains must be pairwise distinct")
 
     def vector(self) -> np.ndarray:
         """Expanded length-n gain vector, constant on each cluster."""

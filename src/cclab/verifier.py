@@ -9,14 +9,14 @@ is the one-matrix schedule, and each claim reads the rows it needs:
    A), a positive diagonal, inter-cluster common influence and cluster
    spanning trees;
 2. fixed coupling, cluster consensus: claim 4 for one matrix, i.e. claim 1's
-   conditions driven by a zero-sum periodic signal (one matrix has a static
-   quotient);
+   conditions driven by a zero-sum periodic signal through pairwise distinct
+   cluster gains (one matrix has a static quotient);
 3. switching coupling, intra-cluster synchronization: bounded signal and
    partial sums, uniform all-or-nothing cross links (property A), entry and
    diagonal floors, per-step common influence, spanning trees in every
    window union;
 4. switching coupling, cluster consensus: as 3 but with one static quotient
-   and a zero-sum periodic signal.
+   and a zero-sum periodic signal through pairwise distinct cluster gains.
 
 The sets are sufficient, not necessary, so reconciliation distinguishes a
 vacuous pass (hypotheses unmet) from a genuine failure (guarantee given,
@@ -159,6 +159,23 @@ def _zero_sum_input_check(sys: System) -> ConditionCheck:
     )
 
 
+def _distinct_inputs_check(sys: System) -> ConditionCheck:
+    if not sys.driven():
+        return ConditionCheck("distinct-inputs", False, "system is undriven; no separating input")
+    alpha = sys.offsets.reduced()
+    if alpha.size == 1:
+        return ConditionCheck("distinct-inputs", True, "single cluster: no pair to separate")
+    # Sorted, equal gains and the closest two are neighbours. Equal gains are
+    # compared, not subtracted, so equal infinite gains raise no warning.
+    order = np.argsort(alpha, kind="stable")
+    low, high = alpha[order[:-1]], alpha[order[1:]]
+    same = low == high
+    gap = np.subtract(high, low, out=np.zeros(same.size), where=~same).min()
+    pairs = [f"({p + 1}, {q + 1})" for p, q in zip(order[:-1][same], order[1:][same])]
+    equal = "; equal gains at cluster pairs " + ", ".join(pairs[:4]) if pairs else ""
+    return ConditionCheck("distinct-inputs", not pairs, f"smallest gain gap {gap:.6g}{equal}")
+
+
 def check_switching(
     sys: System,
     window: Optional[int] = None,
@@ -255,6 +272,7 @@ def check_switching(
     )
 
     conditions.append(_zero_sum_input_check(sys))
+    conditions.append(_distinct_inputs_check(sys))
 
     by_name = {c.name: c.passed for c in conditions}
     sync_ok = all(
@@ -268,9 +286,8 @@ def check_switching(
             "window-union-spanning-trees",
         )
     )
-    consensus_ok = sync_ok and by_name["static-quotient-b3star"] and by_name[
-        "periodic-zero-sum-input"
-    ]
+    # Cluster consensus needs every row.
+    consensus_ok = all(by_name.values())
     predicted = (
         "cluster-consensus" if consensus_ok
         else "intra-sync" if sync_ok

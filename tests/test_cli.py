@@ -1,12 +1,14 @@
 """End-to-end command behavior: exit codes, artifacts, determinism."""
 
 import copy
+import hashlib
 import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from string import Template
 
@@ -371,13 +373,80 @@ def test_learn_range_violation_exit_code(tmp_path, capsys):
 
 
 def test_learn_divergence_exit_code(tmp_path, capsys):
+    """An overflowing gain ends the run in one error line and no warning,
+    also where an infinite gain meets u = 0 (all-zero free values)."""
+    hot = example_config("A")
+    hot["learning"]["strength"] = 1e308
+    hot["learning"]["flags"] = [[2, -2], [0, 0], [-2, 2]]
+    still = copy.deepcopy(hot)
+    still["signal"]["free_values"] = [0.0]
+    plain = example_config("A")
+    plain["signal"].update(strength=1e308, alphas=[2.0, 1.0, -2.0], free_values=[0.0])
+    for i, (command, doc) in enumerate([("learn", hot), ("learn", still), ("simulate", plain)]):
+        path = tmp_path / f"hot{i}.json"
+        emit_config(doc, str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(path), "--out", str(tmp_path / f"o{i}")])
+        assert code == 3, command
+        assert capsys.readouterr().err == "error: non-finite state at step 1\n"
+
+
+@pytest.mark.parametrize(
+    "signal, strength, digest",
+    [
+        (False, 0.01, "da4eca0a1c487fe78f9c259823bf051d1e19c5def7eb220310890776af07269a"),
+        (False, 0.0, "da4eca0a1c487fe78f9c259823bf051d1e19c5def7eb220310890776af07269a"),
+        (True, 0.0, "da4eca0a1c487fe78f9c259823bf051d1e19c5def7eb220310890776af07269a"),
+        (True, 0.01, "994a8780a4b2f3c08fa05ecf5e3e70ea302920a2df4ac996ae188d7c9177679c"),
+    ],
+)
+def test_learn_keeps_the_bytes_of_a_negative_zero_belief(signal, strength, digest, tmp_path):
+    """Beliefs of -0.0 at t = 0: undriven, zero-strength and driven runs keep
+    the pinned beliefs.csv bytes, whose later steps read 0, not -0."""
     doc = example_config("A")
-    doc["learning"]["strength"] = 1e308
-    doc["learning"]["flags"] = [[2, -2], [0, 0], [-2, 2]]
-    path = tmp_path / "hot.json"
+    if not signal:
+        del doc["signal"]
+    doc["horizon"] = 40
+    doc["learning"].update(strength=strength, initial=[[1.0, -0.0]] * 9)
+    path = tmp_path / "zero.json"
     emit_config(doc, str(path))
-    assert main(["learn", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err == "error: non-finite state at step 1\n"
+    assert main(["learn", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    data = (tmp_path / "o" / "beliefs.csv").read_bytes()
+    assert data.count(b",-0\n") == 9
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "base, signal, theorem, holds, verdict",
+    [
+        ("A", {"alphas": [1.0, 1.0, -0.5]}, 1, True, "PASS"),
+        ("A", {"alphas": [1.0, 1.0, -0.5]}, 2, False, "PASS-VACUOUS"),
+        ("B", {"alphas": [1.0, -0.5, 1.0]}, 3, True, "PASS"),
+        # Claim 4 still predicts intra-cluster synchronization.
+        ("B", {"alphas": [1.0, -0.5, 1.0]}, 4, False, "PASS"),
+        # A zero strength makes every gain zero.
+        ("A", {"strength": 0}, 2, False, "PASS-VACUOUS"),
+    ],
+    ids=["A-claim-1", "A-claim-2", "B-claim-3", "B-claim-4", "A-zero-strength"],
+)
+def test_equal_gains_fail_only_the_consensus_claims(
+    base, signal, theorem, holds, verdict, tmp_path, capsys
+):
+    """Distinct gains are a hypothesis of claims 2 and 4 alone: equal gains
+    load, fail only the ``distinct-inputs`` row and leave claims 1 and 3
+    whole; ``report`` exits 0 with the verdict."""
+    doc = example_config(base)
+    doc["signal"].update(signal)
+    path = tmp_path / "equal.json"
+    emit_config(doc, str(path))
+    argv = ["--config", str(path), "--theorem", str(theorem)]
+    assert main(["check", *argv, "--out", str(tmp_path / "check.json")]) == (0 if holds else 2)
+    report = json.loads((tmp_path / "check.json").read_text())["report"]
+    assert [c["name"] for c in report["conditions"] if not c["passed"]] == ["distinct-inputs"]
+    capsys.readouterr()
+    assert main(["report", *argv]) == 0
+    assert f"\nverdict: {verdict}\n" in capsys.readouterr().out
 
 
 def test_learn_without_learning_section(tmp_path, capsys):

@@ -108,16 +108,6 @@ def test_schema_violations_point_at_the_offending_path():
 
 def test_semantic_failures_are_config_errors():
     doc = example_config("A")
-    doc["signal"]["alphas"] = [1.0, 1.0, 0.5]  # duplicate gains
-    with pytest.raises(ConfigError, match="distinct"):
-        build_scenario(doc)
-
-    doc = example_config("A")
-    doc["signal"]["strength"] = 0.0
-    with pytest.raises(ConfigError, match="strength"):
-        build_scenario(doc)
-
-    doc = example_config("A")
     doc["topology"]["matrix"][0][0] = 0.9  # row no longer sums to one
     with pytest.raises(ConfigError):
         build_scenario(doc)
@@ -131,6 +121,18 @@ def test_semantic_failures_are_config_errors():
     del doc["seed"]
     with pytest.raises(ConfigError, match="seed required"):
         build_scenario(doc)
+
+
+def test_equal_and_zero_gains_load():
+    """Distinct gains are a hypothesis of the consensus claims, checked by
+    the ``distinct-inputs`` row, so equal gains load as given and a zero
+    strength makes every gain zero."""
+    doc = example_config("A")
+    doc["signal"]["alphas"] = [1.0, 1.0, 0.5]
+    assert build_scenario(doc).system.offsets.alphas == (1.0, 1.0, 0.5)
+    doc["signal"]["strength"] = 0.0
+    system = build_scenario(doc).system
+    assert system.driven() and system.offsets.alphas == (0.0, 0.0, 0.0)
 
 
 def test_learning_section_validation():

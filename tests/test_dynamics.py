@@ -16,6 +16,7 @@ from cclab.dynamics import (
     quotient_simulate,
     separation_metric,
     simulate,
+    simulate_batch,
     z_limits,
 )
 from cclab.generate import (
@@ -110,6 +111,31 @@ def test_switching_system_uses_the_schedule():
     for t in range(7):
         x = sched.matrices[t % 3] @ x
         assert np.array_equal(traj.states[t + 1], x)
+
+
+def test_a_batch_on_one_schedule_reads_its_arrays_as_given(monkeypatch):
+    """Systems that carry one schedule object step on that schedule's own
+    matrices, with no stacked copy, and each row equals its batch of one
+    bit for bit."""
+    clus = example_clustering()
+    sched = example_schedule_switching()
+    gains = [(1.0, 0.5, -0.5), (1.0, 1.0, -0.5), (0.0, 0.0, 0.0), (-2.0, 0.25, 3.0)]
+    systems = [
+        System(sched, clus, ClusterOffsets(clus, g), example_signal()) for g in gains
+    ]
+    x0 = np.random.default_rng(4).uniform(-1.0, 1.0, size=(len(systems), clus.n))
+    seen = []
+    advance = dynamics._advance
+
+    def spy(couplings, *args):
+        seen.append(couplings)
+        return advance(couplings, *args)
+
+    monkeypatch.setattr(dynamics, "_advance", spy)
+    rows = simulate_batch(systems, x0, 60)
+    assert len(seen) == 1 and seen[0] is sched.matrices
+    for b, sys in enumerate(systems):
+        assert np.array_equal(rows[:, b], simulate_batch([sys], x0[b : b + 1], 60)[:, 0])
 
 
 def test_consensus_subspace_is_invariant():

@@ -69,11 +69,6 @@ def test_cultural_flags_validation():
     flags = CulturalFlags(example_learning_flags(), strength=0.02)
     assert flags.k == 3
     assert flags.m == 2
-    expanded = flags.expanded(example_clustering())
-    assert expanded.shape == (9, 2)
-    assert np.array_equal(expanded[0], [1.0, -1.0])
-    assert np.array_equal(expanded[4], [0.0, 0.0])
-    assert np.array_equal(expanded[8], [-1.0, 1.0])
 
 
 def test_learn_step_matches_manual_update():
@@ -83,7 +78,7 @@ def test_learn_step_matches_manual_update():
     a = example_matrix_static()
     sig = example_signal()
     nxt = learn_simulate(undriven(a), flags, prof, horizon=1).profile(1)
-    push = 0.01 * flags.expanded(clus)
+    push = 0.01 * flags.table[clus.labels()]
     for s in range(2):
         manual = a @ prof.beliefs[:, s] + sig.value(0) * push[:, s]
         assert np.array_equal(nxt.beliefs[:, s], manual)

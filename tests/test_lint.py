@@ -1,8 +1,8 @@
 """Static checks on the package source: no module-level import goes unused,
 every name in an ``__all__`` is bound in its module, every public name of
 the package has a user in the package or the benchmark, one place tells a
-bare coupling matrix from a schedule, and one pipeline detects the limit and
-reconciles."""
+bare coupling matrix from a schedule, one pipeline detects the limit and
+reconciles, and one kernel entry steps every run."""
 
 import ast
 import pathlib
@@ -180,6 +180,26 @@ def test_one_pipeline_detects_the_limit_and_reconciles(name):
         for site in call_sites(p.read_text(encoding="utf-8"), name)
     ]
     assert sites == ["verifier.run.outcome"]
+
+
+@pytest.mark.parametrize(
+    "name, callers",
+    [
+        ("_advance", ["dynamics.quotient_simulate", "dynamics.simulate_batch"]),
+        ("_drive", ["dynamics.quotient_simulate", "dynamics.simulate_batch"]),
+        ("_addressable", ["dynamics.simulate_batch"]),
+    ],
+)
+def test_one_kernel_entry_steps_every_run(name, callers):
+    """A config run, an ensemble batch and a learning run all step through
+    ``dynamics.simulate_batch``; the reduced recursion ``quotient_simulate``
+    is the one other caller until item 5 replaces it."""
+    sites = [
+        f"{p.stem}.{site}"
+        for p in SOURCES
+        for site in call_sites(p.read_text(encoding="utf-8"), name)
+    ]
+    assert sorted(sites) == callers
 
 
 def test_the_checks_catch_what_they_look_for():

@@ -68,12 +68,13 @@ def test_zero_sum_signal_has_bounded_partials():
     assert many_periods == pytest.approx(one_period, abs=1e-12)
 
 
-def test_cluster_offsets_require_distinct_gains():
+def test_cluster_offsets_take_one_gain_per_cluster():
+    """Gains may repeat: distinctness is the ``distinct-inputs`` hypothesis
+    of cluster consensus, not a rule of the input."""
     clus = Clustering.from_sizes((2, 2))
     with pytest.raises(ValueError):
-        ClusterOffsets(clus, (0.5, 0.5))
-    with pytest.raises(ValueError):
         ClusterOffsets(clus, (0.5,))
+    assert ClusterOffsets(clus, (0.5, 0.5)).vector().tolist() == [0.5] * 4
     offs = ClusterOffsets(clus, (1.0, -0.25))
     assert offs.vector().tolist() == [1.0, 1.0, -0.25, -0.25]
     assert offs.reduced().tolist() == [1.0, -0.25]

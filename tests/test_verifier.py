@@ -53,6 +53,7 @@ CONDITIONS = [
     "static-quotient-b3star",
     "window-union-spanning-trees",
     "periodic-zero-sum-input",
+    "distinct-inputs",
 ]
 
 
@@ -130,6 +131,52 @@ def test_undriven_system_fails_the_zero_sum_input_condition():
     assert report.predicted == "no-guarantee"
 
 
+def test_distinct_inputs_gate_consensus_only():
+    """Equal gains leave the synchronization hypotheses alone; the row names
+    the equal pairs and the smallest gap, passes for one cluster and fails
+    for an undriven system."""
+
+    def row(sys):
+        report = check_switching(sys)
+        return report.condition("distinct-inputs"), report
+
+    clus = STATIC.clustering
+    equal = dataclasses.replace(STATIC, offsets=ClusterOffsets(clus, (1.0, 1.0, -0.5)))
+    check, report = row(equal)
+    assert not check.passed
+    assert check.detail == "smallest gain gap 0; equal gains at cluster pairs (1, 2)"
+    assert [c.name for c in report.conditions if not c.passed] == ["distinct-inputs"]
+    assert report.sync_ok and not report.consensus_ok
+    assert report.predicted == "intra-sync"
+    assert check_claim(equal, 1)[1] and not check_claim(equal, 2)[1]
+
+    check, report = row(STATIC)
+    assert check.passed and check.detail == "smallest gain gap 0.5"
+    assert report.consensus_ok
+
+    # Equal infinite gains are equal, and comparing them raises no warning.
+    inf = dataclasses.replace(STATIC, offsets=ClusterOffsets(clus, (np.inf, -1.0, np.inf)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check, _ = row(inf)
+    assert check.detail == "smallest gain gap 0; equal gains at cluster pairs (1, 3)"
+
+    one = Clustering.from_sizes((3,))
+    single = System(
+        coupling=np.full((3, 3), 1.0 / 3.0),
+        clustering=one,
+        offsets=ClusterOffsets(one, (2.0,)),
+        signal=PeriodicInput(2, (-1.0,)),
+    )
+    check, report = row(single)
+    assert check.passed and check.detail == "single cluster: no pair to separate"
+    assert report.consensus_ok
+
+    check, report = row(dataclasses.replace(STATIC, offsets=None))
+    assert not check.passed and check.detail == "system is undriven; no separating input"
+    assert report.sync_ok and not report.consensus_ok
+
+
 def test_aperiodic_signal_is_not_accepted_as_zero_sum():
     clus = Clustering.from_sizes((1, 1))
     sys = System(
@@ -197,17 +244,7 @@ def test_a_partial_cover_within_the_common_influence_tolerance_breaks_every_clai
 
 def test_switching_hypotheses_pass_on_the_example():
     report = check_switching(SWITCHING, window=3)
-    names = [c.name for c in report.conditions]
-    assert names == [
-        "input-bounded",
-        "property-a-uniform-links",
-        "entry-floor-b1",
-        "diagonal-floor-b2",
-        "common-influence-b3",
-        "static-quotient-b3star",
-        "window-union-spanning-trees",
-        "periodic-zero-sum-input",
-    ]
+    assert [c.name for c in report.conditions] == CONDITIONS
     assert all(c.passed for c in report.conditions)
     assert report.predicted == "cluster-consensus"
     assert report.sync_ok and report.consensus_ok
