@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 malformed input or an unwritable output path,
 2 hypothesis failure (``check``) or a FAIL verdict (``simulate``,
-``report``, ensembles), 3 divergence, 4 belief-validity violation.
+``report``, ensembles), 3 divergence or metrics past float64's range,
+4 belief-validity violation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
+
+import numpy as np
 
 from .config import (
     ConfigError,
@@ -41,6 +44,7 @@ from .dynamics import (
 from .generate import InfeasibleError
 from .learning import BeliefRangeError, learn_simulate
 from .reports import (
+    _json_text,
     metrics_document,
     render_condition_table,
     render_ensemble,
@@ -63,6 +67,11 @@ EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_DIVERGENCE = 3
 EXIT_VALIDITY = 4
+
+
+class _OutOfRange(ArithmeticError):
+    """A config run whose states stayed finite but whose metrics left
+    float64's range: a sum, a gap or the bound overflowed."""
 
 
 def _load(args: argparse.Namespace) -> Scenario:
@@ -151,9 +160,9 @@ def _run_ensemble(args: argparse.Namespace) -> int:
 @dataclass(frozen=True)
 class _Run:
     """One config run, checked, simulated and reconciled, and its output
-    directory. ``verdict`` and ``bound`` are None when the run diverged;
-    ``traj`` then holds the finite prefix and ``metrics`` the divergence
-    record.
+    directory. ``metrics`` is the JSON text of ``metrics.json``.
+    ``verdict`` and ``bound`` are None when the run diverged; ``traj`` then
+    holds the finite prefix and ``metrics`` the divergence record.
     """
 
     scenario: Scenario
@@ -161,7 +170,7 @@ class _Run:
     ok: bool
     outdir: str
     traj: Trajectory
-    metrics: dict
+    metrics: str
     verdict: Optional[ReconcileResult] = None
     bound: Optional[BoundReport] = None
 
@@ -172,11 +181,14 @@ class _Run:
         return EXIT_HYPOTHESIS if self.verdict.status == "FAIL" else EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_config(args: argparse.Namespace) -> _Run:
     """check -> output directory -> run -> bound for ``--config``.
 
     A divergence prints its one error line here; the caller still writes
-    the record it gets back.
+    the record it gets back. Metrics that leave float64's range raise
+    :class:`_OutOfRange` before anything is printed or written. numpy's
+    warnings are silenced: that check catches every number they warn of.
     """
     scenario = _load(args)
     sys_ = scenario.system
@@ -204,7 +216,7 @@ def _run_config(args: argparse.Namespace) -> _Run:
             "diverged_at": out.t,
             "note": str(out),
         }
-        return _Run(scenario, report, ok, outdir, Trajectory(out.partial), metrics)
+        return _Run(scenario, report, ok, outdir, Trajectory(out.partial), _json_text(metrics))
     if isinstance(out, Exception):
         raise out
     bound = boundedness_report(sys_, out.traj, tol=scenario.thresholds.common_influence)
@@ -219,7 +231,13 @@ def _run_config(args: argparse.Namespace) -> _Run:
         limit=out.limit,
         bound=bound,
     )
-    return _Run(scenario, report, ok, outdir, out.traj, metrics, out.verdict, bound)
+    try:
+        text = _json_text(metrics)
+    except ValueError:
+        raise _OutOfRange(
+            "the run left float64's range: its metrics hold a NaN or an infinity"
+        ) from None
+    return _Run(scenario, report, ok, outdir, out.traj, text, out.verdict, bound)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -407,7 +425,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, ClaimError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except DivergenceError as exc:
+    except (DivergenceError, _OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except BeliefRangeError as exc:

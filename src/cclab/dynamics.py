@@ -127,6 +127,11 @@ def _drive(sigma: np.ndarray, signals: Sequence[Signal], horizon: int) -> np.nda
         return (sigma * u[:, :, None])[..., None]
 
 
+# Steps between two looks of _advance for a repeated state: a run that
+# repeats takes at most this many steps past its first repeat.
+_REPEAT_CHECK = 32
+
+
 def _advance(
     couplings: Sequence[np.ndarray],
     drive: Optional[np.ndarray],
@@ -143,24 +148,50 @@ def _advance(
     batch. Returns the states after ``first..horizon`` steps as an array of
     shape (horizon + 1 - first, B, n).
 
+    Step ``t`` runs the same operations as step ``t - L``, with ``L`` the
+    least common multiple of the two lengths. So once the batch state
+    ``x(s)`` equals ``x(s - L)`` bit for bit, every later state equals the
+    state ``L`` steps before it. When ``L`` is shorter than the horizon, the
+    loop compares the two every ``_REPEAT_CHECK`` steps and, on a match,
+    copies the last ``L`` states over the rest of the rows instead of
+    stepping on: the rows hold the same bits either way. States before
+    ``first`` are kept modulo ``L + 1``, or modulo 2 without a check.
+
     Finiteness is not checked: callers test the rows they keep once, at the
     end. Overflow and invalid-value warnings are silenced because a
     diverging state keeps stepping until then.
     """
-    rows = np.empty((horizon + 1 - first,) + x0.shape + (1,))
-    spare = np.empty((2,) + x0.shape + (1,))
-    x = x0[..., None]
-    if first == 0:
-        rows[0] = x
     n_couplings = len(couplings)
     n_drives = 0 if drive is None else len(drive)
+    period = math.lcm(n_couplings, n_drives or 1)
+    repeats = period < horizon
+    ring = period + 1 if repeats else 2
+    rows = np.empty((horizon + 1 - first,) + x0.shape + (1,))
+    held = np.empty((min(ring, first),) + x0.shape + (1,))
+
+    x = x0[..., None]
+    (rows[0] if first == 0 else held[0])[...] = x
+    stride = _REPEAT_CHECK if repeats else horizon
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(horizon):
-            out = rows[t + 1 - first] if t + 1 >= first else spare[t % 2]
-            np.matmul(couplings[t % n_couplings], x, out=out)
-            if n_drives:
-                out += drive[t % n_drives]
-            x = out
+        for start in range(0, horizon, stride):
+            for t in range(start, min(start + stride, horizon)):
+                out = rows[t + 1 - first] if t + 1 >= first else held[(t + 1) % ring]
+                np.matmul(couplings[t % n_couplings], x, out=out)
+                if n_drives:
+                    out += drive[t % n_drives]
+                x = out
+            s = t + 1
+            if not repeats or s < period or s == horizon:
+                continue
+            back = rows[s - period - first] if s - period >= first else held[(s - period) % ring]
+            if x.tobytes() == back.tobytes():
+                # Row t > s repeats state u in s - L + 1..s with t = u (mod L).
+                low = max(s + 1, first)
+                for u in range(s + 1 - period, s + 1):
+                    rows[low + (u - low) % period - first :: period] = (
+                        rows[u - first] if u >= first else held[u % ring]
+                    )
+                break
     return rows[..., 0]
 
 

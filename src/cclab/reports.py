@@ -7,7 +7,7 @@ round-trip losslessly; agents, clusters, and states are rendered 1-based.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,10 +73,20 @@ def write_zeta_csv(path: str, zeta: Sequence[float]) -> None:
             fh.write(f"{t},{_fmt(z)}\n")
 
 
-def write_json(path: str, doc: dict) -> None:
+def _json_text(doc: dict) -> str:
+    """``doc`` as cclab writes JSON. A NaN or an infinity raises
+    ``ValueError``: JSON has no such number, and cclab's own reader
+    refuses the tokens Python would write for them."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json(path: str, doc: Union[dict, str]) -> None:
+    """Write ``doc``, or its :func:`_json_text`, to ``path``. The text is
+    made before the file is opened, so a document that cannot be written
+    leaves no file."""
+    text = doc if isinstance(doc, str) else _json_text(doc)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _limit_doc(limit: Optional[PeriodicLimit]) -> Optional[dict]:

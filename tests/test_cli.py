@@ -204,6 +204,26 @@ def test_report_on_a_diverging_run_writes_the_simulate_metrics(tmp_path, capsys)
     assert json.loads(runs["report"])["diverged_at"] == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_metrics_past_the_float_range_exit_3_and_write_nothing(command, tmp_path, capsys):
+    """On example A at strength 1e308 the states stay finite, but the cycle
+    levels' cluster means overflow and their gaps turn NaN. The run ends in
+    one error line and exit 3, with no warning and no file written."""
+    doc = example_config("A")
+    doc["signal"]["strength"] = 1e308
+    path = tmp_path / "hot.json"
+    emit_config(doc, str(path))
+    d = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(d)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the run left float64's range: its metrics hold a NaN or an infinity\n"
+    )
+    assert list(d.iterdir()) == []
+
+
 def test_simulate_requires_a_config_or_ensemble(capsys):
     assert main(["simulate"]) == 1
     assert "config" in capsys.readouterr().err

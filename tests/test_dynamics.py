@@ -1,5 +1,9 @@
 """Simulation engine: exact recursions, invariance, periodic limits, Z limits."""
 
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,8 +35,9 @@ from cclab.config import build_scenario, example_config
 from cclab.graph import Clustering
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
 from cclab.stochastic import MatrixSchedule, power_limit, schedule_quotient, validate
+from cclab.verifier import check_claim, ensemble_instance, run
 
-from random_instances import random_common_influence
+from random_instances import random_clustering, random_common_influence
 
 
 def example_system_static():
@@ -136,6 +141,184 @@ def test_a_batch_on_one_schedule_reads_its_arrays_as_given(monkeypatch):
     assert len(seen) == 1 and seen[0] is sched.matrices
     for b, sys in enumerate(systems):
         assert np.array_equal(rows[:, b], simulate_batch([sys], x0[b : b + 1], 60)[:, 0])
+
+
+def _stepped(couplings, drive, x0, horizon):
+    """Every state of ``x(t+1) = couplings[t % m] @ x(t) + drive[t % P]`` up
+    to the horizon, stepped one by one with the kernel's product shapes and
+    no repeat check; shape (horizon + 1, B, n)."""
+    states = np.empty((horizon + 1,) + x0.shape + (1,))
+    states[0] = x0[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            np.matmul(couplings[t % len(couplings)], states[t], out=states[t + 1])
+            if drive is not None:
+                states[t + 1] += drive[t % len(drive)]
+    return states[..., 0]
+
+
+def _first_repeat(states, period):
+    """The first step ``s`` whose state equals the state ``period`` steps
+    before it bit for bit, or None."""
+    for s in range(period, len(states)):
+        if states[s].tobytes() == states[s - period].tobytes():
+            return s
+    return None
+
+
+SPECIAL_VALUES = (-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan)
+PROBE = 300
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    matrices=st.integers(1, 3),
+    phases=st.sampled_from([None, 1, 2, 3, 4, "horizon"]),
+    stacked=st.booleans(),
+    specials=st.lists(st.sampled_from(SPECIAL_VALUES), max_size=3),
+    long=st.booleans(),
+    pick=st.integers(0, 2**16),
+    pick_first=st.integers(0, 2**16),
+)
+def test_the_repeat_stop_keeps_every_row_bit_for_bit(
+    seed, matrices, phases, stacked, specials, long, pick, pick_first
+):
+    """The kernel's rows equal a loop that steps to the horizon, bit for
+    bit, for fixed and switching, shared and stacked, driven and undriven
+    batches. Horizons and first kept steps fall on and next to a check step
+    and the first repeat, or the horizon is long enough to copy many rows. The initial states hold signed zeros, subnormals,
+    infinities and NaN."""
+    rng = np.random.default_rng(seed)
+    b = int(rng.integers(1, 4))
+    # Common influence and cluster-wise gains, as the claims have them, make
+    # most runs repeat within the probe; one cluster allows any coupling.
+    clus = random_clustering(rng, n_max=6, n_min=1)
+    n = clus.n
+
+    def coupling():
+        if stacked:
+            return np.stack([random_common_influence(rng, clus) for _ in range(b)])
+        return random_common_influence(rng, clus)
+
+    couplings = [coupling() for _ in range(matrices)]
+    gains = rng.uniform(-1.0, 1.0, size=(b, clus.k))[:, clus.labels()]
+
+    def drive_of(length):
+        u = rng.uniform(-1.0, 1.0, size=length)
+        return (gains * (u - u.mean())[:, None, None])[..., None]
+
+    x0 = rng.uniform(-1.0, 1.0, size=(b, n))
+    for value in specials:
+        x0[int(rng.integers(b)), int(rng.integers(n))] = value
+    check = dynamics._REPEAT_CHECK
+    marks = {1, 2, check - 1, check, check + 1, 2 * check + 1, PROBE}
+    if phases == "horizon":
+        # No period shorter than the horizon: the drive has one term per step.
+        horizon = sorted(marks)[pick % len(marks)]
+        drive = drive_of(horizon)
+    else:
+        drive = None if phases is None else drive_of(phases)
+        period = math.lcm(matrices, phases or 1)
+        marks |= {period - 1, period, period + 1}
+        repeat = _first_repeat(_stepped(couplings, drive, x0, PROBE), period)
+        if repeat is not None:
+            detect = -(-repeat // check) * check
+            marks |= {repeat - 1, repeat, repeat + 1, detect - 1, detect, detect + 1}
+        horizons = sorted(h for h in marks if 1 <= h <= PROBE)
+        horizon = PROBE if long else horizons[pick % len(horizons)]
+    firsts = sorted({0, horizon // 2, horizon} | {f for f in marks if f <= horizon})
+    first = firsts[pick_first % len(firsts)]
+    rows = dynamics._advance(couplings, drive, x0, horizon, first)
+    want = _stepped(couplings, drive, x0, horizon)[first:]
+    assert rows.shape == want.shape
+    assert rows.tobytes() == want.tobytes()
+
+
+def _count_steps(monkeypatch) -> list:
+    """Patch the kernel so that each matrix product it runs appends to the
+    returned list."""
+    steps = []
+    advance = dynamics._advance
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                steps.append(1)
+            inputs = tuple(i.view(np.ndarray) if isinstance(i, Counted) else i for i in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def counted(couplings, *args):
+        return advance([c.view(Counted) for c in couplings], *args)
+
+    monkeypatch.setattr(dynamics, "_advance", counted)
+    return steps
+
+
+def test_the_kernel_stops_once_the_state_repeats(monkeypatch):
+    """Example A repeats from step 60 of 2000, so its config run stops at
+    the next check and copies the cycle; a claim-2 ensemble instance that
+    never repeats steps to its horizon. Both keep the stepped loop's rows."""
+    steps = _count_steps(monkeypatch)
+    scenario = build_scenario(example_config("A"))
+    sys = scenario.system
+    report, _ = check_claim(sys, 2, horizon=2000)
+    (out,) = run([sys], scenario.x0[None], [report], 2000)
+    assert len(steps) <= 100
+    want = _stepped(sys.coupling.matrices, dynamics._drive(
+        sys.offsets.vector()[None], [sys.signal], 2000), scenario.x0[None], 2000)
+    assert out.traj.states.tobytes() == want[:, 0].tobytes()
+
+    # The second instance of the claim-2 ensemble at seed 1.
+    inst_seed = int(np.random.default_rng(1).integers(2**62, size=2)[1])
+    inst = ensemble_instance(2, inst_seed, 2000)
+    first = limit_window_start(2001, inst.system.signal.period)
+    steps.clear()
+    (out,) = run([inst.system], inst.x0[None], [inst.report], 2000, first=first)
+    assert len(steps) == 2000
+    assert out.verdict.status == "PASS"
+
+
+def test_a_divergence_step_holds_across_the_repeat_stop(monkeypatch):
+    """One agent overflows to +inf at step 3 and one to -inf; the agent
+    averaging them turns NaN, and the run then repeats bit for bit, NaN
+    included, so the kernel stops. ``run`` reports the stepped loop's first
+    non-finite step, keeping every row or only the tail."""
+    clus = Clustering.from_sizes((1, 1, 1))
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]])
+    sig = PeriodicInput(4, (0.5, 1.0, -3.5))  # u = 2, 0.5, 1, -3.5
+    sys = System(a, clus, ClusterOffsets(clus, (1e307, -1e307, 0.0)), sig)
+    x0 = np.array([1.45e308, -1.45e308, 0.0])
+    want = _stepped((a,), dynamics._drive(sys.offsets.vector()[None], [sig], 200), x0[None], 200)
+    t = int((~np.isfinite(want[:, 0])).any(axis=1).argmax())
+    assert t == 3 and np.isnan(want[-1, 0, 2])
+    report, _ = check_claim(sys, 1, horizon=200)
+    steps = _count_steps(monkeypatch)
+    for first in (0, limit_window_start(201, 4)):
+        steps.clear()
+        (out,) = run([sys], x0[None], [report], 200, first=first)
+        assert len(steps) <= 2 * dynamics._REPEAT_CHECK
+        assert isinstance(out, DivergenceError) and out.t == t
+        assert out.partial.tobytes() == want[:t, 0].tobytes()
+
+
+@pytest.mark.parametrize("first", [0, 50_000])
+def test_an_aperiodic_drive_holds_no_ring(first):
+    """Example B under a signal with no period runs unchecked and holds what
+    the kernel held before the repeat stop, within 10%: the kept rows and
+    one drive term per step (14.4 MB at 10^5 steps and ``first = 0``). A
+    ring of lcm(3, horizon) + 1 states would add 21.6 MB."""
+    scenario = build_scenario(example_config("B"))
+    horizon = 100_000
+    values = np.random.default_rng(0).uniform(-1.0, 1.0, size=horizon)
+    sys = replace(scenario.system, signal=SequenceInput(tuple(values)))
+    tracemalloc.start()
+    try:
+        simulate_batch([sys], scenario.x0[None], horizon, first)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2 * (horizon + 1) * scenario.x0.nbytes
 
 
 def test_consensus_subspace_is_invariant():
