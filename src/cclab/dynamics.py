@@ -121,7 +121,9 @@ def _drive(sigma: np.ndarray, signals: Sequence[Signal], horizon: int) -> np.nda
     """
     periods = [s.period if isinstance(s, PeriodicInput) else horizon for s in signals]
     phases = min(math.lcm(*periods), horizon)
-    u = np.array([[eval_u(s, t) for s in signals] for t in range(phases)])
+    u = np.empty((phases, len(signals)))
+    for b, s in enumerate(signals):
+        u[:, b] = np.fromiter((eval_u(s, t) for t in range(phases)), float, count=phases)
     # Silenced as in _advance: an infinite gain times u = 0 is NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         return (sigma * u[:, :, None])[..., None]

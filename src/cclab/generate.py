@@ -43,6 +43,9 @@ class GeneratorSpec:
     split mode); it must not exceed ``1/n`` or no stochastic row could honor
     it.  ``density`` drives how many optional blocks and extra edges appear:
     0 gives the minimal tree construction, 1 the complete graph.
+
+    A spec spawns its seed streams, builds its clustering and resolves its
+    quotient once, at construction; every generator reads those.
     """
 
     cluster_sizes: tuple[int, ...]
@@ -65,13 +68,17 @@ class GeneratorSpec:
                 raise ValueError("quotient size does not match the cluster count")
             q.setflags(write=False)
             object.__setattr__(self, "quotient", q)
+        object.__setattr__(self, "_clustering", Clustering.from_sizes(sizes))
+        object.__setattr__(self, "_seeds", _streams(self.seed))
+        b = self.quotient if self.quotient is not None else _draw_quotient(self)
+        object.__setattr__(self, "_quotient", b)
 
     @property
     def n(self) -> int:
         return sum(self.cluster_sizes)
 
     def clustering(self) -> Clustering:
-        return Clustering.from_sizes(self.cluster_sizes)
+        return self._clustering
 
 
 def _streams(seed: int) -> dict[str, np.random.SeedSequence]:
@@ -80,14 +87,18 @@ def _streams(seed: int) -> dict[str, np.random.SeedSequence]:
 
 
 def resolve_quotient(spec: GeneratorSpec) -> np.ndarray:
-    """The recipe's quotient, or a seeded random one on a density-driven support.
+    """The recipe's quotient, or a seeded random one on a density-driven
+    support, as a copy the caller may edit.
 
     Generated masses satisfy ``B[p, q] >= entry_floor * |C_q|`` on every
     active block so that any later in-neighbor pattern can be floored.
     """
-    if spec.quotient is not None:
-        return spec.quotient.copy()
-    rng = np.random.default_rng(_streams(spec.seed)["quotient"])
+    return spec._quotient.copy()
+
+
+def _draw_quotient(spec: GeneratorSpec) -> np.ndarray:
+    """The seeded random quotient of :func:`resolve_quotient`, read-only."""
+    rng = np.random.default_rng(spec._seeds["quotient"])
     k = len(spec.cluster_sizes)
     sizes = np.array(spec.cluster_sizes, dtype=float)
     support = rng.random((k, k)) < spec.density
@@ -98,7 +109,9 @@ def resolve_quotient(spec: GeneratorSpec) -> np.ndarray:
         act = np.nonzero(support[p])[0]
         base = e * sizes[act]
         b[p, act] = base + (1.0 - base.sum()) * rng.dirichlet(np.ones(act.size))
-    return validate(b)
+    b = validate(b)
+    b.setflags(write=False)
+    return b
 
 
 def _random_tree(members: Sequence[int], rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -129,7 +142,7 @@ def _cover_block(
         if room <= 0 or spec.density == 0.0:
             continue
         candidates = [u for u in sources if (u, v) not in edges]
-        picks = [u for u in candidates if rng.random() < spec.density]
+        picks = [u for u, r in zip(candidates, rng.random(len(candidates))) if r < spec.density]
         edges.update((u, v) for u in picks[:room])
 
 
@@ -141,9 +154,9 @@ def gen_graph_with_cluster_trees(spec: GeneratorSpec) -> np.ndarray:
     root), every active quotient block gets full in-coverage, and extra
     edges are confined to active blocks so the all-or-nothing rule survives.
     """
-    b = resolve_quotient(spec)
+    b = spec._quotient
     clus = spec.clustering()
-    rng = np.random.default_rng(_streams(spec.seed)["graph"])
+    rng = np.random.default_rng(spec._seeds["graph"])
     edges = {(v, v) for v in range(spec.n)}
     for members in clus.clusters:
         edges.update(_random_tree(members, rng))
@@ -157,6 +170,23 @@ def gen_graph_with_cluster_trees(spec: GeneratorSpec) -> np.ndarray:
     return s
 
 
+def _dirichlet_split(rng: np.random.Generator, lengths: np.ndarray) -> np.ndarray:
+    """The draws of ``rng.dirichlet(np.ones(d))`` for each ``d`` in
+    ``lengths``, concatenated, bit for bit and leaving ``rng`` where those
+    calls leave it.
+
+    With every alpha 1, numpy's ``dirichlet`` draws ``d`` standard
+    exponentials and multiplies each by the reciprocal of their sum taken
+    left to right. A cumulative sum along the rows of a zero-padded table,
+    one row per block, adds in that order.
+    """
+    e = rng.standard_exponential(int(lengths.sum()))
+    block = np.repeat(np.arange(lengths.size), lengths)
+    table = np.zeros((lengths.size, lengths.max(initial=0)))
+    table[block, np.arange(e.size) - (np.cumsum(lengths) - lengths)[block]] = e
+    return e * (1.0 / np.cumsum(table, axis=1)[:, -1])[block]
+
+
 def _matrix_on_graph(
     b: np.ndarray,
     clus: Clustering,
@@ -165,40 +195,47 @@ def _matrix_on_graph(
     mode: str,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """Spread each block mass ``b[p, q]`` over the in-neighbors in ``C_q``
+    of every vertex of ``C_p``. Random mode splits each block by its own
+    Dirichlet draw, block by block in row-major (vertex, cluster) order,
+    each over its in-neighbors in ascending order."""
     if mode not in ("random", "equal"):
         raise ValueError(f"unknown split mode {mode!r}")
     labels = clus.labels()
-    n = clus.n
-    a = np.zeros((n, n))
-    for i in range(n):
-        p = labels[i]
-        inn = np.flatnonzero(s[i])
-        for q in range(clus.k):
-            mass = float(b[p, q])
-            nbrs = inn[labels[inn] == q]
-            if mass <= 0.0:
-                if nbrs.size:
-                    raise InfeasibleError(
-                        f"graph links cluster {q} into vertex {i} but the quotient"
-                        f" gives that block zero mass"
-                    )
-                continue
-            if not nbrs.size:
-                raise InfeasibleError(
-                    f"vertex {i} has no in-neighbor in cluster {q}, required by the quotient"
-                )
-            d = len(nbrs)
-            if mode == "equal":
-                a[i, nbrs] = mass / d
-            else:
-                if mass < entry_floor * d - 1e-12:
-                    raise InfeasibleError(
-                        f"block mass {mass:.4f} cannot give {d} in-neighbors of vertex"
-                        f" {i} at least {entry_floor} each"
-                    )
-                a[i, nbrs] = entry_floor + (mass - entry_floor * d) * rng.dirichlet(
-                    np.ones(d)
-                )
+    # counts[i, q]: in-neighbors of vertex i in C_q; mass[i, q] their block mass.
+    counts = clus.sums(s)
+    mass = b[labels]
+    # A block with mass needs an in-neighbor; a block without admits none.
+    fault = np.where(mass > 0.0, counts == 0, counts > 0)
+    if mode == "random":
+        fault |= (mass > 0.0) & (mass < entry_floor * counts - 1e-12)
+    if fault.any():
+        i, q = divmod(int(fault.argmax()), clus.k)
+        d = int(counts[i, q])
+        if mass[i, q] <= 0.0:
+            raise InfeasibleError(
+                f"graph links cluster {q} into vertex {i} but the quotient"
+                f" gives that block zero mass"
+            )
+        if not d:
+            raise InfeasibleError(
+                f"vertex {i} has no in-neighbor in cluster {q}, required by the quotient"
+            )
+        raise InfeasibleError(
+            f"block mass {float(mass[i, q]):.4f} cannot give {d} in-neighbors of vertex"
+            f" {i} at least {entry_floor} each"
+        )
+    # Links in (vertex, cluster, column) order: each block's run is contiguous.
+    rows, pos = np.nonzero(s[:, clus.order])
+    cols = clus.order[pos]
+    block_mass = mass[rows, labels[cols]]
+    d = counts[rows, labels[cols]]
+    a = np.zeros((clus.n, clus.n))
+    if mode == "equal":
+        a[rows, cols] = block_mass / d
+    else:
+        split = _dirichlet_split(rng, counts[counts > 0])
+        a[rows, cols] = entry_floor + (block_mass - entry_floor * d) * split
     a = validate(a)
     if schedule_quotient((a,), clus, tol=1e-12).quotient is None:
         raise RuntimeError("generated matrix failed the common-influence check")
@@ -217,9 +254,8 @@ def gen_common_influence_matrix(
     splits the remaining block mass by a seeded symmetric Dirichlet draw;
     ``mode="equal"`` divides each block mass evenly over the in-neighbors.
     """
-    b = resolve_quotient(spec)
-    rng = np.random.default_rng(_streams(spec.seed)["matrix"])
-    return _matrix_on_graph(b, spec.clustering(), s, spec.entry_floor, mode, rng)
+    rng = np.random.default_rng(spec._seeds["matrix"])
+    return _matrix_on_graph(spec._quotient, spec.clustering(), s, spec.entry_floor, mode, rng)
 
 
 def gen_switching_schedule(
@@ -244,7 +280,7 @@ def gen_switching_schedule(
         return MatrixSchedule((a,), floor=spec.entry_floor)
     clus = spec.clustering()
     b = resolve_quotient(spec)
-    rng = np.random.default_rng(_streams(spec.seed)["schedule"])
+    rng = np.random.default_rng(spec._seeds["schedule"])
 
     def anchors(q: np.ndarray) -> list[int]:
         return [

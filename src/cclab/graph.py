@@ -120,11 +120,17 @@ class Clustering:
 
     def _reduce(self, x, reduction) -> np.ndarray:
         grouped = np.asarray(x)[..., self.order]
-        return np.stack([reduction(grouped[..., s:e], axis=-1) for s, e in self._runs], axis=-1)
+        out = None
+        for p, (s, e) in enumerate(self._runs):
+            part = reduction(grouped[..., s:e], axis=-1)
+            if out is None:
+                out = np.empty(part.shape + (self.k,), part.dtype)
+            out[..., p] = part
+        return out
 
     def sums(self, x) -> np.ndarray:
         """``[..., p]`` is the sum of ``x[..., v]`` over ``v`` in ``C_p``."""
-        return self._reduce(x, np.sum)
+        return self._reduce(x, np.add.reduce)
 
     def means(self, x) -> np.ndarray:
         """``[..., p]`` is the mean of ``x[..., v]`` over ``v`` in ``C_p``."""

@@ -12,7 +12,6 @@ excursions beyond it abort with an error naming the strength.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -176,52 +175,45 @@ class LearningRun:
         return float(np.abs(self.beliefs.sum(axis=2) - 1.0).max())
 
 
-def _check_range(
-    x: np.ndarray, t: int, state: int, slack: float, strength: float
-) -> Optional[tuple[int, float]]:
-    """Worst offender outside [0, 1] if any; raises beyond the slack band."""
-    lo = int(np.argmin(x))
-    hi = int(np.argmax(x))
-    if x[lo] < -slack - 1e-12:
-        raise BeliefRangeError(t, lo, state, float(x[lo]), strength)
-    if x[hi] > 1.0 + slack + 1e-12:
-        raise BeliefRangeError(t, hi, state, float(x[hi]), strength)
-    if x[lo] < -1e-12:
-        return lo, float(x[lo])
-    if x[hi] > 1.0 + 1e-12:
-        return hi, float(x[hi])
-    return None
-
-
 def _validity(rows: np.ndarray, slack: float, strength: float) -> ValidityLog:
     """Range log of a run, ``rows[t, state, agent]`` after ``t`` steps.
 
     States are scanned one after another, each in step order, as a per-state
     run would meet them: the first non-finite row raises
     :class:`DivergenceError`, the first row beyond the slack band
-    :class:`BeliefRangeError`.
+    :class:`BeliefRangeError`. A row outside [0, 1] within the band logs its
+    worst agent, the lowest if it is below 0.
     """
-    excursions: list[tuple[int, int, int, float]] = []
-    count = 0
-    worst_low, worst_high = 0.0, 1.0
-    for s in range(rows.shape[1]):
-        x = rows[:, s]
-        finite = np.isfinite(x).all(axis=1)
-        stray = ~finite | (x.min(axis=1) < -1e-12) | (x.max(axis=1) > 1.0 + 1e-12)
-        for t in np.nonzero(stray[1:])[0] + 1:
-            if not finite[t]:
-                raise DivergenceError(int(t))
-            agent, value = _check_range(x[t], int(t), s, slack, strength)
-            count += 1
-            worst_low = min(worst_low, value)
-            worst_high = max(worst_high, value)
-            if len(excursions) < _LOG_CAP:
-                excursions.append((int(t), agent, s, value))
+    # [state, t - 1]: each state's rows after t = 1..horizon steps.
+    x = rows[1:].transpose(1, 0, 2)
+    lo, hi = x.argmin(axis=2), x.argmax(axis=2)
+    low = np.take_along_axis(x, lo[..., None], axis=2)[..., 0]
+    high = np.take_along_axis(x, hi[..., None], axis=2)[..., 0]
+    finite = np.isfinite(x).all(axis=2)
+    too_low = low < -slack - 1e-12
+    fatal = ~finite | too_low | (high > 1.0 + slack + 1e-12)
+    if fatal.any():
+        s, t = np.unravel_index(int(fatal.argmax()), fatal.shape)
+        if not finite[s, t]:
+            raise DivergenceError(int(t) + 1)
+        agent, value = (lo, low) if too_low[s, t] else (hi, high)
+        raise BeliefRangeError(int(t) + 1, int(agent[s, t]), int(s), float(value[s, t]), strength)
+    below = low < -1e-12
+    stray = below | (high > 1.0 + 1e-12)
+    agents = np.where(below, lo, hi)[stray]
+    values = np.where(below, low, high)[stray]
+    states, steps = np.nonzero(stray)
+    excursions = zip(
+        (steps[:_LOG_CAP] + 1).tolist(),
+        agents[:_LOG_CAP].tolist(),
+        states[:_LOG_CAP].tolist(),
+        values[:_LOG_CAP].tolist(),
+    )
     return ValidityLog(
-        ok=count == 0,
-        count=count,
-        worst_low=worst_low,
-        worst_high=worst_high,
+        ok=not values.size,
+        count=values.size,
+        worst_low=float(np.min(values, initial=0.0)),
+        worst_high=float(np.max(values, initial=1.0)),
         excursions=tuple(excursions),
     )
 

@@ -304,10 +304,10 @@ def test_a_divergence_step_holds_across_the_repeat_stop(monkeypatch):
 
 @pytest.mark.parametrize("first", [0, 50_000])
 def test_an_aperiodic_drive_holds_no_ring(first):
-    """Example B under a signal with no period runs unchecked and holds what
-    the kernel held before the repeat stop, within 10%: the kept rows and
-    one drive term per step (14.4 MB at 10^5 steps and ``first = 0``). A
-    ring of lcm(3, horizon) + 1 states would add 21.6 MB."""
+    """Example B under a signal with no period runs unchecked and holds, within
+    10%, the kept rows and one drive term per step: 14.4 MB at 10^5 steps and
+    ``first = 0``, 10.8 MB at ``first = 50000``. A ring of lcm(3, horizon) + 1
+    states would add 21.6 MB, and a list of the drive's values 2.8 MB."""
     scenario = build_scenario(example_config("B"))
     horizon = 100_000
     values = np.random.default_rng(0).uniform(-1.0, 1.0, size=horizon)
@@ -318,7 +318,8 @@ def test_an_aperiodic_drive_holds_no_ring(first):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 2 * (horizon + 1) * scenario.x0.nbytes
+    kept, drive = horizon + 1 - first, horizon
+    assert peak <= 1.1 * (kept + drive) * scenario.x0.nbytes
 
 
 def test_consensus_subspace_is_invariant():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab.generate import (
     GeneratorSpec,
     InfeasibleError,
+    _dirichlet_split,
     example_clustering,
     example_graph_static,
     example_matrix_static,
@@ -69,6 +72,23 @@ def test_resolve_quotient_passes_user_matrix_through():
     assert spec.quotient[0, 0] == 0.7
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 160), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_one_pass_split_equals_per_block_dirichlet_draws(lengths, seed):
+    """Bit for bit, and the stream ends where the per-block calls leave it.
+    From eight terms a block is where numpy's pairwise sum would part from
+    the left-to-right sum that ``dirichlet`` takes; past 128 the pairwise
+    sum recurses."""
+    one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+    split = _dirichlet_split(one, np.array(lengths))
+    want = np.concatenate([many.dirichlet(np.ones(d)) for d in lengths])
+    assert split.tobytes() == want.tobytes()
+    assert one.random() == many.random()
+
+
 def test_generated_graph_satisfies_all_structural_hypotheses():
     for seed in (0, 5, 23, 101):
         spec = GeneratorSpec(cluster_sizes=(3, 2, 4), seed=seed, density=0.4)
@@ -110,6 +130,39 @@ def test_infeasible_quotient_support_is_reported():
     g = support(3, {(v, v) for v in range(3)} | {(2, 0), (2, 1), (0, 1)})
     with pytest.raises(InfeasibleError):
         gen_common_influence_matrix(spec, g)
+
+
+# Three faults of a 5-agent graph on clusters {0, 1}, {2, 3}, {4}: vertex 0
+# listens to cluster 2, whose block has no mass (pair (0, 2)); vertex 1's two
+# cluster-1 in-neighbours share mass 0.1 below the 0.1 floor each (pair
+# (1, 1)); vertex 2 has no cluster-0 in-neighbour though the block has mass
+# (pair (2, 0)). Column-major order would meet (2, 0) first.
+_FAULT_QUOTIENT = [[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.0]]
+_FAULT_BASE = {(v, v) for v in range(5)} | {(2, 0), (0, 3)}
+_ZERO_MASS = "graph links cluster 2 into vertex 0 but the quotient gives that block zero mass"
+_FLOOR = "block mass 0.1000 cannot give 2 in-neighbors of vertex 1 at least 0.1 each"
+_MISSING = "vertex 2 has no in-neighbor in cluster 0, required by the quotient"
+
+
+@pytest.mark.parametrize(
+    "extra, random_message, equal_message",
+    [
+        ({(4, 0), (2, 1), (3, 1)}, _ZERO_MASS, _ZERO_MASS),
+        ({(2, 1), (3, 1)}, _FLOOR, _MISSING),
+        ({(2, 1)}, _MISSING, _MISSING),
+    ],
+)
+def test_infeasible_faults_come_out_in_row_major_order(extra, random_message, equal_message):
+    """The first faulty (vertex, cluster) pair in row-major order is the one
+    reported, and equal mode has no floor to break."""
+    spec = GeneratorSpec(
+        cluster_sizes=(2, 2, 1), seed=3, quotient=np.array(_FAULT_QUOTIENT), entry_floor=0.1
+    )
+    g = support(5, _FAULT_BASE | extra)
+    for mode, message in (("random", random_message), ("equal", equal_message)):
+        with pytest.raises(InfeasibleError) as err:
+            gen_common_influence_matrix(spec, g, mode)
+        assert str(err.value) == message
 
 
 def test_switching_schedule_structure():

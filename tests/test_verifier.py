@@ -1,6 +1,8 @@
 """Hypothesis checkers, prediction/observation reconciliation, ensembles."""
 
+import collections
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from cclab.dynamics import (
     simulate,
     simulate_batch,
 )
+from cclab import generate
 from cclab.generate import EXAMPLE_WINDOW, examples
 from cclab.graph import Clustering, cluster_spanning_tree_roots
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
@@ -654,3 +657,55 @@ def test_non_finite_instance_in_a_batch(theorem, breaker, message):
         traj = simulate(inst.system, inst.x0, horizon)
         limit = detect_periodic_limit(traj, inst.system.clustering, inst.system.signal.period)
         assert out.verdict == reconcile(inst.report, inst.system, traj, limit)
+
+
+def _instance_digest(theorem: int, seeds, horizon: int) -> str:
+    h = hashlib.sha256()
+    for seed in seeds:
+        inst = ensemble_instance(theorem, seed, horizon)
+        for a in inst.system.coupling.matrices:
+            h.update(a.tobytes())
+        h.update(inst.x0.tobytes())
+        h.update(inst.system.offsets.reduced().tobytes())
+        h.update(inst.report.predicted.encode())
+        for c in inst.report.conditions:
+            h.update(f"{c.name}|{c.passed}|{c.detail}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "theorem, digest",
+    [
+        (1, "e64203fc4ee6ba730eb924047179ceb7be0bf1b202c69f4de2d022b343830d96"),
+        (2, "202b0759392ff68d0dcbc9e692655ff3bd9da92f198c030cf8f5dfa83fbcf8b8"),
+        (3, "f7e37153b96c9b94dbcc665e4f87c566db548391a50a82e9397cad57d78df813"),
+        (4, "9d1b9cfe51f671679c3071f757d13f2fafe989df18113903dae11bb7c1129fc4"),
+    ],
+)
+def test_ensemble_instance_bytes_are_pinned(theorem, digest):
+    """Guards the ensemble builder's draws: every matrix, initial state,
+    gain vector and condition detail of 40 seeded instances."""
+    horizon = 5000 if theorem in (3, 4) else 2000
+    assert _instance_digest(theorem, range(40), horizon) == digest
+
+
+@pytest.mark.parametrize("theorem", [2, 4])
+def test_an_ensemble_instance_builds_its_spec_once(theorem, monkeypatch):
+    """One seed-stream spawn, one clustering and one quotient draw per
+    instance, however many generators read them."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(generate, "_streams", counted("streams", generate._streams))
+    monkeypatch.setattr(generate, "_draw_quotient", counted("quotient", generate._draw_quotient))
+    monkeypatch.setattr(Clustering, "__post_init__", counted("clustering", Clustering.__post_init__))
+    for seed in range(10):
+        calls.clear()
+        ensemble_instance(theorem, seed, 100)
+        assert calls == {"streams": 1, "quotient": 1, "clustering": 1}
