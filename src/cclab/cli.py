@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 malformed input or an unwritable output path,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -358,6 +359,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return done.exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cclab",

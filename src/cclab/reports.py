@@ -1,13 +1,18 @@
 """Artifact emission: trajectory/belief/zeta CSVs, metrics JSON, check tables.
 
-Everything numeric is printed with 17 significant digits so artifacts
-round-trip losslessly; agents, clusters, and states are rendered 1-based.
+CSV numbers are printed with 17 significant digits and JSON floats with
+Python's shortest round-trip ``repr``, so artifacts round-trip losslessly;
+agents, clusters, and states are rendered 1-based.
+
+A run that settles onto a limit cycle repeats most of its numbers, so the
+writers format each distinct value once, in one C-level ``%`` call, and
+index the texts back into place.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -16,68 +21,97 @@ from .learning import LearningRun
 from .stochastic import MATRIX_NORM, STATE_NORM
 from .verifier import EnsembleSummary, HypothesisReport, ReconcileResult
 
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-# Distinct rows whose text is kept for reuse: a trajectory or belief history
-# that settles onto a limit cycle of at most this period is formatted once
-# per cycle row.
+# Rows formatted together: a CSV writer holds one block's text at a time.
+_BLOCK = 128
+# Rows whose text a block hands on to the next: a trajectory or belief
+# history that settles onto a limit cycle of at most this period is
+# formatted once per cycle row.
 _ROW_MEMO = 16
 
 
-def _memo_format(memo: dict[bytes, str], template: str, row: np.ndarray) -> str:
-    """``template % row``, reusing the text of the last ``_ROW_MEMO`` distinct
-    rows in ``memo``, keyed by their bytes and evicted first in, first out."""
-    key = row.tobytes()
-    text = memo.get(key)
-    if text is None:
-        if len(memo) == _ROW_MEMO:
-            del memo[next(iter(memo))]
-        text = memo[key] = template % tuple(row.ravel().tolist())
-    return text
+def _texts(values: np.ndarray, spec: str = "%.17g") -> np.ndarray:
+    """``spec % v`` for each value of a float array, as an object array of
+    the same shape.
+
+    Each distinct bit pattern is formatted once; keying on the ``int64``
+    view keeps -0.0 apart from 0.0."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = ((spec + "\n") * len(distinct) % tuple(distinct.view(np.float64).tolist())).split("\n")
+    return np.array(texts, dtype=object)[inverse.reshape(values.shape)]
+
+
+def _row_blocks(
+    history: np.ndarray, compose: Callable[[list[str]], Any]
+) -> Iterator[tuple[int, list]]:
+    """``(t0, rows)`` for each block of ``_BLOCK`` rows of a 2-D history,
+    where ``rows[k]`` is ``compose`` of the texts of row ``t0 + k``.
+
+    A row repeating one met earlier in its block, or among the last
+    ``_ROW_MEMO`` rows of the block before, reuses that row's result."""
+    history = np.ascontiguousarray(history, dtype=np.float64)
+    n = history.shape[1]
+    rows = history.view(np.dtype((np.void, 8 * n))).reshape(len(history))
+    memo: dict[bytes, Any] = {}
+    for t0 in range(0, len(history), _BLOCK):
+        keys = rows[t0 : t0 + _BLOCK].tolist()
+        fresh = [key for key in dict.fromkeys(keys) if key not in memo]
+        values = np.frombuffer(b"".join(fresh)).reshape(-1, n)
+        memo.update(zip(fresh, map(compose, _texts(values).tolist())))
+        yield t0, list(map(memo.__getitem__, keys))
+        memo = {key: memo[key] for key in keys[-_ROW_MEMO:]}
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    n = traj.n
-    template = ",".join(["%.17g"] * n) + "\n"
-    memo: dict[bytes, str] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(f"x_{i + 1}" for i in range(n)) + "\n")
-        for t, state in enumerate(traj.states):
-            fh.write(f"{t},{_memo_format(memo, template, state)}")
+        fh.write("t," + ",".join(f"x_{i + 1}" for i in range(traj.n)) + "\n")
+        for t0, rows in _row_blocks(traj.states, ",".join):
+            fh.write("".join([f"{t},{row}\n" for t, row in enumerate(rows, t0)]))
 
 
 def write_belief_csv(path: str, run: LearningRun) -> None:
-    # One line per (agent, state), each with the step t and the belief. A
-    # step's text keeps a %d per line for t, so '%' in a label is doubled
-    # twice to survive both formatting passes.
-    lines = run.n * run.m
-    template = "".join(
-        f"%%d,{i + 1},{label.replace('%', '%%%%')},%.17g\n"
-        for i in range(run.n)
-        for label in map(str, run.labels)
-    )
-    memo: dict[bytes, str] = {}
+    # One line per (agent, state), each with the step t and the belief: a
+    # step's text is str(t) joined between the lines' tails.
+    heads = [f",{i + 1},{label}," for i in range(run.n) for label in map(str, run.labels)]
+
+    def tails(texts: list[str]) -> list[str]:
+        return ["", *[f"{head}{text}\n" for head, text in zip(heads, texts)]]
+
+    profiles = run.beliefs.reshape(run.horizon + 1, run.n * run.m)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,agent,state,belief\n")
-        for t, profile in enumerate(run.beliefs):
-            fh.write(_memo_format(memo, template, profile) % ((t,) * lines))
+        for t0, steps in _row_blocks(profiles, tails):
+            fh.write("".join([str(t).join(step) for t, step in enumerate(steps, t0)]))
 
 
 def write_zeta_csv(path: str, zeta: Sequence[float]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,zeta\n")
-        for t, z in enumerate(zeta):
-            fh.write(f"{t},{_fmt(z)}\n")
+        fh.write("".join([f"{t},{z}\n" for t, z in enumerate(_texts(zeta).tolist())]))
 
 
 def _json_text(doc: dict) -> str:
-    """``doc`` as cclab writes JSON. A NaN or an infinity raises
+    """``doc`` as cclab writes JSON: ``json.dumps`` with ``indent=2`` and
+    sorted keys, plus a newline. A NaN or an infinity raises
     ``ValueError``: JSON has no such number, and cclab's own reader
-    refuses the tokens Python would write for them."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    refuses the tokens Python would write for them.
+
+    ``json``'s indenting encoder is pure Python, so a top-level list of
+    finite floats (the diameter series) is written from the ``repr`` of
+    its distinct values; every other value is dumped alone and indented
+    one level, which gives the same text."""
+    if not (isinstance(doc, dict) and doc and all(type(key) is str for key in doc)):
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    members = []
+    for key in sorted(doc):
+        value = doc[key]
+        if type(value) is list and set(map(type, value)) == {float} and np.isfinite(value).all():
+            text = "[\n    " + ",\n    ".join(_texts(value, "%r").tolist()) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+            text = text.replace("\n", "\n  ")
+        members.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}\n"
 
 
 def write_json(path: str, doc: Union[dict, str]) -> None:

@@ -531,6 +531,23 @@ def test_unknown_subcommand_is_a_usage_error():
     assert info.value.code == 2
 
 
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(config_a, tmp_path):
+    """The parser is cached per process: an overriding flag in one call
+    must not leak into the next, and a bad flag is still a usage error."""
+    assert cli_module.build_parser() is cli_module.build_parser()
+    argv = ["simulate", "--config", config_a]
+    assert main([*argv, "--seed", "5", "--out", str(tmp_path / "seeded")]) == 0
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--bogus"])
+    assert info.value.code == 2
+    assert main([*argv, "--out", str(tmp_path / "again")]) == 0
+    fresh = _python("-m", "cclab.cli", *argv, "--out", str(tmp_path / "fresh"))
+    assert fresh.returncode == 0
+    metrics = [(tmp_path / d / "metrics.json").read_bytes() for d in ("seeded", "again", "fresh")]
+    assert metrics[1] == metrics[2]
+    assert metrics[0] != metrics[1]
+
+
 @pytest.mark.parametrize(
     "path, literal, where",
     [
