@@ -14,7 +14,6 @@ from .dynamics import (
     Trajectory,
     boundedness_report,
     detect_periodic_limit,
-    quotient_simulate,
     separation_metric,
     simulate,
     z_limits,
@@ -44,7 +43,6 @@ from .stochastic import (
     ergodicity_coefficient,
     hajnal_diameter,
     power_limit,
-    product_range,
     validate,
 )
 from .verifier import (
@@ -92,8 +90,6 @@ __all__ = [
     "learn_simulate",
     "partial_sum_bound",
     "power_limit",
-    "product_range",
-    "quotient_simulate",
     "reconcile",
     "run_ensemble",
     "separation_metric",

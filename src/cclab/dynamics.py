@@ -259,28 +259,6 @@ def simulate_batch(
     return _advance(couplings, drive, x0, horizon, first)
 
 
-def quotient_simulate(
-    b: np.ndarray,
-    offsets: ClusterOffsets,
-    sig: Optional[Signal],
-    y0: np.ndarray,
-    horizon: int,
-) -> Trajectory:
-    """Reduced recursion ``y(t+1) = B y(t) + alpha u(t)`` on cluster averages."""
-    b = validate(b)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    y0 = np.asarray(y0, dtype=float)
-    k = b.shape[0]
-    if y0.shape != (k,):
-        raise ValueError(f"reduced state must have shape ({k},)")
-    alpha = offsets.reduced()
-    if alpha.shape != (k,):
-        raise ValueError("offsets do not match the reduced dimension")
-    drive = None if sig is None else _drive(alpha[None], [sig], horizon)
-    return _checked(_advance((b,), drive, y0[None], horizon, 0)[:, 0])
-
-
 @dataclass(frozen=True)
 class PeriodicLimit:
     """Per-cluster limit cycle: ``cycles[p, theta]`` is the level of cluster

@@ -11,6 +11,7 @@ index the texts back into place.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
@@ -133,27 +134,16 @@ def _limit_doc(limit: Optional[PeriodicLimit]) -> Optional[dict]:
     }
 
 
-def _bound_doc(bound: Optional[BoundReport]) -> Optional[dict]:
-    if bound is None:
-        return None
-    return {
-        "max_norm": bound.max_norm,
-        "bound": bound.bound,
-        "applicable": bound.applicable,
-        "note": bound.note,
-    }
-
-
 def metrics_document(
     digest: str,
     seed: Optional[int],
     label: str,
     traj: Trajectory,
     diameters: np.ndarray,
+    bound: BoundReport,
     report: Optional[HypothesisReport] = None,
     verdict: Optional[ReconcileResult] = None,
     limit: Optional[PeriodicLimit] = None,
-    bound: Optional[BoundReport] = None,
 ) -> dict:
     sep = separation_metric(limit).tolist() if limit is not None else None
     return {
@@ -162,12 +152,12 @@ def metrics_document(
         "seed": seed,
         "horizon": traj.horizon,
         "norms": {"matrix": MATRIX_NORM, "state": STATE_NORM},
-        "max_norm": traj.max_norm(),
+        "max_norm": bound.max_norm,
         "intra_diameter_series": [float(d) for d in diameters],
         "final_intra_diameter": float(diameters[-1]),
         "separation_matrix": sep,
         "periodic_limit": _limit_doc(limit),
-        "bound_report": _bound_doc(bound),
+        "bound_report": dataclasses.asdict(bound),
         "hypotheses": report.to_dict() if report is not None else None,
         "reconcile": verdict.to_dict() if verdict is not None else None,
         "notes": [],

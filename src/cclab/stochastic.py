@@ -27,8 +27,6 @@ from .graph import Clustering
 
 ROW_SUM_TOL = 1e-9
 COMMON_INFLUENCE_TOL = 1e-9
-RENORM_EVERY = 64
-RENORM_DRIFT_LIMIT = 1e-9
 
 MATRIX_NORM = "l1-row-difference"
 STATE_NORM = "max-abs-difference"
@@ -169,7 +167,6 @@ class MatrixSchedule:
         return len(self.matrices)
 
 
-
 def floor_report(matrices: Sequence[np.ndarray], floor: float) -> dict:
     """Entry-floor and diagonal-floor verdicts of stochastic ``matrices``
     against ``floor``."""
@@ -182,30 +179,6 @@ def floor_report(matrices: Sequence[np.ndarray], floor: float) -> dict:
         "entry_floor_ok": bool(min_positive >= floor - 1e-15),
         "diagonal_floor_ok": bool(min_diag >= floor - 1e-15),
     }
-
-
-def product_range(schedule: MatrixSchedule, t: int, s: int) -> np.ndarray:
-    """Left product ``A(s) A(s-1) ... A(t)`` for ``s >= t``.
-
-    Row sums are renormalized every ``RENORM_EVERY`` multiplications, and
-    only while the accumulated drift stays below ``RENORM_DRIFT_LIMIT``;
-    larger drift aborts rather than papering over an invalid matrix.
-    """
-    if s < t:
-        raise ValueError(f"empty product range [{t}, {s}]")
-    mats = schedule.matrices
-    acc = mats[t % len(mats)].copy()
-    for count, tau in enumerate(range(t + 1, s + 1), start=1):
-        acc = mats[tau % len(mats)] @ acc
-        if count % RENORM_EVERY == 0:
-            sums = acc.sum(axis=1)
-            drift = float(np.abs(sums - 1.0).max())
-            if drift > RENORM_DRIFT_LIMIT:
-                raise ArithmeticError(
-                    f"row-sum drift {drift:.3e} after {count} multiplications"
-                )
-            acc /= sums[:, None]
-    return acc
 
 
 @dataclass(frozen=True)

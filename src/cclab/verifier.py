@@ -253,13 +253,16 @@ def check_switching(
         detail = "not evaluated: per-step common influence fails"
     conditions.append(ConditionCheck("static-quotient-b3star", sq.static, detail))
 
+    # A window of at least len(supports) steps holds every graph once, so
+    # windows are keyed by the graphs they hold and each union searched once.
+    rooted: dict[frozenset, bool] = {}
     bad_windows = []
     for t in range(len(supports)):
-        # A window of at least len(supports) steps holds every graph once.
-        union = np.logical_or.reduce(
-            [supports[(t + i) % len(supports)] for i in range(min(window, len(supports)))]
-        )
-        if cluster_spanning_tree_roots(union, clus) is None:
+        held = frozenset((t + i) % len(supports) for i in range(min(window, len(supports))))
+        if held not in rooted:
+            union = np.logical_or.reduce([supports[i] for i in held])
+            rooted[held] = cluster_spanning_tree_roots(union, clus) is not None
+        if not rooted[held]:
             bad_windows.append(t)
     conditions.append(
         ConditionCheck(
@@ -395,48 +398,32 @@ def reconcile(
         off = sep[~np.eye(clus.k, dtype=bool)]
         min_sep = float(off.min())
 
+    notes: tuple[str, ...] = ()
     if report.predicted == "no-guarantee":
-        note = (
-            "hypotheses unmet; observed "
-            + ("synchronization" if intra_ok else "no synchronization")
-        )
-        return ReconcileResult(
-            "PASS-VACUOUS", report.predicted, final_diam, sync_thr, min_sep,
-            thresholds.separation, (note,),
-        )
-    if not intra_ok:
-        return ReconcileResult(
-            "FAIL", report.predicted, final_diam, sync_thr, min_sep,
-            thresholds.separation,
-            (f"final intra-cluster diameter {final_diam:.3e} >= {sync_thr:.3e}",),
-        )
-    if report.predicted == "intra-sync":
-        return ReconcileResult(
-            "PASS", report.predicted, final_diam, sync_thr, min_sep,
-            thresholds.separation,
-        )
+        status = "PASS-VACUOUS"
+        observed = "synchronization" if intra_ok else "no synchronization"
+        notes = (f"hypotheses unmet; observed {observed}",)
+    elif not intra_ok:
+        status = "FAIL"
+        notes = (f"final intra-cluster diameter {final_diam:.3e} >= {sync_thr:.3e}",)
+    elif report.predicted == "intra-sync":
+        status = "PASS"
     # cluster consensus predicted
-    if clus.k == 1:
-        return ReconcileResult(
-            "PASS", report.predicted, final_diam, sync_thr, min_sep,
-            thresholds.separation, ("single cluster: separation vacuous",),
-        )
-    if limit is None:
-        return ReconcileResult(
-            "DEGENERATE", report.predicted, final_diam, sync_thr, min_sep,
-            thresholds.separation,
-            ("no periodic limit detected at the horizon; separation unverified",),
-        )
-    if min_sep is not None and min_sep > thresholds.separation:
-        return ReconcileResult(
-            "PASS", report.predicted, final_diam, sync_thr, min_sep,
-            thresholds.separation,
+    elif clus.k == 1:
+        status = "PASS"
+        notes = ("single cluster: separation vacuous",)
+    elif limit is None:
+        status = "DEGENERATE"
+        notes = ("no periodic limit detected at the horizon; separation unverified",)
+    elif min_sep > thresholds.separation:
+        status = "PASS"
+    else:
+        status = "DEGENERATE"
+        notes = (
+            f"smallest cluster-pair separation {min_sep:.3e} <= {thresholds.separation:.1e}",
         )
     return ReconcileResult(
-        "DEGENERATE", report.predicted, final_diam, sync_thr, min_sep,
-        thresholds.separation,
-        (f"smallest cluster-pair separation {min_sep:.3e} <="
-         f" {thresholds.separation:.1e}",),
+        status, report.predicted, final_diam, sync_thr, min_sep, thresholds.separation, notes
     )
 
 

@@ -14,13 +14,12 @@ from cclab.dynamics import (
     System,
     boundedness_report,
     detect_periodic_limit,
-    quotient_simulate,
     separation_metric,
     simulate,
     z_limits,
 )
 from cclab.generate import example_graphs_switching
-from cclab.graph import cluster_spanning_tree_roots
+from cclab.graph import Clustering, cluster_spanning_tree_roots
 from cclab.learning import CulturalFlags, learn_simulate
 from cclab.signals import ClusterOffsets, PeriodicInput
 from cclab.stochastic import (
@@ -45,6 +44,19 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 def distinct_alphas(rng, k):
     return tuple(float(v) for v in rng.uniform(-1, 1) + np.cumsum(rng.uniform(0.3, 1.0, k)))
+
+
+def closed_form_gap(scenario, traj, limit) -> float:
+    """Gap between the observed cycle at phase 1 and the paper's closed form
+    ``y(nT + 1) -> Z1 y(0) + Z2 alpha``: the undriven run's final cluster
+    means (``Z1`` acting on ``x(0)``) plus ``Z2 @ alpha`` from the quotient."""
+    sys = scenario.system
+    clus = sys.clustering
+    undriven = simulate(System(sys.coupling, clus), scenario.x0, traj.horizon)
+    b = schedule_quotient(sys.coupling.matrices, clus).quotient
+    _, z2 = z_limits(b, sys.signal)
+    predicted = clus.means(undriven.states[-1]) + z2 @ sys.offsets.reduced()
+    return float(np.abs(limit.cycles[:, 1] - predicted).max())
 
 
 def test_criterion_01_hajnal_inequality_ensemble():
@@ -155,17 +167,19 @@ def test_criterion_05_static_example_periodic_limit_and_z2_spectrum():
         return sorted(vals, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
 
     spec_err = max(abs(g - e) for g, e in zip(order(list(got)), order(expected)))
+    gap = closed_form_gap(scenario, traj, limit) if limit is not None else np.inf
     ok = (
         limit is not None
         and limit.residual < 1e-8
         and sep > 1e-3
         and spec_err < 1e-6
+        and gap <= 1e-12
     )
     verdict(
         5,
         ok,
         f"T=2 residual {limit.residual:.2e}, separation(C2, C3) {sep:.3f},"
-        f" Z2 spectrum error {spec_err:.2e}",
+        f" Z2 spectrum error {spec_err:.2e}, closed-form cycle gap {gap:.2e}",
     )
 
 
@@ -187,13 +201,14 @@ def test_criterion_06_switching_example_needs_the_union(tmp_path):
     diam = traj.diameter_series(clus)
     limit = detect_periodic_limit(traj, clus, period=2)
     sep = separation_metric(limit)[1, 2] if limit is not None else 0.0
-    ok = each_fails and windows_pass and diam[-1] < 1e-8 and sep > 1e-3
+    gap = closed_form_gap(scenario, traj, limit) if limit is not None else np.inf
+    ok = each_fails and windows_pass and diam[-1] < 1e-8 and sep > 1e-3 and gap <= 1e-12
     verdict(
         6,
         ok,
         f"graphs individually rootless: {each_fails}, L=3 unions rooted:"
         f" {windows_pass}, final intra diameter {diam[-1]:.2e},"
-        f" separation(C2, C3) {sep:.3f}",
+        f" separation(C2, C3) {sep:.3f}, closed-form cycle gap {gap:.2e}",
     )
 
 
@@ -210,7 +225,10 @@ def test_criterion_07_full_and_quotient_runs_agree():
         sys = System(coupling=a, clustering=clus, offsets=offs, signal=sig)
         y0 = rng.uniform(-1, 1, clus.k)
         traj = simulate(sys, y0[clus.labels()], 10_000)
-        qtraj = quotient_simulate(b, offs, sig, y0, 10_000)
+        # The reduced recursion is the quotient system on singleton clusters.
+        singles = Clustering.from_sizes((1,) * clus.k)
+        quotient = System(b, singles, ClusterOffsets(singles, offs.alphas), sig)
+        qtraj = simulate(quotient, y0, 10_000)
         gap = float(np.abs(traj.states - qtraj.states[:, clus.labels()]).max())
         worst = max(worst, gap)
     verdict(7, worst <= 1e-7, f"50 instances over 10^4 steps, worst gap {worst:.3e}")

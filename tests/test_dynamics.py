@@ -17,7 +17,6 @@ from cclab.dynamics import (
     boundedness_report,
     detect_periodic_limit,
     limit_window_start,
-    quotient_simulate,
     separation_metric,
     simulate,
     simulate_batch,
@@ -351,22 +350,15 @@ def test_full_and_quotient_simulations_agree_on_cluster_means():
     y0 = np.array([X0[list(members)].mean() for members in clus.clusters])
     x0 = y0[clus.labels()]
     traj = simulate(sys, x0, 2000)
-    qtraj = quotient_simulate(b, sys.offsets, sys.signal, y0, 2000)
+    # The reduced recursion is the quotient system on singleton clusters.
+    singles = Clustering.from_sizes((1,) * clus.k)
+    quotient = System(b, singles, ClusterOffsets(singles, sys.offsets.alphas), sys.signal)
+    qtraj = simulate(quotient, y0, 2000)
     means = np.stack(
         [traj.states[:, list(members)].mean(axis=1) for members in clus.clusters],
         axis=1,
     )
     assert np.abs(means - qtraj.states).max() <= 1e-8
-
-
-def test_quotient_simulate_validates_shapes():
-    clus = example_clustering()
-    offs = ClusterOffsets(clus, example_alphas())
-    b = example_quotient()
-    with pytest.raises(ValueError):
-        quotient_simulate(b, offs, None, np.zeros(2), 10)
-    with pytest.raises(ValueError):
-        quotient_simulate(b, offs, None, np.zeros(3), 0)
 
 
 def test_periodic_limit_matches_closed_form():

@@ -2,7 +2,8 @@
 every name in an ``__all__`` is bound in its module, every public name of
 the package has a user in the package or the benchmark, one place tells a
 bare coupling matrix from a schedule, one pipeline detects the limit and
-reconciles, and one kernel entry steps every run."""
+reconciles, one kernel entry steps every run, and every private helper
+has a caller."""
 
 import ast
 import pathlib
@@ -20,8 +21,6 @@ AWAITING = {
     "hajnal_diameter": "item 4",
     "is_cluster_scrambling": "item 4",
     "z_limits": "item 5",
-    "quotient_simulate": "item 5",
-    "product_range": "item 5",
 }
 
 
@@ -133,6 +132,15 @@ def call_sites(source: str, name: str) -> list[str]:
     return _sites(source, lambda n: isinstance(n, ast.Call) and _names(n.func, name))
 
 
+def private_functions(source: str) -> list[str]:
+    """Names of the module-level functions whose names start with ``_``."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
+    ]
+
+
 def unresolved_exports(source: str) -> list[str]:
     tree = ast.parse(source)
     bound = _bound(tree)
@@ -156,6 +164,20 @@ def test_every_public_name_has_a_user_or_awaits_its_roadmap_item():
     # an adopted or deleted name leaves the list
     assert sorted(set(AWAITING) & used) == []
     assert sorted(set(AWAITING) - set(cclab.__all__)) == []
+
+
+def test_every_private_helper_has_a_caller():
+    """A module-level private function is called, or read as a value (a
+    schema table entry, say), somewhere in the package outside its own
+    definition; one that is not is dead code."""
+    sources = [p.read_text(encoding="utf-8") for p in SOURCES]
+    used = set().union(*(used_names(source) for source in sources))
+    defined = {
+        f"{p.stem}.{name}": name
+        for p, source in zip(SOURCES, sources)
+        for name in private_functions(source)
+    }
+    assert sorted(q for q, name in defined.items() if name not in used) == []
 
 
 def test_only_the_system_constructor_tells_a_matrix_from_a_schedule():
@@ -185,21 +207,21 @@ def test_one_pipeline_detects_the_limit_and_reconciles(name):
 @pytest.mark.parametrize(
     "name, callers",
     [
-        ("_advance", ["dynamics.quotient_simulate", "dynamics.simulate_batch"]),
-        ("_drive", ["dynamics.quotient_simulate", "dynamics.simulate_batch"]),
+        ("_advance", ["dynamics.simulate_batch"]),
+        ("_drive", ["dynamics.simulate_batch"]),
         ("_addressable", ["dynamics.simulate_batch"]),
     ],
 )
 def test_one_kernel_entry_steps_every_run(name, callers):
-    """A config run, an ensemble batch and a learning run all step through
-    ``dynamics.simulate_batch``; the reduced recursion ``quotient_simulate``
-    is the one other caller until item 5 replaces it."""
+    """A config run, an ensemble batch, a learning run and the reduced
+    recursion (the quotient ``System`` on singleton clusters) all step
+    through ``dynamics.simulate_batch``, the one caller of the kernel."""
     sites = [
         f"{p.stem}.{site}"
         for p in SOURCES
         for site in call_sites(p.read_text(encoding="utf-8"), name)
     ]
-    assert sorted(sites) == callers
+    assert sites == callers
 
 
 def test_the_checks_catch_what_they_look_for():
@@ -220,6 +242,7 @@ def test_the_checks_catch_what_they_look_for():
     )
     assert {"g", "h", "signals", "SequenceInput", "value"} <= used
     assert not {"f", "C", "path"} & used
+    assert private_functions("def _f(): pass\nclass _C: pass\n_g = 1\ndef h(): pass\n") == ["_f"]
     sites = isinstance_sites(
         "isinstance(a, S)\n"
         "class C:\n"

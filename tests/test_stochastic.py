@@ -16,7 +16,6 @@ from cclab.stochastic import (
     floor_report,
     hajnal_diameter,
     power_limit,
-    product_range,
     schedule_quotient,
     validate,
 )
@@ -171,27 +170,6 @@ def test_quotient_matrix_requires_common_influence():
 def test_example_quotient_recovered_from_full_matrix():
     b = schedule_quotient((example_matrix_static(),), example_clustering()).quotient
     assert np.abs(b - example_quotient()).max() < 1e-15
-
-
-def test_product_range_matches_naive_product():
-    rng = np.random.default_rng(41)
-    mats = tuple(random_stochastic(rng, 5) for _ in range(4))
-    sched = MatrixSchedule(mats)
-    for t, s in [(0, 0), (0, 3), (2, 7), (1, 9)]:
-        naive = sched.matrices[t % 4].copy()
-        for tau in range(t + 1, s + 1):
-            naive = sched.matrices[tau % 4] @ naive
-        assert np.array_equal(product_range(sched, t, s), naive)
-    with pytest.raises(ValueError):
-        product_range(sched, 3, 2)
-
-
-def test_product_range_long_products_stay_stochastic():
-    rng = np.random.default_rng(43)
-    sched = MatrixSchedule(tuple(random_stochastic(rng, 6) for _ in range(3)))
-    acc = product_range(sched, 0, 500)
-    assert np.abs(acc.sum(axis=1) - 1.0).max() < 1e-12
-    assert acc.min() >= 0.0
 
 
 def test_matrix_schedule_cycles_and_reports_floor():

@@ -15,12 +15,13 @@ from cclab.dynamics import (
     DivergenceError,
     PeriodicLimit,
     System,
+    Trajectory,
     detect_periodic_limit,
     limit_window_start,
     simulate,
     simulate_batch,
 )
-from cclab import generate
+from cclab import generate, verifier
 from cclab.generate import EXAMPLE_WINDOW, examples
 from cclab.graph import Clustering, cluster_spanning_tree_roots
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
@@ -261,6 +262,46 @@ def test_switching_window_matters():
     assert check_switching(SWITCHING, window=3).consensus_ok
 
 
+def _root_searches(monkeypatch):
+    """Arguments of every ``cluster_spanning_tree_roots`` call the
+    checker makes from here on."""
+    calls = []
+    search = verifier.cluster_spanning_tree_roots
+
+    def counted(s, clustering):
+        calls.append(s)
+        return search(s, clustering)
+
+    monkeypatch.setattr(verifier, "cluster_spanning_tree_roots", counted)
+    return calls
+
+
+@pytest.mark.parametrize("window", [3, 5])
+def test_windows_holding_every_graph_share_one_root_search(monkeypatch, window):
+    calls = _root_searches(monkeypatch)
+    report = check_switching(SWITCHING, window=window)
+    assert report.condition("window-union-spanning-trees").passed
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "window, searches, detail",
+    [
+        (1, 4, "windows starting at [0, 1, 2] lack cluster spanning trees"),
+        (2, 4, "windows starting at [0, 1] lack cluster spanning trees"),
+        (4, 1, "every union over 4 consecutive steps has cluster spanning trees"),
+    ],
+)
+def test_short_windows_are_each_searched_and_named(monkeypatch, window, searches, detail):
+    """Example B's three rootless graphs, then the static example's rooted
+    one: a window shorter than the schedule has its own union."""
+    mixed = MatrixSchedule(SWITCHING.coupling.matrices + STATIC.coupling.matrices)
+    calls = _root_searches(monkeypatch)
+    report = check_switching(dataclasses.replace(SWITCHING, coupling=mixed), window=window)
+    assert report.condition("window-union-spanning-trees").detail == detail
+    assert len(calls) == searches
+
+
 def test_switching_check_accepts_fixed_matrices():
     report = check_switching(STATIC)
     assert report.condition("window-union-spanning-trees").passed
@@ -367,6 +408,90 @@ def test_reconcile_single_cluster_consensus_is_vacuously_separated():
     result = reconcile(report, sys, traj)
     assert result.status == "PASS"
     assert "single cluster" in result.notes[0]
+
+
+def _reconcile_case(predicted, sizes, last, cycles=None):
+    """``reconcile`` on a run from ``x(0) = (-1, 0, 1, ...)`` to ``last``,
+    with a period-2 limit of ``cycles`` if given."""
+    clus = Clustering.from_sizes(sizes)
+    sys = System(coupling=np.eye(clus.n), clustering=clus)
+    first = np.arange(clus.n, dtype=float) - 1.0
+    traj = Trajectory(np.stack([first, np.asarray(last, dtype=float)]))
+    limit = None if cycles is None else PeriodicLimit(2, np.asarray(cycles, dtype=float), 0.0)
+    report = HypothesisReport(claim="c", conditions=(), predicted=predicted)
+    return reconcile(report, sys, traj, limit).to_dict()
+
+
+_SEPARATED = [[0.5, 0.25], [0.2, 0.75]]
+_TINY = [[0.5, 0.25], [0.5 + 1e-9, 0.25]]
+_TWO = {"sync_threshold": 2e-08, "separation_threshold": 1e-06}
+_FOUR = {"sync_threshold": 3.0000000000000004e-08, "separation_threshold": 1e-06}
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        (
+            ("no-guarantee", (2,), [0.5, 0.5]),
+            {"status": "PASS-VACUOUS", "predicted": "no-guarantee",
+             "final_intra_diameter": 0.0, "min_separation": None, **_TWO,
+             "notes": ["hypotheses unmet; observed synchronization"]},
+        ),
+        (
+            ("no-guarantee", (2,), [1.0, -1.0]),
+            {"status": "PASS-VACUOUS", "predicted": "no-guarantee",
+             "final_intra_diameter": 2.0, "min_separation": None, **_TWO,
+             "notes": ["hypotheses unmet; observed no synchronization"]},
+        ),
+        (
+            ("cluster-consensus", (2, 2), [0.5, 0.5, 1.0, 0.0], _SEPARATED),
+            {"status": "FAIL", "predicted": "cluster-consensus",
+             "final_intra_diameter": 1.0, "min_separation": 0.5, **_FOUR,
+             "notes": ["final intra-cluster diameter 1.000e+00 >= 3.000e-08"]},
+        ),
+        (
+            ("intra-sync", (2, 2), [0.5, 0.5, 0.2, 0.2]),
+            {"status": "PASS", "predicted": "intra-sync",
+             "final_intra_diameter": 0.0, "min_separation": None, **_FOUR, "notes": []},
+        ),
+        (
+            ("cluster-consensus", (2,), [0.5, 0.5]),
+            {"status": "PASS", "predicted": "cluster-consensus",
+             "final_intra_diameter": 0.0, "min_separation": None, **_TWO,
+             "notes": ["single cluster: separation vacuous"]},
+        ),
+        (
+            ("cluster-consensus", (2, 2), [0.5, 0.5, 0.2, 0.2]),
+            {"status": "DEGENERATE", "predicted": "cluster-consensus",
+             "final_intra_diameter": 0.0, "min_separation": None, **_FOUR,
+             "notes": ["no periodic limit detected at the horizon; separation unverified"]},
+        ),
+        (
+            ("cluster-consensus", (2, 2), [0.5, 0.5, 0.2, 0.2], _SEPARATED),
+            {"status": "PASS", "predicted": "cluster-consensus",
+             "final_intra_diameter": 0.0, "min_separation": 0.5, **_FOUR, "notes": []},
+        ),
+        (
+            ("cluster-consensus", (2, 2), [0.5, 0.5, 0.2, 0.2], _TINY),
+            {"status": "DEGENERATE", "predicted": "cluster-consensus",
+             "final_intra_diameter": 0.0, "min_separation": 9.999999717180685e-10, **_FOUR,
+             "notes": ["smallest cluster-pair separation 1.000e-09 <= 1.0e-06"]},
+        ),
+    ],
+    ids=[
+        "vacuous-synced",
+        "vacuous-unsynced",
+        "fail",
+        "pass-intra-sync",
+        "pass-single-cluster",
+        "degenerate-no-limit",
+        "pass-separated",
+        "degenerate-tiny-separation",
+    ],
+)
+def test_each_reconcile_branch_writes_its_document(case, expected):
+    """Every status with its notes, as ``to_dict`` writes it."""
+    assert _reconcile_case(*case) == expected
 
 
 def test_reconcile_to_dict_round_trip():
