@@ -22,7 +22,7 @@ import functools
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .reports import (
 from .verifier import (
     ClaimError,
     HypothesisReport,
+    Outcome,
     ReconcileResult,
     check_claim,
     run,
@@ -161,19 +162,22 @@ def _run_ensemble(args: argparse.Namespace) -> int:
 @dataclass(frozen=True)
 class _Run:
     """One config run, checked, simulated and reconciled, and its output
-    directory. ``metrics`` is the JSON text of ``metrics.json``.
-    ``verdict`` and ``bound`` are None when the run diverged; ``traj`` then
-    holds the finite prefix and ``metrics`` the divergence record.
+    directory. ``metrics`` is the JSON text of ``metrics.json``. ``outcome``
+    is the run's record, or the :class:`DivergenceError` that ended it, with
+    the finite prefix; ``metrics`` then holds the divergence record.
     """
 
     scenario: Scenario
     report: HypothesisReport
     ok: bool
     outdir: str
-    traj: Trajectory
+    outcome: Union[Outcome, DivergenceError]
     metrics: str
-    verdict: Optional[ReconcileResult] = None
     bound: Optional[BoundReport] = None
+
+    @property
+    def verdict(self) -> Optional[ReconcileResult]:
+        return None if isinstance(self.outcome, DivergenceError) else self.outcome.verdict
 
     @property
     def exit_code(self) -> int:
@@ -217,28 +221,20 @@ def _run_config(args: argparse.Namespace) -> _Run:
             "diverged_at": out.t,
             "note": str(out),
         }
-        return _Run(scenario, report, ok, outdir, Trajectory(out.partial), _json_text(metrics))
+        return _Run(scenario, report, ok, outdir, out, _json_text(metrics))
     if isinstance(out, Exception):
         raise out
-    bound = boundedness_report(sys_, out.traj, tol=scenario.thresholds.common_influence)
-    metrics = metrics_document(
-        digest=scenario.digest,
-        seed=scenario.seed,
-        label=scenario.label,
-        traj=out.traj,
-        diameters=out.traj.diameter_series(sys_.clustering),
-        report=report,
-        verdict=out.verdict,
-        limit=out.limit,
-        bound=bound,
+    bound = boundedness_report(
+        sys_, scenario.x0, scenario.horizon, out.peak, tol=scenario.thresholds.common_influence
     )
+    metrics = metrics_document(scenario.digest, scenario.seed, scenario.label, out, bound, report)
     try:
         text = _json_text(metrics)
     except ValueError:
         raise _OutOfRange(
             "the run left float64's range: its metrics hold a NaN or an infinity"
         ) from None
-    return _Run(scenario, report, ok, outdir, out.traj, text, out.verdict, bound)
+    return _Run(scenario, report, ok, outdir, out, text, bound)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -247,8 +243,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not args.config:
         raise ConfigError("--config required (or use --ensemble)")
     done = _run_config(args)
-    if done.traj.horizon >= 1:
-        write_trajectory_csv(os.path.join(done.outdir, "trajectory.csv"), done.traj)
+    out = done.outcome
+    traj = Trajectory(out.partial) if isinstance(out, DivergenceError) else out.traj
+    if traj.horizon >= 1:
+        write_trajectory_csv(os.path.join(done.outdir, "trajectory.csv"), traj)
     write_json(os.path.join(done.outdir, "metrics.json"), done.metrics)
     if done.verdict is not None:
         print(

@@ -109,9 +109,6 @@ class Trajectory:
         """Largest intra-cluster state gap of every row."""
         return clustering.spreads(self.states).max(axis=1, initial=0.0)
 
-    def max_norm(self) -> float:
-        return float(np.abs(self.states).max())
-
 
 def _drive(sigma: np.ndarray, signals: Sequence[Signal], horizon: int) -> np.ndarray:
     """Input terms ``sigma u(t)`` of a batch, one per phase, shape (P, B, n, 1).
@@ -406,19 +403,18 @@ def _power_error_sum(b: np.ndarray, b_inf: np.ndarray) -> float:
 
 
 def boundedness_report(
-    sys: System, traj: Trajectory, tol: float = COMMON_INFLUENCE_TOL
+    sys: System, x0: np.ndarray, horizon: int, peak: float, tol: float = COMMON_INFLUENCE_TOL
 ) -> BoundReport:
-    """Compare the trajectory's peak max-norm with the a-priori bound of
-    :class:`BoundReport`, computed on the K-by-K quotient. ``tol`` is the
-    common-influence tolerance, as in the claim checks."""
-    max_norm = traj.max_norm()
-    x0_norm = float(np.abs(traj.states[0]).max())
+    """Compare a run's peak max-norm ``peak`` over ``x(0..horizon)`` with the
+    a-priori bound of :class:`BoundReport`, computed on the K-by-K quotient.
+    ``tol`` is the common-influence tolerance, as in the claim checks."""
+    x0_norm = float(np.abs(x0).max())
     if not sys.driven():
-        return BoundReport(max_norm, x0_norm, True, "undriven: peak equals initial norm bound")
+        return BoundReport(peak, x0_norm, True, "undriven: peak equals initial norm bound")
     sq = schedule_quotient(sys.coupling.matrices, sys.clustering, tol)
     if sq.quotient is None:
         return BoundReport(
-            max_norm,
+            peak,
             None,
             False,
             f"no inter-cluster common influence (block-sum spread {sq.deviation:.3e});"
@@ -426,7 +422,7 @@ def boundedness_report(
         )
     if not sq.static:
         return BoundReport(
-            max_norm,
+            peak,
             None,
             False,
             f"quotient varies across the schedule (deviation {sq.spread:.3e});"
@@ -438,11 +434,11 @@ def boundedness_report(
     else:
         # Empirical boundedness only: a partial-sum peak still growing near the
         # end of the horizon means the bound's hypothesis is unverified.
-        max_u, max_partial = partial_sum_bound(sig, traj.horizon - 1)
-        _, half_peak = partial_sum_bound(sig, (traj.horizon - 1) // 2)
+        max_u, max_partial = partial_sum_bound(sig, horizon - 1)
+        _, half_peak = partial_sum_bound(sig, (horizon - 1) // 2)
         if max_partial > half_peak * (1 + 1e-9):
             return BoundReport(
-                max_norm,
+                peak,
                 None,
                 False,
                 "partial sums still growing over the horizon; bound inapplicable",
@@ -451,11 +447,11 @@ def boundedness_report(
     try:
         b_inf = power_limit(b).limit
     except (ValueError, ConvergenceError) as exc:
-        return BoundReport(max_norm, None, False, f"quotient powers: {exc}; bound inapplicable")
+        return BoundReport(peak, None, False, f"quotient powers: {exc}; bound inapplicable")
     alpha = sys.offsets.reduced()
     y_part = (
         float(np.abs(b_inf @ alpha).max()) * max_partial
         + float(np.abs(alpha).max()) * max_u * _power_error_sum(b, b_inf)
     )
-    widen = traj.horizon * b.shape[0] * (sq.deviation + sq.spread)
-    return BoundReport(max_norm, x0_norm + y_part * (1.0 + widen), True)
+    widen = horizon * b.shape[0] * (sq.deviation + sq.spread)
+    return BoundReport(peak, x0_norm + y_part * (1.0 + widen), True)

@@ -112,9 +112,6 @@ class Clustering:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.clusters)
 
-    def index_of(self, v: int) -> int:
-        return int(self._labels[v])
-
     def labels(self) -> np.ndarray:
         return self._labels.copy()
 

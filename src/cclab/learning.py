@@ -159,9 +159,6 @@ class LearningRun:
     def m(self) -> int:
         return self.beliefs.shape[2]
 
-    def profile(self, t: int) -> BeliefProfile:
-        return BeliefProfile(self.beliefs[t], self.labels)
-
     def zeta_series(self, p: int, q: int, state: int) -> np.ndarray:
         """|cluster-p mean - cluster-q mean| of the given state's belief,
         one value per recorded step."""

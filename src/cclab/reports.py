@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import BoundReport, PeriodicLimit, Trajectory, separation_metric
 from .learning import LearningRun
 from .stochastic import MATRIX_NORM, STATE_NORM
-from .verifier import EnsembleSummary, HypothesisReport, ReconcileResult
+from .verifier import EnsembleSummary, HypothesisReport, Outcome
 
 # Rows formatted together: a CSV writer holds one block's text at a time.
 _BLOCK = 128
@@ -138,28 +138,28 @@ def metrics_document(
     digest: str,
     seed: Optional[int],
     label: str,
-    traj: Trajectory,
-    diameters: np.ndarray,
+    outcome: Outcome,
     bound: BoundReport,
-    report: Optional[HypothesisReport] = None,
-    verdict: Optional[ReconcileResult] = None,
-    limit: Optional[PeriodicLimit] = None,
+    report: HypothesisReport,
 ) -> dict:
+    """``metrics.json`` of a config run: ``outcome`` is its record, kept
+    from step 0, so its diameter series has ``horizon + 1`` entries."""
+    limit, verdict = outcome.limit, outcome.verdict
     sep = separation_metric(limit).tolist() if limit is not None else None
     return {
         "label": label,
         "config_sha256": digest,
         "seed": seed,
-        "horizon": traj.horizon,
+        "horizon": len(outcome.diameters) - 1,
         "norms": {"matrix": MATRIX_NORM, "state": STATE_NORM},
         "max_norm": bound.max_norm,
-        "intra_diameter_series": [float(d) for d in diameters],
-        "final_intra_diameter": float(diameters[-1]),
+        "intra_diameter_series": [float(d) for d in outcome.diameters],
+        "final_intra_diameter": verdict.final_diameter,
         "separation_matrix": sep,
         "periodic_limit": _limit_doc(limit),
         "bound_report": dataclasses.asdict(bound),
-        "hypotheses": report.to_dict() if report is not None else None,
-        "reconcile": verdict.to_dict() if verdict is not None else None,
+        "hypotheses": report.to_dict(),
+        "reconcile": verdict.to_dict(),
         "notes": [],
     }
 

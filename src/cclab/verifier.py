@@ -381,16 +381,17 @@ class ReconcileResult:
 def reconcile(
     report: HypothesisReport,
     sys: System,
-    traj: Trajectory,
+    x0: np.ndarray,
+    final_diameter: float,
     limit: Optional[PeriodicLimit] = None,
     thresholds: Thresholds = Thresholds(),
 ) -> ReconcileResult:
-    """Status of one run; reads only the initial state ``traj.states[0]``
-    and the final state ``traj.states[-1]`` of the trajectory."""
+    """Status of one run from its initial state ``x0``, the intra-cluster
+    diameter ``final_diameter`` of its final state and its periodic limit,
+    if any; :func:`run` passes the last of :attr:`Outcome.diameters`."""
     clus = sys.clustering
-    final_diam = float(clus.spreads(traj.states[-1]).max())
-    sync_thr = thresholds.sync_threshold(traj.states[0])
-    intra_ok = final_diam < sync_thr
+    sync_thr = thresholds.sync_threshold(x0)
+    intra_ok = final_diameter < sync_thr
 
     min_sep: Optional[float] = None
     if limit is not None and clus.k > 1:
@@ -405,7 +406,7 @@ def reconcile(
         notes = (f"hypotheses unmet; observed {observed}",)
     elif not intra_ok:
         status = "FAIL"
-        notes = (f"final intra-cluster diameter {final_diam:.3e} >= {sync_thr:.3e}",)
+        notes = (f"final intra-cluster diameter {final_diameter:.3e} >= {sync_thr:.3e}",)
     elif report.predicted == "intra-sync":
         status = "PASS"
     # cluster consensus predicted
@@ -423,16 +424,20 @@ def reconcile(
             f"smallest cluster-pair separation {min_sep:.3e} <= {thresholds.separation:.1e}",
         )
     return ReconcileResult(
-        status, report.predicted, final_diam, sync_thr, min_sep, thresholds.separation, notes
+        status, report.predicted, final_diameter, sync_thr, min_sep, thresholds.separation, notes
     )
 
 
 @dataclass(frozen=True)
 class Outcome:
-    """One system's states after ``first..horizon`` steps, the periodic
-    limit read off them, if any, and the verdict."""
+    """The record of one system's run: its states after ``first..horizon``
+    steps, the intra-cluster diameter of each and their peak max-norm, the
+    periodic limit read off them, if any, and the verdict. With
+    ``first > 0``, ``diameters`` and ``peak`` cover only the kept window."""
 
     traj: Trajectory
+    diameters: np.ndarray
+    peak: float
     limit: Optional[PeriodicLimit]
     verdict: ReconcileResult
 
@@ -448,28 +453,30 @@ def run(
     """simulate -> limit -> reconcile for same-size systems, one batch from
     ``x0`` of shape (B, n), keeping the states after ``first..horizon``
     steps; ``first`` may not pass a periodic signal's
-    :func:`limit_window_start`. Returns each system's :class:`Outcome`, or
-    the exception that ended its run: a :class:`DivergenceError` holds the
-    finite prefix of the run in ``partial``."""
+    :func:`limit_window_start`. Returns each system's :class:`Outcome`, made
+    here once, or the exception that ended its run: a
+    :class:`DivergenceError` holds the finite prefix of the run in ``partial``."""
     rows = simulate_batch(systems, x0, horizon, first)
 
     def outcome(b: int) -> Outcome:
-        sys, start = systems[b], first
-        if start == 0:
+        sys = systems[b]
+        if first == 0:
             traj = _checked(rows[:, b])
         elif np.isfinite(rows[:, b]).all():
             traj = Trajectory(rows[:, b])
         else:
-            # A non-finite state stays non-finite, so the replay from step 0
-            # raises DivergenceError at the first non-finite step.
-            traj, start = simulate(sys, x0[b], horizon), 0
+            # In matmul 0*inf and 0*NaN are NaN, so a non-finite state stays so: this
+            # replay of the batch's bits raises DivergenceError at the first one.
+            simulate(sys, x0[b], horizon)
+        peak = float(np.abs(traj.states).max())
+        diameters = traj.diameter_series(sys.clustering)
         limit = None
         if isinstance(sys.signal, PeriodicInput):
             limit = detect_periodic_limit(
-                traj, sys.clustering, sys.signal.period, tol=thresholds.periodic, first=start
+                traj, sys.clustering, sys.signal.period, tol=thresholds.periodic, first=first
             )
-        ends = Trajectory(np.stack([x0[b], traj.states[-1]]))
-        return Outcome(traj, limit, reconcile(reports[b], sys, ends, limit, thresholds))
+        verdict = reconcile(reports[b], sys, x0[b], float(diameters[-1]), limit, thresholds)
+        return Outcome(traj, diameters, peak, limit, verdict)
 
     return [_safe(outcome, b) for b in range(len(systems))]
 

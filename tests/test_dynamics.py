@@ -468,24 +468,25 @@ def test_z_limits_requires_positive_diagonal():
 def test_boundedness_report_static_driven():
     sys = example_system_static()
     traj = simulate(sys, X0, 2000)
-    report = boundedness_report(sys, traj)
+    peak = float(np.abs(traj.states).max())
+    report = boundedness_report(sys, X0, traj.horizon, peak)
     assert report.applicable
     assert report.bound is not None
-    assert traj.max_norm() <= report.bound
-    assert report.max_norm == traj.max_norm()
+    assert peak <= report.bound
+    assert report.max_norm == peak
 
 
 def test_boundedness_report_undriven_and_switching():
     clus = example_clustering()
     undriven = System(coupling=example_matrix_static(), clustering=clus)
     traj = simulate(undriven, X0, 50)
-    rep = boundedness_report(undriven, traj)
+    rep = boundedness_report(undriven, X0, traj.horizon, np.abs(traj.states).max())
     assert rep.applicable
     assert rep.bound == pytest.approx(np.abs(X0).max())
     assert rep.max_norm <= rep.bound + 1e-12
     switching = System(coupling=example_schedule_switching(), clustering=clus)
     straj = simulate(switching, X0, 50)
-    srep = boundedness_report(switching, straj)
+    srep = boundedness_report(switching, X0, straj.horizon, np.abs(straj.states).max())
     assert srep.applicable
     assert srep.bound == pytest.approx(np.abs(X0).max())
     assert srep.max_norm <= srep.bound + 1e-12
@@ -507,7 +508,7 @@ def _nudge(rng, a, clus, eps):
     another cluster's, making a block-sum spread of at most ``eps``."""
     a = a.copy()
     i = int(rng.integers(clus.n))
-    p = clus.index_of(i)
+    p = int(clus.labels()[i])
     q = (p + 1 + int(rng.integers(clus.k - 1))) % clus.k
     own = list(clus.clusters[p])
     a[i, own[int(np.argmax(a[i, own]))]] -= eps
@@ -556,8 +557,10 @@ def test_bound_holds_exactly_where_it_applies(seed, kind):
         offsets=ClusterOffsets(clus, tuple(rng.uniform(-2.0, 2.0, k))),
         signal=PeriodicInput(T, tuple(rng.uniform(-1.0, 1.0, T - 1))),
     )
-    traj = simulate(sys, rng.uniform(-1.0, 1.0, clus.n), 300)
-    report = boundedness_report(sys, traj, tol=tol)
+    x0 = rng.uniform(-1.0, 1.0, clus.n)
+    traj = simulate(sys, x0, 300)
+    peak = np.abs(traj.states).max()
+    report = boundedness_report(sys, x0, traj.horizon, peak, tol=tol)
     if kind in ("no-common-influence", "varying-quotient"):
         assert not report.applicable
         assert report.bound is None
@@ -565,7 +568,7 @@ def test_bound_holds_exactly_where_it_applies(seed, kind):
         assert why in report.note
         return
     assert report.applicable, report.note
-    assert traj.max_norm() <= report.bound
+    assert peak <= report.bound
     b_inf = power_limit(b).limit
     brute = sum(
         float(np.abs(np.linalg.matrix_power(b, j) - b_inf).sum(axis=1).max()) for j in range(201)
@@ -585,10 +588,11 @@ def test_bound_needs_a_quotient_power_limit_not_a_coupling_one():
     for a, applicable in ((swap_within, True), (swap_across, False)):
         sys = System(coupling=a, clustering=clus, offsets=offsets, signal=PeriodicInput(2, (-1.0,)))
         traj = simulate(sys, x0, 40)
-        report = boundedness_report(sys, traj)
+        peak = np.abs(traj.states).max()
+        report = boundedness_report(sys, x0, traj.horizon, peak)
         assert report.applicable is applicable, report.note
         if applicable:
-            assert traj.max_norm() <= report.bound
+            assert peak <= report.bound
         else:
             assert "quotient powers" in report.note
 
@@ -601,16 +605,16 @@ def test_bound_reads_an_aperiodic_signal_only_where_the_run_used_it():
     values = tuple(0.5 if t % 2 else -0.5 for t in range(horizon))
     sys = System(sys.coupling, sys.clustering, sys.offsets, SequenceInput(values))
     traj = simulate(sys, X0, horizon)
-    report = boundedness_report(sys, traj)
+    peak = np.abs(traj.states).max()
+    report = boundedness_report(sys, X0, horizon, peak)
     assert report.applicable
-    assert traj.max_norm() <= report.bound
+    assert peak <= report.bound
 
 
 def test_trajectory_accessors():
     t = Trajectory(np.zeros((5, 3)))
     assert t.horizon == 4
     assert t.n == 3
-    assert t.max_norm() == 0.0
     clus = Clustering.from_sizes((2, 1))
     assert t.diameter_series(clus).shape == (5,)
     with pytest.raises(ValueError):

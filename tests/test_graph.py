@@ -235,7 +235,7 @@ def test_clustering_validation():
     assert clus.k == 2
     assert clus.sizes == (2, 3)
     assert clus.clusters == ((0, 1), (2, 3, 4))
-    assert [clus.index_of(v) for v in range(5)] == [0, 0, 1, 1, 1]
+    assert [clus.labels()[v] for v in range(5)] == [0, 0, 1, 1, 1]
     assert clus.labels().tolist() == [0, 0, 1, 1, 1]
 
 

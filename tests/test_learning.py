@@ -77,11 +77,11 @@ def test_learn_step_matches_manual_update():
     prof = BeliefProfile.uniform(9, 2)
     a = example_matrix_static()
     sig = example_signal()
-    nxt = learn_simulate(undriven(a), flags, prof, horizon=1).profile(1)
+    nxt = learn_simulate(undriven(a), flags, prof, horizon=1).beliefs[1]
     push = 0.01 * flags.table[clus.labels()]
     for s in range(2):
         manual = a @ prof.beliefs[:, s] + sig.value(0) * push[:, s]
-        assert np.array_equal(nxt.beliefs[:, s], manual)
+        assert np.array_equal(nxt[:, s], manual)
 
 
 def test_belief_sums_stay_at_one():
@@ -213,8 +213,7 @@ def test_learning_run_accessors():
     run = example_learning(horizon=20)
     assert run.n == 9
     assert run.m == 2
-    prof = run.profile(7)
-    assert np.array_equal(prof.beliefs, run.beliefs[7])
+    assert run.beliefs[7].shape == (9, 2)
     assert Trajectory(run.beliefs[:, :, 1]).states.shape == (21, 9)
 
 

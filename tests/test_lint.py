@@ -2,8 +2,8 @@
 every name in an ``__all__`` is bound in its module, every public name of
 the package has a user in the package or the benchmark, one place tells a
 bare coupling matrix from a schedule, one pipeline detects the limit and
-reconciles, one kernel entry steps every run, and every private helper
-has a caller."""
+reconciles, the CLI reads the run's rows only to write them, one kernel
+entry steps every run, and every private helper has a caller."""
 
 import ast
 import pathlib
@@ -132,6 +132,11 @@ def call_sites(source: str, name: str) -> list[str]:
     return _sites(source, lambda n: isinstance(n, ast.Call) and _names(n.func, name))
 
 
+def attribute_sites(source: str, name: str) -> list[str]:
+    """The :func:`_sites` that read the attribute ``name``."""
+    return _sites(source, lambda n: isinstance(n, ast.Attribute) and n.attr == name)
+
+
 def private_functions(source: str) -> list[str]:
     """Names of the module-level functions whose names start with ``_``."""
     return [
@@ -192,16 +197,27 @@ def test_only_the_system_constructor_tells_a_matrix_from_a_schedule():
     assert sites == ["dynamics.System.__post_init__"]
 
 
-@pytest.mark.parametrize("name", ["detect_periodic_limit", "reconcile"])
+@pytest.mark.parametrize("name", ["diameter_series", "detect_periodic_limit", "reconcile"])
 def test_one_pipeline_detects_the_limit_and_reconciles(name):
     """A config run and an ensemble instance are judged by the same code:
-    the pipeline ``verifier.run`` is the only caller of each step."""
+    the pipeline ``verifier.run`` is the only caller of each step, and its
+    record carries the diameter series to every other reader."""
     sites = [
         f"{p.stem}.{site}"
         for p in SOURCES
         for site in call_sites(p.read_text(encoding="utf-8"), name)
     ]
     assert sites == ["verifier.run.outcome"]
+
+
+def test_the_cli_reads_rows_only_to_write_them():
+    """The CLI takes every number from the run record; the states
+    themselves, ``.traj``, are read only where ``trajectory.csv`` is
+    written."""
+    source = (pathlib.Path(cclab.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    writers = call_sites(source, "write_trajectory_csv")
+    assert writers
+    assert set(attribute_sites(source, "traj")) <= set(writers)
 
 
 @pytest.mark.parametrize(
@@ -260,3 +276,5 @@ def test_the_checks_catch_what_they_look_for():
         "g",
     )
     assert calls == ["f", "h.inner"]
+    reads = attribute_sites("def f(a): return a.traj\ndef g(traj): return traj, b.c\n", "traj")
+    assert reads == ["f"]

@@ -22,6 +22,7 @@ from cclab.dynamics import (
     simulate_batch,
 )
 from cclab import generate, verifier
+from cclab.config import build_scenario, example_config
 from cclab.generate import EXAMPLE_WINDOW, examples
 from cclab.graph import Clustering, cluster_spanning_tree_roots
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
@@ -350,7 +351,7 @@ def test_reconcile_pass_on_the_static_example():
     report = check_claim(STATIC, 2)[0]
     traj = simulate(STATIC, X0, 2000)
     limit = detect_periodic_limit(traj, STATIC.clustering, period=2)
-    result = reconcile(report, STATIC, traj, limit)
+    result = reconcile(report, STATIC, X0, traj.diameter_series(STATIC.clustering)[-1], limit)
     assert result.status == "PASS"
     assert result.min_separation > 1e-3
     assert result.final_diameter < result.sync_threshold
@@ -359,7 +360,7 @@ def test_reconcile_pass_on_the_static_example():
 def test_reconcile_degenerate_without_a_limit():
     report = check_claim(STATIC, 2)[0]
     traj = simulate(STATIC, X0, 2000)
-    result = reconcile(report, STATIC, traj, limit=None)
+    result = reconcile(report, STATIC, X0, traj.diameter_series(STATIC.clustering)[-1], limit=None)
     assert result.status == "DEGENERATE"
 
 
@@ -369,7 +370,7 @@ def test_reconcile_degenerate_on_tiny_separation():
     cycles = np.full((3, 2), 0.5)
     cycles[1] += 1e-9  # below the separation threshold
     limit = PeriodicLimit(period=2, cycles=cycles, residual=0.0)
-    result = reconcile(report, STATIC, traj, limit)
+    result = reconcile(report, STATIC, X0, traj.diameter_series(STATIC.clustering)[-1], limit)
     assert result.status == "DEGENERATE"
 
 
@@ -380,7 +381,7 @@ def test_reconcile_fail_when_predicted_sync_is_missing():
         claim="static-sync", conditions=(), predicted="intra-sync", sync_ok=True
     )
     traj = simulate(sys, np.array([1.0, -1.0]), 50)  # identity keeps the gap
-    result = reconcile(report, sys, traj)
+    result = reconcile(report, sys, traj.states[0], traj.diameter_series(clus)[-1])
     assert result.status == "FAIL"
 
 
@@ -389,7 +390,7 @@ def test_reconcile_vacuous_without_guarantees():
     sys = System(coupling=np.eye(2), clustering=clus)
     report = check_claim(sys, 1)[0]
     traj = simulate(sys, np.array([1.0, -1.0]), 50)
-    result = reconcile(report, sys, traj)
+    result = reconcile(report, sys, traj.states[0], traj.diameter_series(clus)[-1])
     assert result.status == "PASS-VACUOUS"
     assert "no synchronization" in result.notes[0]
 
@@ -405,7 +406,7 @@ def test_reconcile_single_cluster_consensus_is_vacuously_separated():
     )
     sys = System(coupling=a, clustering=clus)
     traj = simulate(sys, np.array([1.0, 0.0]), 200)
-    result = reconcile(report, sys, traj)
+    result = reconcile(report, sys, traj.states[0], traj.diameter_series(clus)[-1])
     assert result.status == "PASS"
     assert "single cluster" in result.notes[0]
 
@@ -419,7 +420,7 @@ def _reconcile_case(predicted, sizes, last, cycles=None):
     traj = Trajectory(np.stack([first, np.asarray(last, dtype=float)]))
     limit = None if cycles is None else PeriodicLimit(2, np.asarray(cycles, dtype=float), 0.0)
     report = HypothesisReport(claim="c", conditions=(), predicted=predicted)
-    return reconcile(report, sys, traj, limit).to_dict()
+    return reconcile(report, sys, first, traj.diameter_series(clus)[-1], limit).to_dict()
 
 
 _SEPARATED = [[0.5, 0.25], [0.2, 0.75]]
@@ -497,7 +498,8 @@ def test_each_reconcile_branch_writes_its_document(case, expected):
 def test_reconcile_to_dict_round_trip():
     report = check_claim(STATIC, 2)[0]
     traj = simulate(STATIC, X0, 2000)
-    doc = reconcile(report, STATIC, traj, limit=None).to_dict()
+    final = traj.diameter_series(STATIC.clustering)[-1]
+    doc = reconcile(report, STATIC, X0, final, limit=None).to_dict()
     assert doc["status"] == "DEGENERATE"
     assert doc["predicted"] == "cluster-consensus"
     assert isinstance(doc["final_intra_diameter"], float)
@@ -591,7 +593,7 @@ def _verdict(report, sys, x0, horizon):
     limit = None
     if report.predicted == "cluster-consensus":
         limit = detect_periodic_limit(traj, sys.clustering, sys.signal.period)
-    return reconcile(report, sys, traj, limit)
+    return reconcile(report, sys, x0, traj.diameter_series(sys.clustering)[-1], limit)
 
 
 @settings(max_examples=200, deadline=None)
@@ -781,7 +783,161 @@ def test_non_finite_instance_in_a_batch(theorem, breaker, message):
     for inst, out in zip(group[:1] + group[2:], results[:1] + results[2:]):
         traj = simulate(inst.system, inst.x0, horizon)
         limit = detect_periodic_limit(traj, inst.system.clustering, inst.system.signal.period)
-        assert out.verdict == reconcile(inst.report, inst.system, traj, limit)
+        final = traj.diameter_series(inst.system.clustering)[-1]
+        assert out.verdict == reconcile(inst.report, inst.system, inst.x0, final, limit)
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def _record(out):
+    """A run record's verdict, diameter series, peak and limit cycles, the
+    arrays by their SHA-256; a divergence by its message and prefix."""
+    if isinstance(out, DivergenceError):
+        return ("diverged", repr(out), _sha(out.partial))
+    cycles = None if out.limit is None else _sha(out.limit.cycles)
+    return (out.verdict.to_dict(), _sha(out.diameters), out.peak, cycles)
+
+
+def _verdict_doc(status, predicted, final, sync, separation):
+    return {
+        "status": status,
+        "predicted": predicted,
+        "final_intra_diameter": final,
+        "sync_threshold": sync,
+        "min_separation": separation,
+        "separation_threshold": 1e-06,
+        "notes": [],
+    }
+
+
+def _example_records(which):
+    scenario = build_scenario(example_config(which))
+    sys, th = scenario.system, scenario.thresholds
+    report, _ = check_claim(
+        sys, scenario.theorem, window=scenario.window, horizon=scenario.horizon, thresholds=th
+    )
+    return run([sys], scenario.x0[None], [report], scenario.horizon, th)
+
+
+def _diverging_batch_records():
+    horizon = 200
+    group = max(_batches(1, 8, 30, horizon), key=len)
+    first = _first(group, horizon)
+    group[1] = _break_signal(group[1], horizon)
+    return _run(group, horizon, first)
+
+
+def _claim_2_batch_records():
+    horizon = 2000
+    group = max(_batches(2, 5, 12, horizon), key=len)
+    return _run(group, horizon, _first(group, horizon))
+
+
+@pytest.mark.parametrize(
+    "runs, expected",
+    [
+        (
+            lambda: _example_records("A"),
+            [
+                (_verdict_doc("PASS", "cluster-consensus", 0.0, 1.7777758976934537e-08, 1.0),
+                 "6038902e29588cd1d6c2a18d645f6e7bd44f6742ef21b8fdb67d91e6b2fd98f2",
+                 1.7777758976934535,
+                 "7bde8ea1bc8805fb39a9fa1053fcebefdbfbc0bf7abbec6a54d5c1c3d9274729"),
+            ],
+        ),
+        (
+            lambda: _example_records("B"),
+            [
+                (_verdict_doc(
+                    "PASS", "cluster-consensus", 4.440892098500626e-16, 1.7777758976934537e-08, 1.0
+                 ),
+                 "3babb1b5c4213d9ab3a922354010cffe4b988559f60fa278f4dd08168ec6497b",
+                 1.7777758976934535,
+                 "80a17459b5e94f0c4a0aa527c97a54f30b4ba28001d8ed311f1956c7f12997a5"),
+            ],
+        ),
+        (
+            _diverging_batch_records,
+            [
+                (_verdict_doc(
+                    "PASS", "intra-sync", 2.7755575615628914e-17, 1.6474064798651292e-08,
+                    0.5870690582622196,
+                 ),
+                 "56bedf47a96e45b8d69aaa7c3d068351ed0d2bac49485223b46ff922e6562c7e",
+                 0.5559543456946352,
+                 "a08ef49ab45ead7da6c2ef6e6b9c6b31360ed1e38c11a93ea02d8799d82339e4"),
+                ("diverged",
+                 "DivergenceError('non-finite state at step 6')",
+                 "a23d19e67d12f3593298ef3d64886f870032d141d54398288e3a23fed8642722"),
+                (_verdict_doc(
+                    "PASS", "intra-sync", 0.0, 1.3921213057643952e-08, 0.47775151142379135
+                 ),
+                 "9e04b5cbaa8fbbd0b6bf7538661785be8d3cb9194ee1f4c6ef6aaf4af73730d0",
+                 3.9247914457525037,
+                 "2a9f45061364e507c41168e0a92e5de387d3c7658696721055ce9aa6cf79a911"),
+                (_verdict_doc(
+                    "PASS", "intra-sync", 1.1102230246251565e-16, 1.899667067765104e-08,
+                    0.8850446222563084,
+                 ),
+                 "a273c659e35e756a99baa2ca12bc5559ddb472fe306d716542ef3e24c89cdb81",
+                 1.320993484786618,
+                 "d2332cf54758be0951699719c5bc374691b3d8c99e30031a46d12959d0084b6c"),
+                (_verdict_doc(
+                    "PASS", "intra-sync", 1.3322676295501878e-15, 1.9202900906586138e-08,
+                    0.6940278826664841,
+                 ),
+                 "19982405e510e47044f54176e36ab59b017df27a04e9d8d82c765bb6375525c6",
+                 4.304173702234628,
+                 "63c8ba942942c9e511e34bb1fca342e3bc6859c60c1750b6151aad9936532d3b"),
+                (_verdict_doc(
+                    "PASS", "intra-sync", 4.440892098500626e-16, 1.6407024080875788e-08,
+                    0.8696096808569826,
+                 ),
+                 "6595fa68791a887e8c8e6e97233218a3a775a0577d98dc79d27d21cb1c541a0e",
+                 3.915378773601553,
+                 "03dd4e46850b68bcbdff3001f9711f3711de2b0e36e452ba994fbbcdf0309325"),
+            ],
+        ),
+        (
+            _claim_2_batch_records,
+            [
+                (_verdict_doc(
+                    "PASS", "cluster-consensus", 0.0, 1.9634083210324262e-08, 0.2793560009948961
+                 ),
+                 "4f9e1e02c09d65ec3ed02f1acd87f857959e01b877bbcb9a575037c34d089434",
+                 2.640656304240754,
+                 "77405684ef2df4db19eacfaa40e95f35d4c4f64552691a1fdd851c3cf658995d"),
+                (_verdict_doc(
+                    "PASS", "cluster-consensus", 4.440892098500626e-16, 1.8675767294224984e-08,
+                    1.5586735752118726,
+                 ),
+                 "4181497a6e1d351c7673a4481fb1f82827c6a6207f62ff7ab95ca37b09721d95",
+                 1.1928122921064013,
+                 "3dd6144310b5fe336e9a7df8482363a62dae7162e6dad0fce1f1a1f17b8ec994"),
+                (_verdict_doc(
+                    "PASS", "cluster-consensus", 0.0, 1.9576937822762247e-08, 0.18959751760544996
+                 ),
+                 "4f9e1e02c09d65ec3ed02f1acd87f857959e01b877bbcb9a575037c34d089434",
+                 1.5119117738741974,
+                 "440cd7d0b64b3aca6693fddd4fd13b87c09eb6a014436c0bd55bf6647521dbcd"),
+                (_verdict_doc(
+                    "PASS", "cluster-consensus", 0.0, 1.9906797888295504e-08, 0.11678824200459337
+                 ),
+                 "4f9e1e02c09d65ec3ed02f1acd87f857959e01b877bbcb9a575037c34d089434",
+                 2.130390689635119,
+                 "0b2b795dd0ea54ee566d12e65f2015d60b93c37e009213b291df733741a49759"),
+            ],
+        ),
+    ],
+    ids=["example-A", "example-B", "diverging-batch", "claim-2-batch"],
+)
+def test_the_run_record_is_pinned(runs, expected):
+    """Each run's record, as :func:`run` computes it once: examples A and B
+    from step 0, and two ensemble batches that keep only their limit
+    windows, one of them with a diverging member."""
+    assert [_record(out) for out in runs()] == expected
 
 
 def _instance_digest(theorem: int, seeds, horizon: int) -> str:
