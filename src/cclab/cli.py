@@ -225,7 +225,7 @@ def _run_config(args: argparse.Namespace) -> _Run:
     if isinstance(out, Exception):
         raise out
     bound = boundedness_report(
-        sys_, scenario.x0, scenario.horizon, out.peak, tol=scenario.thresholds.common_influence
+        sys_, scenario.x0, scenario.horizon, out.peak, report.quotient, report.inputs
     )
     metrics = metrics_document(scenario.digest, scenario.seed, scenario.label, out, bound, report)
     try:

@@ -458,7 +458,9 @@ def _build_clustering(doc: dict) -> Clustering:
         return Clustering.from_sizes(tuple(section["sizes"]))
     clusters = tuple(tuple(sorted(c)) for c in section["clusters"])
     n = int(max(max(c) for c in clusters)) + 1
-    return Clustering(n, clusters)
+    clustering = Clustering(n, clusters)
+    _check_agent_count(doc, n)
+    return clustering
 
 
 def _require_seed(doc: dict, why: str) -> int:
@@ -505,7 +507,6 @@ def _coupling_matrix(m, path: tuple, n: int) -> np.ndarray:
 
 
 def _build_topology(doc: dict, clustering: Clustering):
-    _check_agent_count(doc, clustering.n)
     top = doc["topology"]
     inline = _inline(top)
     if inline is not None:

@@ -24,15 +24,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .graph import Clustering
-from .signals import ClusterOffsets, PeriodicInput, Signal, eval_u, partial_sum_bound
-from .stochastic import (
-    COMMON_INFLUENCE_TOL,
-    ConvergenceError,
-    MatrixSchedule,
-    power_limit,
-    schedule_quotient,
-    validate,
-)
+from .signals import ClusterOffsets, InputBound, PeriodicInput, Signal, eval_u
+from .stochastic import ConvergenceError, MatrixSchedule, ScheduleQuotient, power_limit, validate
 
 
 class DivergenceError(RuntimeError):
@@ -373,8 +366,8 @@ class BoundReport:
     undriven run is bounded by ``||x(0)||``.
     ``applicable`` is False, ``bound`` None and ``note`` says why, without
     common influence, when the quotient varies across the schedule, when
-    its powers have no limit, or when an aperiodic signal's partial sums
-    are still growing.
+    the input fails the ``input-bounded`` check, or when the quotient's
+    powers have no limit.
     """
 
     max_norm: float
@@ -388,9 +381,11 @@ def _power_error_sum(b: np.ndarray, b_inf: np.ndarray) -> float:
 
     With ``E_j = ||B^j - B_inf||`` and ``s`` the first power with
     ``E_s <= 1/2``, ``B^{ks+r} - B_inf = (B^s - B_inf)^k (B^r - B_inf)``
-    gives ``S = sum_{j<s} E_j / (1 - E_s)``. ``b_inf`` must be a power of
-    ``b`` formed by right multiplication, as :func:`power_limit` returns it,
-    so the walk reaches ``E = 0`` at the latest there.
+    gives ``S = sum_{j<s} E_j / (1 - E_s)``. ``b_inf`` is a power of
+    ``validate(b)`` formed by right multiplication, as :func:`power_limit`
+    returns it, so the walk reaches ``E = 0`` there; where ``validate``
+    renormalizes the rows of ``b``, ``E`` only falls to round-off level,
+    and the identity holds to within it.
     """
     total = 0.0
     power = np.eye(b.shape[0])
@@ -403,55 +398,39 @@ def _power_error_sum(b: np.ndarray, b_inf: np.ndarray) -> float:
 
 
 def boundedness_report(
-    sys: System, x0: np.ndarray, horizon: int, peak: float, tol: float = COMMON_INFLUENCE_TOL
+    sys: System,
+    x0: np.ndarray,
+    horizon: int,
+    peak: float,
+    quotient: ScheduleQuotient,
+    inputs: Optional[InputBound],
 ) -> BoundReport:
     """Compare a run's peak max-norm ``peak`` over ``x(0..horizon)`` with the
     a-priori bound of :class:`BoundReport`, computed on the K-by-K quotient.
-    ``tol`` is the common-influence tolerance, as in the claim checks."""
+    ``quotient`` and ``inputs`` are the hypothesis check's
+    (:attr:`~cclab.verifier.HypothesisReport.quotient` and ``inputs``)."""
     x0_norm = float(np.abs(x0).max())
     if not sys.driven():
         return BoundReport(peak, x0_norm, True, "undriven: peak equals initial norm bound")
-    sq = schedule_quotient(sys.coupling.matrices, sys.clustering, tol)
-    if sq.quotient is None:
-        return BoundReport(
-            peak,
-            None,
-            False,
-            f"no inter-cluster common influence (block-sum spread {sq.deviation:.3e});"
-            " bound inapplicable",
-        )
-    if not sq.static:
-        return BoundReport(
-            peak,
-            None,
-            False,
-            f"quotient varies across the schedule (deviation {sq.spread:.3e});"
-            " bound inapplicable",
-        )
-    sig = sys.signal
-    if isinstance(sig, PeriodicInput):
-        max_u, max_partial = partial_sum_bound(sig, 2 * sig.period)
+    b = quotient.quotient
+    why = ""
+    if b is None:
+        why = f"no inter-cluster common influence (block-sum spread {quotient.deviation:.3e})"
+    elif not quotient.static:
+        why = f"quotient varies across the schedule (deviation {quotient.spread:.3e})"
+    elif not inputs.bounded:
+        why = f"input-bounded fails ({inputs.detail})"
     else:
-        # Empirical boundedness only: a partial-sum peak still growing near the
-        # end of the horizon means the bound's hypothesis is unverified.
-        max_u, max_partial = partial_sum_bound(sig, horizon - 1)
-        _, half_peak = partial_sum_bound(sig, (horizon - 1) // 2)
-        if max_partial > half_peak * (1 + 1e-9):
-            return BoundReport(
-                peak,
-                None,
-                False,
-                "partial sums still growing over the horizon; bound inapplicable",
-            )
-    b = sq.quotient
-    try:
-        b_inf = power_limit(b).limit
-    except (ValueError, ConvergenceError) as exc:
-        return BoundReport(peak, None, False, f"quotient powers: {exc}; bound inapplicable")
+        try:
+            b_inf = power_limit(b).limit
+        except (ValueError, ConvergenceError) as exc:
+            why = f"quotient powers: {exc}"
+    if why:
+        return BoundReport(peak, None, False, f"{why}; bound inapplicable")
     alpha = sys.offsets.reduced()
     y_part = (
-        float(np.abs(b_inf @ alpha).max()) * max_partial
-        + float(np.abs(alpha).max()) * max_u * _power_error_sum(b, b_inf)
+        float(np.abs(b_inf @ alpha).max()) * inputs.max_partial
+        + float(np.abs(alpha).max()) * inputs.max_u * _power_error_sum(b, b_inf)
     )
-    widen = horizon * b.shape[0] * (sq.deviation + sq.spread)
+    widen = horizon * b.shape[0] * (quotient.deviation + quotient.spread)
     return BoundReport(peak, x0_norm + y_part * (1.0 + widen), True)

@@ -27,7 +27,7 @@ from cclab.stochastic import (
     hajnal_diameter,
     schedule_quotient,
 )
-from cclab.verifier import run_ensemble
+from cclab.verifier import check_switching, run_ensemble
 
 from random_instances import (
     random_clustered_tree_matrix,
@@ -127,7 +127,10 @@ def test_criterion_04_static_example_checks_syncs_and_stays_bounded(tmp_path):
     traj = simulate(scenario.system, scenario.x0, 2000)
     diam = traj.diameter_series(scenario.system.clustering)
     peak = float(np.abs(traj.states).max())
-    bound = boundedness_report(scenario.system, scenario.x0, traj.horizon, peak)
+    report = check_switching(scenario.system, horizon=traj.horizon)
+    bound = boundedness_report(
+        scenario.system, scenario.x0, traj.horizon, peak, report.quotient, report.inputs
+    )
     ok = (
         check_sync == 0
         and check_consensus == 0

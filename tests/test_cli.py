@@ -97,6 +97,25 @@ def test_simulate_writes_deterministic_artifacts(config_a, tmp_path, capsys):
     assert len(t1.decode().splitlines()) == 2002  # header + 2001 states
 
 
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_simulate_checks_the_quotient_and_scans_the_signal_once(which, tmp_path, monkeypatch):
+    """The a-priori bound reads the quotient and the input peaks off the
+    hypothesis report instead of computing them again."""
+    path = tmp_path / "c.json"
+    emit_config(example_config(which), str(path))
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("cclab.")]:
+        for name in ("schedule_quotient", "partial_sum_bound"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == ["partial_sum_bound", "schedule_quotient"]
+
+
 def test_simulate_metrics_content(config_a, tmp_path):
     d = tmp_path / "run"
     main(["simulate", "--config", config_a, "--out", str(d)])

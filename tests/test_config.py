@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cclab import config as config_module
 from cclab.config import (
     SPARSE_FROM,
     ConfigError,
@@ -213,6 +214,28 @@ def test_generator_topology_builds_from_seed():
     assert a.shape == (5, 5)
     assert build_scenario(doc).digest == scenario.digest
     assert np.array_equal(build_scenario(doc).system.coupling.matrices[0], a)
+
+
+@pytest.mark.parametrize("recipe", [False, True], ids=["inline", "generator"])
+@pytest.mark.parametrize("layout", ["sizes", "clusters"])
+def test_a_config_load_checks_its_agent_count_once(recipe, layout, monkeypatch):
+    calls = []
+    check = config_module._check_agent_count
+    monkeypatch.setattr(
+        config_module, "_check_agent_count", lambda doc, n: calls.append(n) or check(doc, n)
+    )
+    doc = example_config("A")
+    if recipe:
+        doc["topology"] = {"type": "generator", "density": 0.5}
+    if layout == "clusters":
+        labels = build_scenario(doc).system.clustering.clusters
+        doc["clustering"] = {"clusters": [list(c) for c in labels]}
+        calls.clear()
+    try:
+        build_scenario(doc)
+    except ConfigError as exc:  # a generator recipe needs the sizes layout
+        assert recipe and layout == "clusters" and "contiguous" in str(exc)
+    assert calls == [9]
 
 
 def test_generator_topology_requires_contiguous_sizes():

@@ -34,7 +34,7 @@ from cclab.config import build_scenario, example_config
 from cclab.graph import Clustering
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
 from cclab.stochastic import MatrixSchedule, power_limit, schedule_quotient, validate
-from cclab.verifier import check_claim, ensemble_instance, run
+from cclab.verifier import Thresholds, check_claim, check_switching, ensemble_instance, run
 
 from random_instances import random_clustering, random_common_influence
 
@@ -465,11 +465,21 @@ def test_z_limits_requires_positive_diagonal():
         z_limits(np.array([[0.0, 1.0], [1.0, 0.0]]), example_signal())
 
 
+def _bound(sys, x0, traj, tol=1e-9):
+    """The a-priori bound of a run, read off the hypothesis check at the
+    common-influence tolerance ``tol``."""
+    report = check_switching(
+        sys, horizon=traj.horizon, thresholds=Thresholds(common_influence=tol)
+    )
+    peak = float(np.abs(traj.states).max())
+    return boundedness_report(sys, x0, traj.horizon, peak, report.quotient, report.inputs)
+
+
 def test_boundedness_report_static_driven():
     sys = example_system_static()
     traj = simulate(sys, X0, 2000)
     peak = float(np.abs(traj.states).max())
-    report = boundedness_report(sys, X0, traj.horizon, peak)
+    report = _bound(sys, X0, traj)
     assert report.applicable
     assert report.bound is not None
     assert peak <= report.bound
@@ -480,13 +490,13 @@ def test_boundedness_report_undriven_and_switching():
     clus = example_clustering()
     undriven = System(coupling=example_matrix_static(), clustering=clus)
     traj = simulate(undriven, X0, 50)
-    rep = boundedness_report(undriven, X0, traj.horizon, np.abs(traj.states).max())
+    rep = _bound(undriven, X0, traj)
     assert rep.applicable
     assert rep.bound == pytest.approx(np.abs(X0).max())
     assert rep.max_norm <= rep.bound + 1e-12
     switching = System(coupling=example_schedule_switching(), clustering=clus)
     straj = simulate(switching, X0, 50)
-    srep = boundedness_report(switching, X0, straj.horizon, np.abs(straj.states).max())
+    srep = _bound(switching, X0, straj)
     assert srep.applicable
     assert srep.bound == pytest.approx(np.abs(X0).max())
     assert srep.max_norm <= srep.bound + 1e-12
@@ -519,7 +529,9 @@ def _nudge(rng, a, clus, eps):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["fixed", "switching", "spread", "no-common-influence", "varying-quotient"]),
+    st.sampled_from(
+        ["fixed", "switching", "spread", "no-common-influence", "varying-quotient", "aperiodic"]
+    ),
 )
 @example(seed=102, kind="spread")  # peak above the bound without the widening
 @example(seed=298, kind="spread")
@@ -533,7 +545,7 @@ def test_bound_holds_exactly_where_it_applies(seed, kind):
     k = clus.k
     b = 0.5 * np.eye(k) + 0.5 * rng.dirichlet(np.ones(k), size=k)
     tol = 1e-9
-    if kind == "fixed":
+    if kind in ("fixed", "aperiodic"):
         coupling = _lift(rng, b, clus)
     elif kind == "switching":
         coupling = MatrixSchedule(tuple(_lift(rng, b, clus) for _ in range(3)))
@@ -550,17 +562,24 @@ def test_bound_holds_exactly_where_it_applies(seed, kind):
     else:
         b2 = 0.5 * np.eye(k) + 0.5 * rng.dirichlet(np.ones(k), size=k)
         coupling = MatrixSchedule((_lift(rng, b, clus), _lift(rng, b2, clus)))
-    T = int(rng.integers(2, 5))
+    horizon = 300
+    if kind == "aperiodic":
+        # Exactly the inputs the run reads, halving in size: the partial
+        # sums settle long before the half-way step.
+        signal = SequenceInput(tuple(rng.uniform(-1.0, 1.0, horizon) * 0.5 ** np.arange(horizon)))
+    else:
+        T = int(rng.integers(2, 5))
+        signal = PeriodicInput(T, tuple(rng.uniform(-1.0, 1.0, T - 1)))
     sys = System(
         coupling=coupling,
         clustering=clus,
         offsets=ClusterOffsets(clus, tuple(rng.uniform(-2.0, 2.0, k))),
-        signal=PeriodicInput(T, tuple(rng.uniform(-1.0, 1.0, T - 1))),
+        signal=signal,
     )
     x0 = rng.uniform(-1.0, 1.0, clus.n)
-    traj = simulate(sys, x0, 300)
+    traj = simulate(sys, x0, horizon)
     peak = np.abs(traj.states).max()
-    report = boundedness_report(sys, x0, traj.horizon, peak, tol=tol)
+    report = _bound(sys, x0, traj, tol)
     if kind in ("no-common-influence", "varying-quotient"):
         assert not report.applicable
         assert report.bound is None
@@ -589,7 +608,7 @@ def test_bound_needs_a_quotient_power_limit_not_a_coupling_one():
         sys = System(coupling=a, clustering=clus, offsets=offsets, signal=PeriodicInput(2, (-1.0,)))
         traj = simulate(sys, x0, 40)
         peak = np.abs(traj.states).max()
-        report = boundedness_report(sys, x0, traj.horizon, peak)
+        report = _bound(sys, x0, traj)
         assert report.applicable is applicable, report.note
         if applicable:
             assert peak <= report.bound
@@ -606,7 +625,7 @@ def test_bound_reads_an_aperiodic_signal_only_where_the_run_used_it():
     sys = System(sys.coupling, sys.clustering, sys.offsets, SequenceInput(values))
     traj = simulate(sys, X0, horizon)
     peak = np.abs(traj.states).max()
-    report = boundedness_report(sys, X0, horizon, peak)
+    report = _bound(sys, X0, traj)
     assert report.applicable
     assert peak <= report.bound
 

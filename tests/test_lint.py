@@ -3,7 +3,8 @@ every name in an ``__all__`` is bound in its module, every public name of
 the package has a user in the package or the benchmark, one place tells a
 bare coupling matrix from a schedule, one pipeline detects the limit and
 reconciles, the CLI reads the run's rows only to write them, one kernel
-entry steps every run, and every private helper has a caller."""
+entry steps every run, one check computes the quotient and the input bound,
+and every private helper has a caller."""
 
 import ast
 import pathlib
@@ -240,6 +241,25 @@ def test_one_kernel_entry_steps_every_run(name, callers):
     assert sites == callers
 
 
+@pytest.mark.parametrize(
+    "name, callers",
+    [
+        ("schedule_quotient", ["generate._matrix_on_graph", "verifier.check_switching"]),
+        ("partial_sum_bound", ["signals.input_bound"]),
+    ],
+)
+def test_one_check_computes_the_quotient_and_the_input_bound(name, callers):
+    """The hypothesis check computes a run's quotient and input peaks once,
+    and the a-priori bound reads them off its report; the generator's own
+    quotient check on a candidate matrix is the other caller."""
+    sites = [
+        f"{p.stem}.{site}"
+        for p in SOURCES
+        for site in call_sites(p.read_text(encoding="utf-8"), name)
+    ]
+    assert sites == callers
+
+
 def test_the_checks_catch_what_they_look_for():
     source = (
         "from __future__ import annotations\n"
@@ -278,3 +298,9 @@ def test_the_checks_catch_what_they_look_for():
     assert calls == ["f", "h.inner"]
     reads = attribute_sites("def f(a): return a.traj\ndef g(traj): return traj, b.c\n", "traj")
     assert reads == ["f"]
+    quotients = call_sites(
+        "def check(s): return m.schedule_quotient(s)\n"
+        "def bound(s, report): return report.schedule_quotient, schedule_quotient\n",
+        "schedule_quotient",
+    )
+    assert quotients == ["check"]

@@ -16,6 +16,7 @@ from cclab.dynamics import (
     PeriodicLimit,
     System,
     Trajectory,
+    boundedness_report,
     detect_periodic_limit,
     limit_window_start,
     simulate,
@@ -209,6 +210,61 @@ def test_a_growing_signal_breaks_every_claim():
         assert not report.condition("input-bounded").passed
         assert not ok and not report.sync_ok
         assert report.predicted == "no-guarantee"
+
+
+def test_a_signal_of_exactly_the_run_length_is_bounded_and_bounds_the_run():
+    """A run of ``horizon`` steps reads u(0..horizon-1): a sequence of
+    exactly that length passes ``input-bounded``, and the a-priori bound
+    applies, both from one report."""
+    horizon = 30
+    x0 = build_scenario(example_config("A")).x0
+    values = tuple(0.5 if t % 2 else -0.5 for t in range(horizon))
+    sys = dataclasses.replace(STATIC, signal=SequenceInput(values))
+    report, ok = check_claim(sys, 1, horizon=horizon)
+    check = report.condition("input-bounded")
+    assert ok and check.passed
+    assert check.detail == "empirical over 0..29: |u| <= 0.5, |partial sums| <= 0.5"
+    assert (report.inputs.max_u, report.inputs.max_partial) == (0.5, 0.5)
+    (out,) = run([sys], x0[None], [report], horizon)
+    assert out.verdict.status == "PASS"
+    bound = boundedness_report(sys, x0, horizon, out.peak, report.quotient, report.inputs)
+    assert bound.applicable and out.peak <= bound.bound
+    with pytest.raises(IndexError):
+        simulate(sys, x0, horizon + 1)
+    assert check_claim(sys, 1, horizon=horizon + 1)[0].condition("input-bounded") == (
+        verifier.ConditionCheck("input-bounded", False, "signal undefined across horizon 31")
+    )
+
+
+@pytest.mark.parametrize(
+    "signal",
+    [
+        SequenceInput(tuple(np.inf if t == 5 else 0.0 for t in range(30))),
+        PeriodicInput(3, (1e308, 1e308)),  # u(0) = -(1e308 + 1e308) overflows
+    ],
+    ids=["sequence", "periodic"],
+)
+def test_a_non_finite_input_is_not_bounded(signal):
+    sys = dataclasses.replace(STATIC, signal=signal)
+    report, ok = check_claim(sys, 1, horizon=30)
+    check = report.condition("input-bounded")
+    assert not ok and not check.passed
+    assert check.detail.endswith("|partial sums| <= inf; not finite")
+    assert report.predicted == "no-guarantee"
+    bound = boundedness_report(sys, np.zeros(sys.n), 30, 0.0, report.quotient, report.inputs)
+    assert not bound.applicable and bound.bound is None
+    assert bound.note.startswith("input-bounded fails (")
+
+
+def test_the_report_carries_the_quotient_and_input_bound_outside_its_document():
+    report = check_switching(STATIC)
+    assert report.quotient.static and report.quotient.deviation == 0.0
+    assert report.inputs.bounded
+    assert check_switching(dataclasses.replace(STATIC, offsets=None)).inputs is None
+    bare = dataclasses.replace(report, quotient=None, inputs=None)
+    assert bare == report and bare.to_dict() == report.to_dict()
+    claim = check_claim(STATIC, 1)[0]
+    assert claim.quotient is not None and claim.inputs == report.inputs
 
 
 def _edge_system(a, sizes):
@@ -938,6 +994,25 @@ def test_the_run_record_is_pinned(runs, expected):
     from step 0, and two ensemble batches that keep only their limit
     windows, one of them with a diverging member."""
     assert [_record(out) for out in runs()] == expected
+
+
+def test_a_run_of_negative_zeros_peaks_at_positive_zero(monkeypatch):
+    """The peak is max |x| without an |x| temporary: on states that are all
+    -0.0 it is 0.0, as the absolute value gives, so ``metrics.json`` never
+    reads -0.0. The matrix-vector kernel writes +0.0, so the all -0.0 rows
+    are handed to :func:`run` directly."""
+    sys = dataclasses.replace(STATIC, offsets=None)
+    x0 = np.full((1, sys.n), -0.0)
+    (out,) = run([sys], x0, [check_switching(sys)], 30)
+    assert repr(out.peak) == "0.0"
+    monkeypatch.setattr(
+        verifier,
+        "simulate_batch",
+        lambda systems, x0, horizon, first=0: np.full((horizon + 1 - first, *x0.shape), -0.0),
+    )
+    (out,) = run([sys], x0, [check_switching(sys)], 30)
+    assert np.signbit(out.traj.states).all()
+    assert repr(out.peak) == "0.0"
 
 
 def _instance_digest(theorem: int, seeds, horizon: int) -> str:
