@@ -19,9 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import Clustering, cluster_spanning_tree_roots, common_link_faults, support
-from .signals import ClusterOffsets, PeriodicInput
+from .signals import PeriodicInput
 from .stochastic import MatrixSchedule, schedule_quotient, validate
-from .dynamics import System
 
 
 class InfeasibleError(ValueError):
@@ -120,30 +119,45 @@ def _random_tree(members: Sequence[int], rng: np.random.Generator) -> list[tuple
     return [(order[int(rng.integers(idx))], order[idx]) for idx in range(1, len(order))]
 
 
-def _cover_block(
-    edges: set[tuple[int, int]],
-    targets: Sequence[int],
-    sources: Sequence[int],
-    mass: float,
+def _cover_block(row: np.ndarray, cap: int, density: float, rng: np.random.Generator) -> None:
+    """Cover one target from one block's sources, whose links to it are
+    ``row``: link a random source if none is linked, then draw one uniform
+    per unlinked source, in ascending order, and link the first that fall
+    below ``density``, up to ``cap`` links in all."""
+    free = (~row).nonzero()[0]
+    if free.size == row.size:
+        pick = int(rng.integers(row.size))
+        row[pick] = True
+        free = free[free != pick]
+    room = cap - (row.size - free.size)
+    if room <= 0 or density == 0.0:
+        return
+    picks = free[rng.random(free.size) < density]
+    row[picks[:room]] = True
+
+
+def _support(
     spec: GeneratorSpec,
+    trees: Sequence[Sequence[tuple[int, int]]],
+    masses: np.ndarray,
     rng: np.random.Generator,
-) -> None:
-    """Give every target an in-neighbor among ``sources``, then add extra
-    source links per ``spec.density`` up to the in-degree the entry floor
-    allows for block mass ``mass``."""
-    # No target takes more than every source; a tiny floor would overflow int().
-    cap = int(min(float(mass) / spec.entry_floor, len(sources)))
-    for v in targets:
-        have = sum(1 for u in sources if (u, v) in edges)
-        if not have:
-            edges.add((sources[int(rng.integers(len(sources)))], v))
-            have = 1
-        room = cap - have
-        if room <= 0 or spec.density == 0.0:
-            continue
-        candidates = [u for u in sources if (u, v) not in edges]
-        picks = [u for u, r in zip(candidates, rng.random(len(candidates))) if r < spec.density]
-        edges.update((u, v) for u in picks[:room])
+) -> np.ndarray:
+    """Support with self-links and the ``trees``' links ``(parent, child)``,
+    then every block of positive ``masses[p, q]`` covered, row-major, each
+    target of ``C_p`` in turn; no target takes more in-neighbors from
+    ``C_q`` than the entry floor allows for the block's mass."""
+    s = np.eye(spec.n, dtype=bool)
+    links = np.array([e for tree in trees for e in tree], dtype=np.intp).reshape(-1, 2)
+    s[links[:, 1], links[:, 0]] = True
+    # A spec's clusters are contiguous runs of vertices, so a block is a view.
+    sizes = spec.cluster_sizes
+    runs = [slice(end - size, end) for end, size in zip(np.cumsum(sizes).tolist(), sizes)]
+    for p, q in np.argwhere(masses > 0).tolist():
+        # min first: a tiny floor would overflow int().
+        cap = int(min(float(masses[p, q]) / spec.entry_floor, sizes[q]))
+        for row in s[runs[p], runs[q]]:
+            _cover_block(row, cap, spec.density, rng)
+    return s
 
 
 def gen_graph_with_cluster_trees(spec: GeneratorSpec) -> np.ndarray:
@@ -154,17 +168,10 @@ def gen_graph_with_cluster_trees(spec: GeneratorSpec) -> np.ndarray:
     root), every active quotient block gets full in-coverage, and extra
     edges are confined to active blocks so the all-or-nothing rule survives.
     """
-    b = spec._quotient
     clus = spec.clustering()
     rng = np.random.default_rng(spec._seeds["graph"])
-    edges = {(v, v) for v in range(spec.n)}
-    for members in clus.clusters:
-        edges.update(_random_tree(members, rng))
-    for p, targets in enumerate(clus.clusters):
-        for q, sources in enumerate(clus.clusters):
-            if b[p, q] > 0:
-                _cover_block(edges, targets, sources, b[p, q], spec, rng)
-    s = support(spec.n, edges)
+    trees = [_random_tree(members, rng) for members in clus.clusters]
+    s = _support(spec, trees, spec._quotient, rng)
     if cluster_spanning_tree_roots(s, clus) is None or common_link_faults([s], clus)[0].any():
         raise RuntimeError("generated graph failed its own structural checks")
     return s
@@ -311,16 +318,16 @@ def gen_switching_schedule(
     order = rng.permutation(len(pool))
     drops = [pool[order[l % len(pool)]] for l in range(m)]
 
-    graphs = []
-    for l in range(m):
-        edges = {(v, v) for v in range(spec.n)}
-        for p, tree in enumerate(trees):
-            edges.update(e for j, e in enumerate(tree) if (p, j) != drops[l])
-        for p, targets in enumerate(clus.clusters):
-            for q, sources in enumerate(clus.clusters):
-                if b[p, q] > 0 and p != q:
-                    _cover_block(edges, targets, sources, b[p, q], spec, rng)
-        graphs.append(support(spec.n, edges))
+    cross = np.where(np.eye(clus.k, dtype=bool), 0.0, b)
+    graphs = [
+        _support(
+            spec,
+            [[e for j, e in enumerate(tree) if (p, j) != drop] for p, tree in enumerate(trees)],
+            cross,
+            rng,
+        )
+        for drop in drops
+    ]
 
     for l, s in enumerate(graphs):
         if cluster_spanning_tree_roots(s, clus) is not None:
@@ -400,20 +407,3 @@ def example_learning_flags() -> np.ndarray:
 
 EXAMPLE_WINDOW = 3
 EXAMPLE_LEARNING_STRENGTH = 0.01
-
-
-def examples() -> tuple[System, System]:
-    """The bundled fixed-topology and switching systems."""
-    clus = example_clustering()
-    offsets = ClusterOffsets(clus, example_alphas())
-    sig = example_signal()
-    static = System(
-        coupling=example_matrix_static(), clustering=clus, offsets=offsets, signal=sig
-    )
-    switching = System(
-        coupling=example_schedule_switching(),
-        clustering=clus,
-        offsets=offsets,
-        signal=sig,
-    )
-    return static, switching

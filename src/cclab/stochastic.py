@@ -134,8 +134,9 @@ class MatrixSchedule:
 
     ``floor`` is the positivity floor the schedule is meant to satisfy
     (every nonzero entry and every diagonal entry at least ``floor``).  It
-    is recorded, not enforced: :func:`floor_report` produces the verdicts so
-    a checker can report violations instead of the constructor hiding them.
+    is recorded, not enforced, so that the hypothesis check's
+    ``entry-floor-b1`` and ``diagonal-floor-b2`` rows report a violation
+    instead of the constructor hiding it.
     When ``floor`` is omitted it defaults to the smallest positive entry
     found across the schedule.
     """
@@ -165,20 +166,6 @@ class MatrixSchedule:
     @property
     def period(self) -> int:
         return len(self.matrices)
-
-
-def floor_report(matrices: Sequence[np.ndarray], floor: float) -> dict:
-    """Entry-floor and diagonal-floor verdicts of stochastic ``matrices``
-    against ``floor``."""
-    min_positive = min(float(m[m > 0].min()) for m in matrices)
-    min_diag = min(float(np.diag(m).min()) for m in matrices)
-    return {
-        "floor": floor,
-        "min_positive_entry": min_positive,
-        "min_diagonal_entry": min_diag,
-        "entry_floor_ok": bool(min_positive >= floor - 1e-15),
-        "diagonal_floor_ok": bool(min_diag >= floor - 1e-15),
-    }
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .dynamics import (
 from .generate import GeneratorSpec, gen_common_influence_matrix, gen_graph_with_cluster_trees, gen_switching_schedule
 from .graph import cluster_spanning_tree_roots, common_link_faults
 from .signals import ClusterOffsets, InputBound, PeriodicInput, input_bound
-from .stochastic import ScheduleQuotient, floor_report, schedule_quotient
+from .stochastic import ScheduleQuotient, schedule_quotient
 
 PERIOD_SUM_NOTE = (
     "zero-sum convention: the signal's full period t=0..T-1 sums to zero;"
@@ -199,19 +199,20 @@ def check_switching(
         )
     )
 
-    fr = floor_report(matrices, sys.coupling.floor)
+    floor = sys.coupling.floor
+    min_positive = min(float(m[m > 0].min()) for m in matrices)
     conditions.append(
         ConditionCheck(
             "entry-floor-b1",
-            fr["entry_floor_ok"],
-            f"min positive entry {fr['min_positive_entry']:.6g} vs floor {fr['floor']:.6g}",
+            bool(min_positive >= floor - 1e-15),
+            f"min positive entry {min_positive:.6g} vs floor {floor:.6g}",
         )
     )
     # A diagonal entry at most the zero threshold is no self-link in the
     # support graph that the cover and tree checks read.
     diag = np.min([np.diag(m) for m in matrices], axis=0)
-    low = np.flatnonzero((diag < fr["floor"] - 1e-15) | (diag <= thresholds.zero))
-    detail = f"min diagonal entry {fr['min_diagonal_entry']:.6g} vs floor {fr['floor']:.6g}"
+    low = np.flatnonzero((diag < floor - 1e-15) | (diag <= thresholds.zero))
+    detail = f"min diagonal entry {float(diag.min()):.6g} vs floor {floor:.6g}"
     if low.size:
         detail += (
             f"; below the floor or at most {thresholds.zero:.1e} at vertices"
@@ -499,7 +500,6 @@ def ensemble_instance(
     theorem: int,
     seed: int,
     horizon: int,
-    thresholds: Thresholds = Thresholds(),
 ) -> EnsembleInstance:
     """Generate and check one random instance built to satisfy the
     hypotheses of the given claim (1-4), everything drawn from ``seed``."""
@@ -525,7 +525,7 @@ def ensemble_instance(
     sig = PeriodicInput(T, tuple(free))
     offsets = ClusterOffsets(clus, _distinct_alphas(rng, clus.k))
     sys = System(coupling=coupling, clustering=clus, offsets=offsets, signal=sig)
-    report, _ = check_claim(sys, theorem, window=m, horizon=horizon, thresholds=thresholds)
+    report, _ = check_claim(sys, theorem, window=m, horizon=horizon)
     x0 = rng.uniform(-1.0, 1.0, size=clus.n)
     return EnsembleInstance(sys, report, x0)
 
@@ -535,7 +535,6 @@ def run_ensemble(
     count: int,
     seed: int,
     horizon: Optional[int] = None,
-    thresholds: Thresholds = Thresholds(),
 ) -> EnsembleSummary:
     """Reconcile ``count`` seeded random instances built to satisfy the
     hypotheses of the given claim (1-4); returns status counts.
@@ -550,7 +549,7 @@ def run_ensemble(
     results: list = [None] * count
     batches: dict[int, list[tuple[int, EnsembleInstance]]] = {}
     for i, inst_seed in enumerate(seeds):
-        inst = _safe(ensemble_instance, theorem, int(inst_seed), span, thresholds)
+        inst = _safe(ensemble_instance, theorem, int(inst_seed), span)
         if isinstance(inst, Exception):
             results[i] = inst
         else:
@@ -558,7 +557,7 @@ def run_ensemble(
     for batch in batches.values():
         index, systems, reports, x0 = zip(*((i, e.system, e.report, e.x0) for i, e in batch))
         first = min(limit_window_start(span + 1, s.signal.period) for s in systems)
-        outcomes = _safe(run, systems, np.stack(x0), reports, span, thresholds, first)
+        outcomes = _safe(run, systems, np.stack(x0), reports, span, Thresholds(), first)
         if isinstance(outcomes, Exception):
             outcomes = [outcomes] * len(batch)
         # Keep the status only, so each batch's rows are freed in turn.

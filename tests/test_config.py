@@ -283,6 +283,20 @@ def test_generated_config_bytes_are_pinned(m, digest):
 @pytest.mark.parametrize(
     "m, digest",
     [
+        (1, "e7c7cdaa02215e18386b3d79daaf11d75222465a9d75a547f51c7f80054123cc"),
+        (3, "de1486e044961bfc5f3c565d669f3cd43d78e4473dc5ba9afc126070c9ef0b76"),
+    ],
+)
+def test_generated_config_bytes_are_pinned_at_a_thousand_agents(m, digest):
+    """Guards the cover draws on blocks of hundreds of sources, where the
+    density rather than the block mass sets each row's extra links."""
+    doc = generated_config((334, 334, 334), seed=1, m=m, density=0.01, entry_floor=1e-4)
+    assert hashlib.sha256(emit_config(doc).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "m, digest",
+    [
         (1, "97cf77055fe04a69808e32788c658dd757dcb13afa08281ea3e3c99ed9c45f3a"),
         (3, "35287a2ce99c8a447d051aa78a3547bd462dad4f2039fcf2c581a4056096a05f"),
     ],

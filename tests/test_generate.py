@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edge_set_oracle
+from cclab import generate
+from cclab.config import build_scenario, example_config
+from cclab.dynamics import System
 from cclab.generate import (
     GeneratorSpec,
     InfeasibleError,
@@ -14,7 +18,6 @@ from cclab.generate import (
     example_matrix_static,
     example_quotient,
     example_schedule_switching,
-    examples,
     gen_common_influence_matrix,
     gen_graph_with_cluster_trees,
     gen_switching_schedule,
@@ -26,7 +29,8 @@ from cclab.graph import (
     common_link_faults,
     support,
 )
-from cclab.stochastic import floor_report, schedule_quotient
+from cclab.stochastic import schedule_quotient
+from cclab.verifier import check_switching
 
 from random_instances import (
     random_clustered_tree_matrix,
@@ -98,6 +102,72 @@ def test_generated_graph_satisfies_all_structural_hypotheses():
         assert cluster_spanning_tree_roots(g, clus) is not None
         assert not common_link_faults([g], clus)[0].any()
         assert np.array_equal(gen_graph_with_cluster_trees(spec), g)
+
+
+@st.composite
+def _specs(draw):
+    """Specs of 1-6 clusters of 1-30 agents, at density 0, 1 or between,
+    entry floors from 1e-4 to 1/n, and a drawn or a user quotient."""
+    sizes = tuple(draw(st.lists(st.integers(1, 30), min_size=1, max_size=6)))
+    n = sum(sizes)
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    # At the floor 1/n a block's mass, not its size, caps the in-degree.
+    power = draw(st.sampled_from([-4.0, -np.log10(n)]) | st.floats(-4.0, -np.log10(n)))
+    floor = min(10.0**power, 1.0 / n)
+    quotient = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        k = len(sizes)
+        active = (rng.random((k, k)) < 0.5) | np.eye(k, dtype=bool)
+        quotient = np.where(active, 0.1 + rng.random((k, k)), 0.0)
+        quotient /= quotient.sum(axis=1, keepdims=True)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return GeneratorSpec(sizes, seed, quotient=quotient, entry_floor=floor, density=density)
+
+
+def _with_stream(fn, *args):
+    """``fn(*args)``, or the ``InfeasibleError`` it raised, with the stream
+    its last support was drawn from."""
+    streams = []
+
+    def recording(spec, trees, masses, rng):
+        streams.append(rng)
+        return real(spec, trees, masses, rng)
+
+    real = generate._support
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generate, "_support", recording)
+        try:
+            out = fn(*args)
+        except InfeasibleError as exc:
+            out = exc
+    return out, streams[-1] if streams else None
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=_specs(), m=st.integers(2, 3))
+def test_the_support_array_draws_what_the_edge_sets_drew(spec, m):
+    """Both generators build the support the edge-set construction built,
+    and leave their stream where it left it."""
+    want = np.random.default_rng(spec._seeds["graph"])
+    s = edge_set_oracle.fixed_graph(spec, want)
+    got, stream = _with_stream(gen_graph_with_cluster_trees, spec)
+    assert np.array_equal(got, s)
+    assert stream.random() == want.random()
+
+    want = np.random.default_rng(spec._seeds["schedule"])
+    try:
+        graphs = edge_set_oracle.switching_graphs(spec, m, want)
+    except InfeasibleError:
+        graphs = None
+    # Equal mode draws nothing after the graphs.
+    sched, stream = _with_stream(gen_switching_schedule, spec, m, m, "equal")
+    if graphs is None:
+        assert isinstance(sched, InfeasibleError)
+        return
+    assert len(sched.matrices) == len(graphs)
+    assert all(np.array_equal(mat > 0, g) for mat, g in zip(sched.matrices, graphs))
+    assert stream.random() == want.random()
 
 
 def test_generated_matrix_realizes_the_quotient_on_the_graph():
@@ -237,14 +307,15 @@ def test_switching_needs_two_droppable_tree_edges():
 
 
 def test_example_fixtures_are_consistent():
-    static, switching = examples()
+    static, switching = (build_scenario(example_config(which)).system for which in "AB")
     clus = example_clustering()
     assert not static.is_switching
     assert switching.is_switching
     assert np.abs(schedule_quotient(static.coupling.matrices, clus).quotient - example_quotient()).max() < 1e-15
     sched = example_schedule_switching()
-    report = floor_report(sched.matrices, sched.floor)
-    assert report["entry_floor_ok"] and report["diagonal_floor_ok"]
+    report = check_switching(System(coupling=sched, clustering=clus))
+    assert report.condition("entry-floor-b1").passed
+    assert report.condition("diagonal-floor-b2").passed
     assert sched.floor == 0.1
     for mat in sched.matrices:
         assert np.abs(schedule_quotient((mat,), clus).quotient - example_quotient()).max() < 1e-15

@@ -4,7 +4,8 @@ the package has a user in the package or the benchmark, one place tells a
 bare coupling matrix from a schedule, one pipeline detects the limit and
 reconciles, the CLI reads the run's rows only to write them, one kernel
 entry steps every run, one check computes the quotient and the input bound,
-and every private helper has a caller."""
+the generators draw into the support array, and every private helper has a
+caller."""
 
 import ast
 import pathlib
@@ -260,6 +261,15 @@ def test_one_check_computes_the_quotient_and_the_input_bound(name, callers):
     assert sites == callers
 
 
+def test_the_generators_draw_into_the_support_array():
+    """The generators set each link in the boolean support as they draw
+    it; only the bundled examples, written as link lists, go through
+    ``graph.support``."""
+    source = (pathlib.Path(cclab.__file__).parent / "generate.py").read_text(encoding="utf-8")
+    sites = sorted(set(call_sites(source, "support")))
+    assert sites == ["example_graph_static", "example_graphs_switching"]
+
+
 def test_the_checks_catch_what_they_look_for():
     source = (
         "from __future__ import annotations\n"
@@ -304,3 +314,9 @@ def test_the_checks_catch_what_they_look_for():
         "schedule_quotient",
     )
     assert quotients == ["check"]
+    supports = call_sites(
+        "def gen(s): return _support(s, t)\n"
+        "def example(): return g.support(9, ())\n",
+        "support",
+    )
+    assert supports == ["example"]

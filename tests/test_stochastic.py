@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cclab.dynamics import System
 from cclab.graph import Clustering, is_cluster_scrambling
 from cclab.generate import (
     example_clustering,
@@ -13,12 +14,12 @@ from cclab.stochastic import (
     COMMON_INFLUENCE_TOL,
     MatrixSchedule,
     ergodicity_coefficient,
-    floor_report,
     hajnal_diameter,
     power_limit,
     schedule_quotient,
     validate,
 )
+from cclab.verifier import check_switching
 
 from random_instances import random_common_influence, random_stochastic
 
@@ -180,13 +181,18 @@ def test_matrix_schedule_cycles_and_reports_floor():
     assert sched.n == 2
     assert np.array_equal(sched.matrices[1], b)
     assert sched.floor == pytest.approx(0.1)  # defaults to smallest positive entry
-    report = floor_report(sched.matrices, 0.3)
-    assert report["min_positive_entry"] == pytest.approx(0.1)
-    assert report["min_diagonal_entry"] == pytest.approx(0.5)
-    assert not report["entry_floor_ok"]
-    assert report["diagonal_floor_ok"]
-    ok = floor_report(sched.matrices, 0.1)
-    assert ok["entry_floor_ok"] and ok["diagonal_floor_ok"]
+
+    def floor_rows(floor):
+        sys = System(coupling=MatrixSchedule((a, b), floor=floor), clustering=Clustering.from_sizes((2,)))
+        report = check_switching(sys)
+        return report.condition("entry-floor-b1"), report.condition("diagonal-floor-b2")
+
+    entry, diagonal = floor_rows(0.3)
+    assert entry.detail == "min positive entry 0.1 vs floor 0.3"
+    assert diagonal.detail == "min diagonal entry 0.5 vs floor 0.3"
+    assert not entry.passed
+    assert diagonal.passed
+    assert all(row.passed for row in floor_rows(0.1))
 
 
 def test_matrix_schedule_validation():

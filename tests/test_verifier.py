@@ -24,7 +24,7 @@ from cclab.dynamics import (
 )
 from cclab import generate, verifier
 from cclab.config import build_scenario, example_config
-from cclab.generate import EXAMPLE_WINDOW, examples
+from cclab.generate import EXAMPLE_WINDOW
 from cclab.graph import Clustering, cluster_spanning_tree_roots
 from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
 from cclab.stochastic import MatrixSchedule
@@ -41,7 +41,7 @@ from cclab.verifier import (
     run_ensemble,
 )
 
-STATIC, SWITCHING = examples()
+STATIC, SWITCHING = (build_scenario(example_config(which)).system for which in "AB")
 
 
 def test_sync_threshold_scales_with_initial_norm():
