@@ -34,8 +34,6 @@ from .generate import (
     example_matrix_static,
     example_schedule_switching,
     example_signal,
-    gen_common_influence_matrix,
-    gen_graph_with_cluster_trees,
     gen_switching_schedule,
     _streams,
 )
@@ -539,13 +537,10 @@ def _build_topology(doc: dict, clustering: Clustering):
         entry_floor=top.get("entry_floor", 0.05),
         density=top.get("density", 0.3),
     )
-    mode = top.get("mode", "random")
-    if top["type"] == "generator":
-        return gen_common_influence_matrix(
-            spec, gen_graph_with_cluster_trees(spec), mode=mode
-        )
-    m = int(top["m"])
-    return gen_switching_schedule(spec, m=m, window=top.get("window", m), mode=mode)
+    m = int(top.get("m", 1))
+    return gen_switching_schedule(
+        spec, m=m, window=top.get("window", m), mode=top.get("mode", "random")
+    )
 
 
 def _build_offsets(
@@ -636,10 +631,11 @@ def build_scenario(doc: dict) -> Scenario:
             raise
         raise ConfigError(str(exc)) from exc
 
-    seed = doc.get("seed")
+    fields = run_fields(doc)
+    seed = fields.get("seed")
     rng = None
     if seed is not None:
-        rng = np.random.default_rng(_streams(int(seed))["state"])
+        rng = np.random.default_rng(_streams(seed)["state"])
 
     init = doc.get("initial_state", "random")
     if init == "random":
@@ -654,9 +650,9 @@ def build_scenario(doc: dict) -> Scenario:
     learning = _build_learning(doc, clustering, rng)
 
     switching = system.is_switching
-    horizon = int(doc.get("horizon", 5000 if switching else 2000))
-    window = doc.get("window", doc["topology"].get("window", system.coupling.period))
-    theorem = doc.get(
+    horizon = fields.get("horizon", 5000 if switching else 2000)
+    window = int(doc.get("window", doc["topology"].get("window", system.coupling.period)))
+    theorem = fields.get(
         "theorem",
         (4 if sig is not None else 3) if switching else (2 if sig is not None else 1),
     )
@@ -766,6 +762,8 @@ def generated_config(
     spec = GeneratorSpec(
         cluster_sizes=tuple(sizes), seed=seed, entry_floor=entry_floor, density=density
     )
+    window = m if window is None else window
+    schedule = gen_switching_schedule(spec, m=m, window=window, mode=mode)
     k = len(spec.cluster_sizes)
     if k == 1:
         alphas = [1.0]
@@ -781,8 +779,6 @@ def generated_config(
         "initial_state": "random",
     }
     if m > 1:
-        window = m if window is None else window
-        schedule = gen_switching_schedule(spec, m=m, window=window, mode=mode)
         doc["window"] = window
         doc["horizon"] = horizon if horizon is not None else 5000
         doc["theorem"] = 4
@@ -792,11 +788,10 @@ def generated_config(
             "floor": schedule.floor,
         }
     else:
-        s = gen_graph_with_cluster_trees(spec)
-        mat = gen_common_influence_matrix(spec, s, mode=mode)
+        (mat,) = schedule.matrices
         doc["horizon"] = horizon if horizon is not None else 2000
         doc["theorem"] = 2
         doc["topology"] = {"type": "fixed", "matrix": matrix_doc(mat)}
         if spec.n < SPARSE_FROM:
-            doc["topology"]["graph"] = successors(s)
+            doc["topology"]["graph"] = successors(mat > 0)
     return doc

@@ -243,7 +243,6 @@ def _matrix_on_graph(
     else:
         split = _dirichlet_split(rng, counts[counts > 0])
         a[rows, cols] = entry_floor + (block_mass - entry_floor * d) * split
-    a = validate(a)
     if schedule_quotient((a,), clus, tol=1e-12).quotient is None:
         raise RuntimeError("generated matrix failed the common-influence check")
     if not np.array_equal(a > 1e-12, s):
@@ -254,8 +253,9 @@ def _matrix_on_graph(
 def gen_common_influence_matrix(
     spec: GeneratorSpec, s: np.ndarray, mode: str = "random"
 ) -> np.ndarray:
-    """Stochastic matrix supported exactly on ``s`` whose quotient is the
-    spec's (resolved) quotient.
+    """Matrix supported exactly on ``s`` whose quotient is the spec's
+    (resolved) quotient, with rows that sum to one up to round-off: a
+    :class:`MatrixSchedule` (or a ``System``) validates it.
 
     ``mode="random"`` floors every positive entry at ``spec.entry_floor`` and
     splits the remaining block mass by a seeded symmetric Dirichlet draw;
@@ -268,15 +268,19 @@ def gen_common_influence_matrix(
 def gen_switching_schedule(
     spec: GeneratorSpec, m: int, window: int, mode: str = "random"
 ) -> MatrixSchedule:
-    """Periodic schedule of ``m`` matrices sharing one static quotient.
+    """Periodic schedule of ``m`` matrices sharing one static quotient, the
+    one generator entry; the schedule validates each matrix. ``m = 1`` is
+    the fixed coupling: :func:`gen_common_influence_matrix` on
+    :func:`gen_graph_with_cluster_trees`, with the default floor.
 
-    No single graph has cluster spanning trees, yet the union over any
-    ``window`` consecutive steps does (``window >= m``, so each window sees
-    every graph).  Rootlessness is anchored in clusters whose quotient row is
-    diagonal-only: they receive no cross-cluster links, so a dropped
-    arborescence edge leaves its child unreachable in that graph.  Each graph
-    drops one anchor edge round-robin; with at least two anchor edges, every
-    edge survives in some other graph and the union keeps its trees.
+    With ``m >= 2`` no single graph has cluster spanning trees, yet the
+    union over any ``window`` consecutive steps does (``window >= m``, so
+    each window sees every graph).  Rootlessness is anchored in clusters
+    whose quotient row is diagonal-only: they receive no cross-cluster
+    links, so a dropped arborescence edge leaves its child unreachable in
+    that graph.  Each graph drops one anchor edge round-robin; with at
+    least two anchor edges, every edge survives in some other graph and the
+    union keeps its trees.
     """
     if m < 1:
         raise ValueError("need at least one matrix")
@@ -284,7 +288,7 @@ def gen_switching_schedule(
         raise ValueError("window must cover the whole schedule period")
     if m == 1:
         a = gen_common_influence_matrix(spec, gen_graph_with_cluster_trees(spec), mode)
-        return MatrixSchedule((a,), floor=spec.entry_floor)
+        return MatrixSchedule((a,))
     clus = spec.clustering()
     b = resolve_quotient(spec)
     rng = np.random.default_rng(spec._seeds["schedule"])

@@ -42,7 +42,7 @@ from .dynamics import (
     simulate,
     simulate_batch,
 )
-from .generate import GeneratorSpec, gen_common_influence_matrix, gen_graph_with_cluster_trees, gen_switching_schedule
+from .generate import GeneratorSpec, gen_switching_schedule
 from .graph import cluster_spanning_tree_roots, common_link_faults
 from .signals import ClusterOffsets, InputBound, PeriodicInput, input_bound
 from .stochastic import ScheduleQuotient, schedule_quotient
@@ -468,9 +468,6 @@ class EnsembleSummary:
     counts: dict
     exceptions: tuple[str, ...] = ()
 
-    def rate(self, status: str) -> float:
-        return self.counts.get(status, 0) / self.total if self.total else 0.0
-
 
 def _distinct_alphas(rng: np.random.Generator, k: int) -> tuple[float, ...]:
     gaps = rng.uniform(0.3, 1.0, size=k)
@@ -514,12 +511,7 @@ def ensemble_instance(
         density=float(rng.uniform(0.4, 0.9)),
     )
     clus = spec.clustering()
-    if switching:
-        coupling = gen_switching_schedule(spec, m=m, window=m)
-    else:
-        coupling = gen_common_influence_matrix(
-            spec, gen_graph_with_cluster_trees(spec)
-        )
+    coupling = gen_switching_schedule(spec, m=m, window=m)
     T = int(rng.integers(2, 5))
     free = rng.uniform(0.4, 1.6, size=T - 1) * rng.choice([-1.0, 1.0], size=T - 1)
     sig = PeriodicInput(T, tuple(free))

@@ -276,7 +276,7 @@ def test_criterion_09_generic_consensus_over_random_instances():
         9,
         ok,
         f"500 instances: counts {summary.counts},"
-        f" degenerate rate {summary.rate('DEGENERATE'):.2%},"
+        f" degenerate rate {degenerate / summary.total:.2%},"
         f" {len(summary.exceptions)} errors",
     )
 

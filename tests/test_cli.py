@@ -321,6 +321,32 @@ def test_an_integral_float_ensemble_horizon_runs_like_an_integer(tmp_path, horiz
     assert runs[0][0] in (0, 2) and runs[0][2] == ""
 
 
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_integral_float_run_fields_are_read_as_integers(tmp_path, which):
+    """A ``seed``, ``horizon``, ``theorem`` or ``window`` given as an
+    integral float runs as its integer: ``check`` and ``simulate`` print and
+    write what the integer config gives, but for the digest of the document
+    as given."""
+    runs = []
+    for kind in (int, float):
+        doc = example_config(which)
+        keys = [key for key in ("seed", "horizon", "theorem", "window") if key in doc]
+        doc.update({key: kind(doc[key]) for key in keys})
+        config = tmp_path / f"{kind.__name__}.json"
+        emit_config(doc, str(config))
+        checked, outdir = tmp_path / f"{kind.__name__}-check.json", tmp_path / kind.__name__
+        printed = [
+            _in_process(["check", "--config", str(config), "--out", str(checked)]),
+            _in_process(["simulate", "--config", str(config), "--out", str(outdir)]),
+        ]
+        written = [json.loads(path.read_text()) for path in (checked, outdir / "metrics.json")]
+        for d in written:
+            d.pop("config_sha256")
+        runs.append((printed, json.dumps(written)))
+    assert runs[0] == runs[1]
+    assert f"claim: {doc['theorem']:.0f}\n" in runs[1][0][0][1]
+
+
 def test_ensemble_requires_theorem_and_seed(capsys):
     assert main(["simulate", "--ensemble", "2", "--seed", "1"]) == 1
     assert main(["simulate", "--ensemble", "2", "--theorem", "1"]) == 1
@@ -988,6 +1014,7 @@ def _in_process(argv):
          "seed must be nonnegative"),
         (["gen", "--sizes", "3,3", "--seed", "1", "--switching", "0"], "--switching needs at least 1"),
         (["gen", "--sizes", "3,3", "--seed", "1", "--switching", "-2"], "--switching needs at least 1"),
+        (["gen", "--sizes", "3,3", "--seed", "1", "--window", "0"], "window must cover"),
     ],
 )
 def test_bad_gen_flags_and_ensemble_seeds_exit_1_with_one_line(argv, message):
@@ -995,6 +1022,16 @@ def test_bad_gen_flags_and_ensemble_seeds_exit_1_with_one_line(argv, message):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_a_window_covering_a_fixed_coupling_leaves_its_config_as_it_is():
+    """A fixed coupling is the one-matrix schedule, so every window from 1
+    on covers it and writes the config written without one; ``--window 0``
+    is among the bad gen flags."""
+    argv = ["gen", "--sizes", "3,3", "--seed", "1"]
+    plain = _in_process(argv)
+    assert plain[0] == 0
+    assert _in_process([*argv, "--window", "1"]) == _in_process([*argv, "--window", "5"]) == plain
 
 
 @pytest.mark.parametrize(

@@ -21,12 +21,7 @@ from cclab.config import (
     load_config,
 )
 from cclab.dynamics import simulate
-from cclab.generate import (
-    GeneratorSpec,
-    gen_common_influence_matrix,
-    gen_graph_with_cluster_trees,
-    gen_switching_schedule,
-)
+from cclab.generate import GeneratorSpec, gen_switching_schedule
 from cclab.stochastic import MatrixSchedule, validate
 
 
@@ -270,7 +265,7 @@ def test_generated_config_inlines_the_instance():
     "m, digest",
     [
         (1, "bda4f04ba26bdc3223c936f327054177b97b814b0b74cc477624dd0bdd9ab63d"),
-        (3, "a6c0449d58eab0c71619bd6126dffd8e8c5c01e11c45eabbb697416fa65d6b44"),
+        (3, "5874a39a1dcf3e8a04e0fa677006b92c92891b8eb5f6129ef8bf538ba8c729a4"),
     ],
 )
 def test_generated_config_bytes_are_pinned(m, digest):
@@ -284,7 +279,7 @@ def test_generated_config_bytes_are_pinned(m, digest):
     "m, digest",
     [
         (1, "e7c7cdaa02215e18386b3d79daaf11d75222465a9d75a547f51c7f80054123cc"),
-        (3, "de1486e044961bfc5f3c565d669f3cd43d78e4473dc5ba9afc126070c9ef0b76"),
+        (3, "07b67c1a3649e0ca478808c3f27f1da91f5dcefe2eed0eaf78315ca43659dd5d"),
     ],
 )
 def test_generated_config_bytes_are_pinned_at_a_thousand_agents(m, digest):
@@ -298,7 +293,7 @@ def test_generated_config_bytes_are_pinned_at_a_thousand_agents(m, digest):
     "m, digest",
     [
         (1, "97cf77055fe04a69808e32788c658dd757dcb13afa08281ea3e3c99ed9c45f3a"),
-        (3, "35287a2ce99c8a447d051aa78a3547bd462dad4f2039fcf2c581a4056096a05f"),
+        (3, "4c4092dce8e255d27441d1cf6a3bbe9fed6dfa26ac84c513344c55c218d8ee56"),
     ],
 )
 def test_generated_config_bytes_are_pinned_in_triplet_form(m, digest):
@@ -328,23 +323,18 @@ def test_triplet_configs_rebuild_the_generated_matrices(m):
     sizes, seed = (60, 50, 40), 11
     doc = json.loads(emit_config(generated_config(sizes, seed=seed, m=m, density=0.1, entry_floor=0.001)))
     spec = GeneratorSpec(cluster_sizes=sizes, seed=seed, entry_floor=0.001, density=0.1)
-    if m == 1:
-        realized = [gen_common_influence_matrix(spec, gen_graph_with_cluster_trees(spec))]
-        triplets = [doc["topology"]["matrix"]]
-    else:
-        realized = gen_switching_schedule(spec, m=m, window=m).matrices
-        triplets = doc["topology"]["matrices"]
+    realized = gen_switching_schedule(spec, m=m, window=m).matrices
+    top = doc["topology"]
+    triplets = top.get("matrices", [top.get("matrix")])
     assert len(triplets) == len(realized)
     for t, a in zip(triplets, realized):
         carried = np.zeros((t["n"], t["n"]))
         carried[t["rows"], t["cols"]] = t["vals"]
         assert carried.tobytes() == a.tobytes()
 
+    rows = [a.tolist() for a in realized]
     rows_doc = copy.deepcopy(doc)
-    if m == 1:
-        rows_doc["topology"]["matrix"] = realized[0].tolist()
-    else:
-        rows_doc["topology"]["matrices"] = [a.tolist() for a in realized]
+    rows_doc["topology"].update({"matrices": rows} if m > 1 else {"matrix": rows[0]})
     assert _couplings(build_scenario(doc)) == _couplings(build_scenario(rows_doc))
 
 

@@ -1,12 +1,14 @@
 """Seeded instance generators: structural guarantees and determinism."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edge_set_oracle
-from cclab import generate
+from cclab import generate, stochastic
 from cclab.config import build_scenario, example_config
 from cclab.dynamics import System
 from cclab.generate import (
@@ -30,7 +32,7 @@ from cclab.graph import (
     support,
 )
 from cclab.stochastic import schedule_quotient
-from cclab.verifier import check_switching
+from cclab.verifier import check_switching, ensemble_instance
 
 from random_instances import (
     random_clustered_tree_matrix,
@@ -295,6 +297,50 @@ def test_switching_single_matrix_reduces_to_the_static_generator():
     assert sched.period == 1
     clus = spec.clustering()
     assert cluster_spanning_tree_roots(sched.matrices[0] > 0, clus) is not None
+
+
+def _validations(monkeypatch) -> list:
+    """Shapes of the arrays handed to ``validate`` from here on, by any
+    module of the package."""
+    shapes = []
+    real = stochastic.validate
+
+    def counted(raw, *args, **kwargs):
+        shapes.append(np.shape(raw))
+        return real(raw, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cclab.") and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_schedule_validates_each_generated_matrix_once(m, monkeypatch):
+    """The generator hands its matrices over as built, and the schedule
+    validates each of them, once."""
+    spec = GeneratorSpec(cluster_sizes=(3, 4, 2, 5), seed=7, density=0.5)
+    shapes = _validations(monkeypatch)
+    gen_switching_schedule(spec, m=m, window=m)
+    assert shapes.count((spec.n, spec.n)) == m
+
+
+@pytest.mark.parametrize("theorem", [2, 4])
+def test_an_ensemble_instance_validates_each_coupling_matrix_once(theorem, monkeypatch):
+    """Building and checking an instance validates each of its coupling
+    matrices once; the K-by-K quotient checks are the other calls. On
+    singleton clusters the quotient is n-by-n too, so those instances
+    cannot tell the two apart and are passed over."""
+    shapes = _validations(monkeypatch)
+    told = 0
+    for seed in range(12):
+        shapes.clear()
+        system = ensemble_instance(theorem, seed, 100).system
+        if system.clustering.k == system.n:
+            continue
+        assert shapes.count((system.n, system.n)) == system.coupling.period
+        told += 1
+    assert told >= 10
 
 
 def test_switching_needs_two_droppable_tree_edges():

@@ -4,8 +4,9 @@ the package has a user in the package or the benchmark, one place tells a
 bare coupling matrix from a schedule, one pipeline detects the limit and
 reconciles, the CLI reads the run's rows only to write them, one kernel
 entry steps every run, one check computes the quotient and the input bound,
-the generators draw into the support array, and every private helper has a
-caller."""
+the generators draw into the support array, the schedule validates every
+coupling, one generator entry hands back every coupling, and every private
+helper has a caller."""
 
 import ast
 import pathlib
@@ -270,6 +271,38 @@ def test_the_generators_draw_into_the_support_array():
     assert sites == ["example_graph_static", "example_graphs_switching"]
 
 
+def test_the_schedule_validates_every_coupling():
+    """``MatrixSchedule`` validates each coupling matrix, once. The other
+    callers of ``validate`` check a K-by-K quotient or a library argument;
+    the generator's matrix builder hands its matrix over as built."""
+    sites = sorted(
+        f"{p.stem}.{site}"
+        for p in SOURCES
+        for site in call_sites(p.read_text(encoding="utf-8"), "validate")
+    )
+    assert sites == [
+        "dynamics.z_limits",
+        "generate.GeneratorSpec.__post_init__",
+        "generate._draw_quotient",
+        "stochastic.MatrixSchedule.__post_init__",
+        "stochastic.power_limit",
+        "stochastic.schedule_quotient",
+    ]
+
+
+@pytest.mark.parametrize("name", ["gen_common_influence_matrix", "gen_graph_with_cluster_trees"])
+def test_one_generator_entry_hands_back_every_coupling(name):
+    """Fixed and switching couplings alike come from
+    ``gen_switching_schedule``, as a schedule; its ``m = 1`` branch is the
+    one caller of the fixed pair."""
+    sites = [
+        f"{p.stem}.{site}"
+        for p in SOURCES
+        for site in call_sites(p.read_text(encoding="utf-8"), name)
+    ]
+    assert sites == ["generate.gen_switching_schedule"]
+
+
 def test_the_checks_catch_what_they_look_for():
     source = (
         "from __future__ import annotations\n"
@@ -320,3 +353,17 @@ def test_the_checks_catch_what_they_look_for():
         "support",
     )
     assert supports == ["example"]
+    validations = call_sites(
+        "class S:\n"
+        "    def __post_init__(self): self.m = tuple(st.validate(m) for m in self.m)\n"
+        "def build(a): return a / a.sum(axis=1)[:, None], validate\n",
+        "validate",
+    )
+    assert validations == ["S.__post_init__"]
+    entries = call_sites(
+        "def gen_switching_schedule(spec, m):\n"
+        "    if m == 1: return S((matrix(spec, gen_graph_with_cluster_trees(spec)),))\n"
+        "def build(spec): return gen_switching_schedule(spec, m=1)\n",
+        "gen_graph_with_cluster_trees",
+    )
+    assert entries == ["gen_switching_schedule"]
