@@ -37,7 +37,7 @@ from .learning import (
     LearningRun,
     learn_simulate,
 )
-from .signals import ClusterOffsets, PeriodicInput, SequenceInput, eval_u, partial_sum_bound
+from .signals import PeriodicInput, SequenceInput, eval_u, partial_sum_bound
 from .stochastic import (
     MatrixSchedule,
     ergodicity_coefficient,
@@ -60,7 +60,6 @@ __all__ = [
     "BeliefProfile",
     "BeliefRangeError",
     "BoundReport",
-    "ClusterOffsets",
     "Clustering",
     "CulturalFlags",
     "DivergenceError",

@@ -39,7 +39,7 @@ from .generate import (
 )
 from .graph import Clustering, successors
 from .learning import DEFAULT_SLACK, BeliefProfile, CulturalFlags
-from .signals import ClusterOffsets, PeriodicInput
+from .signals import PeriodicInput
 from .stochastic import MatrixSchedule
 from .verifier import Thresholds
 
@@ -435,7 +435,7 @@ def _check_agent_count(doc: dict, n: int) -> None:
     inline = _inline(top)
     if inline is None:
         try:
-            check_entry_floor(top.get("entry_floor", 0.05), n)
+            check_entry_floor(top.get("entry_floor", GeneratorSpec.entry_floor), n)
         except ValueError as exc:
             raise ConfigError(f"topology: {exc}") from exc
         return
@@ -534,18 +534,18 @@ def _build_topology(doc: dict, clustering: Clustering):
         cluster_sizes=sizes,
         seed=seed,
         quotient=quotient,
-        entry_floor=top.get("entry_floor", 0.05),
-        density=top.get("density", 0.3),
+        entry_floor=top.get("entry_floor", GeneratorSpec.entry_floor),
+        density=top.get("density", GeneratorSpec.density),
     )
     m = int(top.get("m", 1))
-    return gen_switching_schedule(
-        spec, m=m, window=top.get("window", m), mode=top.get("mode", "random")
-    )
+    # A recipe without a mode takes the generator's default.
+    mode = {"mode": top["mode"]} if "mode" in top else {}
+    return gen_switching_schedule(spec, m=m, window=top.get("window", m), **mode)
 
 
-def _build_offsets(
+def _build_signal(
     doc: dict, clustering: Clustering
-) -> tuple[Optional[ClusterOffsets], Optional[PeriodicInput]]:
+) -> tuple[Optional[tuple[float, ...]], Optional[PeriodicInput]]:
     if "signal" not in doc:
         return None, None
     sec = doc["signal"]
@@ -556,7 +556,7 @@ def _build_offsets(
     alphas = tuple(strength * a for a in sec["alphas"])
     if len(alphas) != clustering.k:
         raise ConfigError("one alpha per cluster required")
-    return ClusterOffsets(clustering, alphas), sig
+    return alphas, sig
 
 
 def _build_learning(
@@ -570,7 +570,7 @@ def _build_learning(
     if flags_tab.shape != (clustering.k, m):
         raise ConfigError("flag table must be clusters x states")
     try:
-        flags = CulturalFlags(flags_tab, strength=sec.get("strength", EXAMPLE_LEARNING_STRENGTH))
+        flags = CulturalFlags(flags_tab, strength=sec.get("strength", CulturalFlags.strength))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     initial = sec.get("initial", "random")
@@ -622,10 +622,8 @@ def build_scenario(doc: dict) -> Scenario:
             raise
         raise ConfigError(f"topology: {exc}") from exc
     try:
-        offsets, sig = _build_offsets(doc, clustering)
-        system = System(
-            coupling=coupling, clustering=clustering, offsets=offsets, signal=sig
-        )
+        alphas, sig = _build_signal(doc, clustering)
+        system = System(coupling, clustering, alphas, sig)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -747,8 +745,8 @@ def generated_config(
     seed: int,
     m: int = 1,
     window: Optional[int] = None,
-    entry_floor: float = 0.05,
-    density: float = 0.3,
+    entry_floor: float = GeneratorSpec.entry_floor,
+    density: float = GeneratorSpec.density,
     mode: str = "random",
     horizon: Optional[int] = None,
 ) -> dict:

@@ -2,11 +2,11 @@
 
 The state update is ``x(t+1) = A(t) x(t) + sigma * u(t)`` where ``A(t)``
 cycles through a schedule of stochastic matrices (one matrix for a fixed
-coupling), ``sigma`` is a per-cluster offset vector and ``u`` a scalar
-signal.  Because the offsets are constant on clusters and the couplings
-have inter-cluster common influence, the cluster averages follow the
-reduced recursion ``y(t+1) = B y(t) + alpha * u(t)`` with ``B`` the
-quotient matrix.
+coupling), ``sigma`` spreads the per-cluster gains ``alpha`` over the
+agents and ``u`` is a scalar signal.  Because ``sigma`` is constant on
+clusters and the couplings have inter-cluster common influence, the
+cluster averages follow the reduced recursion
+``y(t+1) = B y(t) + alpha * u(t)`` with ``B`` the quotient matrix.
 
 With a zero-sum signal of period ``T`` the reduced state sampled at times
 ``n T + 1`` converges to ``Z1 y(0) + Z2 alpha`` where ``Z1`` is the limit of
@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .graph import Clustering
-from .signals import ClusterOffsets, InputBound, PeriodicInput, Signal, eval_u
+from .signals import InputBound, PeriodicInput, Signal, eval_u
 from .stochastic import ConvergenceError, MatrixSchedule, ScheduleQuotient, power_limit, validate
 
 
@@ -46,13 +46,16 @@ class System:
     """Driven averaging system over a clustered vertex set.
 
     ``coupling`` is a :class:`MatrixSchedule`; a bare matrix is taken as
-    the one-matrix schedule. ``offsets`` may be None for an undriven run
-    (the signal, if any, is then ignored).
+    the one-matrix schedule. ``alphas`` holds one gain per cluster of
+    ``clustering``, or is None for an undriven run (the signal, if any, is
+    then ignored). Gains may repeat: distinct gains are a hypothesis of
+    cluster consensus (the ``distinct-inputs`` check), not a rule of the
+    input.
     """
 
     coupling: Union[MatrixSchedule, np.ndarray]
     clustering: Clustering
-    offsets: Optional[ClusterOffsets] = None
+    alphas: Optional[tuple[float, ...]] = None
     signal: Optional[Signal] = None
 
     def __post_init__(self):
@@ -63,8 +66,13 @@ class System:
             raise ValueError(
                 f"coupling is {n}-dimensional but clustering covers {self.clustering.n}"
             )
-        if self.offsets is not None and self.offsets.clustering.n != n:
-            raise ValueError("offsets built on a different vertex set")
+        if self.alphas is not None:
+            alphas = tuple(float(a) for a in self.alphas)
+            object.__setattr__(self, "alphas", alphas)
+            if len(alphas) != self.clustering.k:
+                raise ValueError(
+                    f"need one gain per cluster ({self.clustering.k}), got {len(alphas)}"
+                )
 
     @property
     def n(self) -> int:
@@ -75,7 +83,12 @@ class System:
         return self.coupling.period > 1
 
     def driven(self) -> bool:
-        return self.offsets is not None and self.signal is not None
+        return self.alphas is not None and self.signal is not None
+
+    def gain_vector(self) -> np.ndarray:
+        """The gains spread over the agents: length ``n``, constant on each
+        cluster."""
+        return np.array(self.alphas)[self.clustering.labels()]
 
 
 @dataclass(frozen=True)
@@ -244,7 +257,7 @@ def simulate_batch(
         couplings = [np.stack([m[t % len(m)] for m in mats]) for t in range(phases)]
     drive = None
     if driven == {True}:
-        sigma = np.stack([s.offsets.vector() for s in systems])
+        sigma = np.stack([s.gain_vector() for s in systems])
         drive = _drive(sigma, [s.signal for s in systems], horizon)
     return _advance(couplings, drive, x0, horizon, first)
 
@@ -427,7 +440,7 @@ def boundedness_report(
             why = f"quotient powers: {exc}"
     if why:
         return BoundReport(peak, None, False, f"{why}; bound inapplicable")
-    alpha = sys.offsets.reduced()
+    alpha = np.array(sys.alphas)
     y_part = (
         float(np.abs(b_inf @ alpha).max()) * inputs.max_partial
         + float(np.abs(alpha).max()) * inputs.max_u * _power_error_sum(b, b_inf)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .dynamics import DivergenceError, System, simulate_batch
 from .graph import Clustering
-from .signals import ClusterOffsets
 
 DEFAULT_SLACK = 0.1
 _LOG_CAP = 64
@@ -39,16 +38,11 @@ class BeliefRangeError(RuntimeError):
         )
 
 
-def _default_labels(m: int) -> tuple[str, ...]:
-    return tuple(f"theta_{s + 1}" for s in range(m))
-
-
 @dataclass(frozen=True)
 class BeliefProfile:
     """Row ``i`` is agent ``i``'s probability vector over the states."""
 
     beliefs: np.ndarray
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         b = np.array(self.beliefs, dtype=float)
@@ -61,10 +55,6 @@ class BeliefProfile:
             raise ValueError(f"agent belief sums deviate from 1 by {drift:.3e}")
         b.setflags(write=False)
         object.__setattr__(self, "beliefs", b)
-        labels = tuple(self.labels) or _default_labels(b.shape[1])
-        if len(labels) != b.shape[1]:
-            raise ValueError("one label per state required")
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -143,9 +133,12 @@ class LearningRun:
 
     beliefs: np.ndarray
     clustering: Clustering
-    flags: CulturalFlags
     validity: ValidityLog
-    labels: tuple[str, ...]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The state names ``theta_1..theta_m``."""
+        return tuple(f"theta_{s + 1}" for s in range(self.m))
 
     @property
     def horizon(self) -> int:
@@ -225,7 +218,7 @@ def learn_simulate(
     """Run the belief dynamics of ``sys`` for ``horizon`` steps.
 
     The coupling, clustering and signal come from ``sys``; the flags, not
-    the system's offsets, set the per-cluster drive. States evolve
+    the system's gains, set the per-cluster drive. States evolve
     independently (the update is linear per state): state ``s`` is ``sys``
     with the gains ``strength * flags[:, s]``, and all states advance as one
     :func:`simulate_batch` batch on the shared schedule.
@@ -234,14 +227,12 @@ def learn_simulate(
         raise ValueError("slack must be nonnegative")
     # Python floats: an overflowing gain is inf, with no warning.
     systems = [
-        replace(sys, offsets=ClusterOffsets(sys.clustering, [flags.strength * f for f in col]))
+        replace(sys, alphas=[flags.strength * f for f in col])
         for col in flags.table.T.tolist()
     ]
     rows = simulate_batch(systems, np.ascontiguousarray(profile0.beliefs.T), horizon)
     return LearningRun(
         beliefs=rows.transpose(0, 2, 1),
         clustering=sys.clustering,
-        flags=flags,
         validity=_validity(rows, slack, flags.strength),
-        labels=profile0.labels,
     )

@@ -73,7 +73,7 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
 def write_belief_csv(path: str, run: LearningRun) -> None:
     # One line per (agent, state), each with the step t and the belief: a
     # step's text is str(t) joined between the lines' tails.
-    heads = [f",{i + 1},{label}," for i in range(run.n) for label in map(str, run.labels)]
+    heads = [f",{i + 1},{label}," for i in range(run.n) for label in run.labels]
 
     def tails(texts: list[str]) -> list[str]:
         return ["", *[f"{head}{text}\n" for head, text in zip(heads, texts)]]

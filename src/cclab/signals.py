@@ -1,7 +1,7 @@
-"""Scalar input signals and per-cluster offset gains.
+"""Scalar input signals.
 
 The driven dynamics add ``sigma * u(t)`` to the averaging step, where the
-offset vector ``sigma`` is constant within each cluster and ``u`` is a shared
+gain vector ``sigma`` is constant within each cluster and ``u`` is a shared
 scalar signal.  The workhorse is the zero-sum periodic signal: a period ``T``
 and free values ``u(1), ..., u(T-1)``, with the value at phase zero defined
 as ``-(u(1) + ... + u(T-1))`` so every full period sums to zero.  Bounded
@@ -16,7 +16,6 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .graph import Clustering
 
 
 class Signal(Protocol):
@@ -120,30 +119,3 @@ def input_bound(sig: Signal, horizon: Optional[int] = None) -> InputBound:
         + ("" if finite else "; not finite")
     )
     return InputBound(max_u, max_partial, finite and not growing, detail)
-
-
-@dataclass(frozen=True)
-class ClusterOffsets:
-    """Per-cluster gains ``alpha_1..alpha_K``.
-
-    Gains may repeat: distinct gains are a hypothesis of cluster consensus
-    (the ``distinct-inputs`` check), not a rule of the input.
-    """
-
-    clustering: Clustering
-    alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        object.__setattr__(self, "alphas", alphas)
-        if len(alphas) != self.clustering.k:
-            raise ValueError(
-                f"need one gain per cluster ({self.clustering.k}), got {len(alphas)}"
-            )
-
-    def vector(self) -> np.ndarray:
-        """Expanded length-n gain vector, constant on each cluster."""
-        return np.array(self.alphas)[self.clustering.labels()]
-
-    def reduced(self) -> np.ndarray:
-        return np.array(self.alphas, dtype=float)

@@ -8,7 +8,7 @@ import numpy as np
 from cclab.dynamics import System
 from cclab.generate import _random_tree
 from cclab.graph import Clustering
-from cclab.signals import ClusterOffsets, PeriodicInput
+from cclab.signals import PeriodicInput
 from cclab.stochastic import MatrixSchedule, validate
 
 
@@ -152,9 +152,9 @@ def random_driven_systems(seed: int) -> tuple[tuple[System, System], np.ndarray]
     )
     period = int(rng.integers(2, 5))
     signal = PeriodicInput(period, tuple(rng.uniform(-1.6, 1.6, size=period - 1)))
-    offsets = ClusterOffsets(clus, tuple(np.cumsum(rng.uniform(0.3, 1.0, size=k)) - 1.0))
+    alphas = tuple(np.cumsum(rng.uniform(0.3, 1.0, size=k)) - 1.0)
     systems = tuple(
-        System(coupling=c, clustering=clus, offsets=offsets, signal=signal)
+        System(coupling=c, clustering=clus, alphas=alphas, signal=signal)
         for c in (fixed, schedule)
     )
     return systems, rng.uniform(-1.0, 1.0, size=clus.n)

@@ -21,7 +21,7 @@ from cclab.dynamics import (
 from cclab.generate import example_graphs_switching
 from cclab.graph import Clustering, cluster_spanning_tree_roots
 from cclab.learning import CulturalFlags, learn_simulate
-from cclab.signals import ClusterOffsets, PeriodicInput
+from cclab.signals import PeriodicInput
 from cclab.stochastic import (
     ergodicity_coefficient,
     hajnal_diameter,
@@ -55,7 +55,7 @@ def closed_form_gap(scenario, traj, limit) -> float:
     undriven = simulate(System(sys.coupling, clus), scenario.x0, traj.horizon)
     b = schedule_quotient(sys.coupling.matrices, clus).quotient
     _, z2 = z_limits(b, sys.signal)
-    predicted = clus.means(undriven.states[-1]) + z2 @ sys.offsets.reduced()
+    predicted = clus.means(undriven.states[-1]) + z2 @ np.array(sys.alphas)
     return float(np.abs(limit.cycles[:, 1] - predicted).max())
 
 
@@ -109,7 +109,7 @@ def test_criterion_03_consensus_subspace_invariance():
         sys = System(
             coupling=a,
             clustering=clus,
-            offsets=ClusterOffsets(clus, distinct_alphas(rng, clus.k)),
+            alphas=distinct_alphas(rng, clus.k),
             signal=PeriodicInput(T, tuple(rng.uniform(-1, 1, T - 1))),
         )
         y0 = rng.uniform(-1, 1, clus.k)
@@ -225,13 +225,13 @@ def test_criterion_07_full_and_quotient_runs_agree():
         b = schedule_quotient((a,), clus).quotient
         T = int(rng.integers(2, 5))
         sig = PeriodicInput(T, tuple(rng.uniform(-1, 1, T - 1)))
-        offs = ClusterOffsets(clus, distinct_alphas(rng, clus.k))
-        sys = System(coupling=a, clustering=clus, offsets=offs, signal=sig)
+        alphas = distinct_alphas(rng, clus.k)
+        sys = System(coupling=a, clustering=clus, alphas=alphas, signal=sig)
         y0 = rng.uniform(-1, 1, clus.k)
         traj = simulate(sys, y0[clus.labels()], 10_000)
         # The reduced recursion is the quotient system on singleton clusters.
         singles = Clustering.from_sizes((1,) * clus.k)
-        quotient = System(b, singles, ClusterOffsets(singles, offs.alphas), sig)
+        quotient = System(b, singles, alphas, sig)
         qtraj = simulate(quotient, y0, 10_000)
         gap = float(np.abs(traj.states - qtraj.states[:, clus.labels()]).max())
         worst = max(worst, gap)

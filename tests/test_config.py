@@ -125,10 +125,10 @@ def test_equal_and_zero_gains_load():
     strength makes every gain zero."""
     doc = example_config("A")
     doc["signal"]["alphas"] = [1.0, 1.0, 0.5]
-    assert build_scenario(doc).system.offsets.alphas == (1.0, 1.0, 0.5)
+    assert build_scenario(doc).system.alphas == (1.0, 1.0, 0.5)
     doc["signal"]["strength"] = 0.0
     system = build_scenario(doc).system
-    assert system.driven() and system.offsets.alphas == (0.0, 0.0, 0.0)
+    assert system.driven() and system.alphas == (0.0, 0.0, 0.0)
 
 
 def test_learning_section_validation():
@@ -267,6 +267,7 @@ def test_generated_config_inlines_the_instance():
         (1, "bda4f04ba26bdc3223c936f327054177b97b814b0b74cc477624dd0bdd9ab63d"),
         (3, "5874a39a1dcf3e8a04e0fa677006b92c92891b8eb5f6129ef8bf538ba8c729a4"),
     ],
+    ids=["1", "3"],
 )
 def test_generated_config_bytes_are_pinned(m, digest):
     """Guards the generator's random stream: any change to the order of the
@@ -281,6 +282,7 @@ def test_generated_config_bytes_are_pinned(m, digest):
         (1, "e7c7cdaa02215e18386b3d79daaf11d75222465a9d75a547f51c7f80054123cc"),
         (3, "07b67c1a3649e0ca478808c3f27f1da91f5dcefe2eed0eaf78315ca43659dd5d"),
     ],
+    ids=["1", "3"],
 )
 def test_generated_config_bytes_are_pinned_at_a_thousand_agents(m, digest):
     """Guards the cover draws on blocks of hundreds of sources, where the
@@ -295,6 +297,7 @@ def test_generated_config_bytes_are_pinned_at_a_thousand_agents(m, digest):
         (1, "97cf77055fe04a69808e32788c658dd757dcb13afa08281ea3e3c99ed9c45f3a"),
         (3, "4c4092dce8e255d27441d1cf6a3bbe9fed6dfa26ac84c513344c55c218d8ee56"),
     ],
+    ids=["1", "3"],
 )
 def test_generated_config_bytes_are_pinned_in_triplet_form(m, digest):
     """At the cut-off the matrices are written as triplets and the fixed

@@ -32,7 +32,7 @@ from cclab.generate import (
 )
 from cclab.config import build_scenario, example_config
 from cclab.graph import Clustering
-from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
+from cclab.signals import PeriodicInput, SequenceInput
 from cclab.stochastic import MatrixSchedule, power_limit, schedule_quotient, validate
 from cclab.verifier import Thresholds, check_claim, check_switching, ensemble_instance, run
 
@@ -44,7 +44,7 @@ def example_system_static():
     return System(
         coupling=example_matrix_static(),
         clustering=clus,
-        offsets=ClusterOffsets(clus, example_alphas()),
+        alphas=example_alphas(),
         signal=example_signal(),
     )
 
@@ -57,7 +57,7 @@ def test_simulate_matches_hand_rolled_recursion():
     traj = simulate(sys, X0, 40)
     x = X0.copy()
     (a,) = sys.coupling.matrices
-    sigma = sys.offsets.vector()
+    sigma = sys.gain_vector()
     for t in range(40):
         x = a @ x + sigma * sys.signal.value(t)
         assert np.array_equal(traj.states[t + 1], x)
@@ -69,7 +69,7 @@ def test_step_agrees_with_simulate():
     sys = example_system_static()
     traj = simulate(sys, X0, 3)
     (a,) = sys.coupling.matrices
-    sigma = sys.offsets.vector()
+    sigma = sys.gain_vector()
     assert np.array_equal(a @ X0 + sigma * sys.signal.value(0), traj.states[1])
     assert np.array_equal(a @ traj.states[1] + sigma * sys.signal.value(1), traj.states[2])
 
@@ -87,7 +87,7 @@ def test_divergence_carries_partial_trajectory():
     sys = System(
         coupling=np.eye(2),
         clustering=clus,
-        offsets=ClusterOffsets(clus, (1.0, -1.0)),
+        alphas=(1.0, -1.0),
         signal=SequenceInput((0.0, 0.0, np.inf, 0.0)),
     )
     with pytest.raises(DivergenceError) as info:
@@ -95,6 +95,38 @@ def test_divergence_carries_partial_trajectory():
     assert info.value.t == 3  # x(3) = x(2) + sigma * u(2) is the first non-finite state
     assert info.value.partial.shape == (3, 2)
     assert np.array_equal(info.value.partial[0], [1.0, 2.0])
+
+
+def test_a_system_takes_one_gain_per_cluster():
+    """Gains may repeat: distinctness is the ``distinct-inputs`` hypothesis
+    of cluster consensus, not a rule of the input."""
+    clus = Clustering.from_sizes((2, 2))
+    a = np.full((4, 4), 0.25)
+    with pytest.raises(ValueError, match=r"^need one gain per cluster \(2\), got 1$"):
+        System(a, clus, (0.5,))
+    assert System(a, clus, (0.5, 0.5)).gain_vector().tolist() == [0.5] * 4
+    sys = System(a, clus, (1, -0.25))
+    assert sys.alphas == (1.0, -0.25) and type(sys.alphas[0]) is float
+    assert sys.gain_vector().tolist() == [1.0, 1.0, -0.25, -0.25]
+
+
+def test_gains_follow_the_systems_own_clusters():
+    """A system's gains sit on its own clustering, so the drive is constant
+    on each of its clusters and the claim-2 run separates them. The same
+    gains on the partition {0, 2}, {1, 3} would split each cluster's drive
+    and hold the run at intra diameter 2 with every hypothesis met."""
+    clus = Clustering(4, ((0, 1), (2, 3)))
+    a = np.array(
+        [[0.4, 0.4, 0.1, 0.1], [0.4, 0.4, 0.1, 0.1], [0.1, 0.1, 0.4, 0.4], [0.1, 0.1, 0.4, 0.4]]
+    )
+    sys = System(a, clus, (1.0, -1.0), PeriodicInput(2, (-1.0,)))
+    drive = dynamics._drive(sys.gain_vector()[None], [sys.signal], 100)[:, 0, :, 0]
+    for members in clus.clusters:
+        assert (drive[:, members] == drive[:, members[:1]]).all()
+    report, ok = check_claim(sys, 2, horizon=200)
+    assert ok
+    (out,) = run([sys], np.array([[0.5, -0.25, 0.125, 1.0]]), [report], 200)
+    assert out.verdict.status == "PASS", out.verdict.notes
 
 
 def test_undriven_system_ignores_missing_signal():
@@ -124,9 +156,7 @@ def test_a_batch_on_one_schedule_reads_its_arrays_as_given(monkeypatch):
     clus = example_clustering()
     sched = example_schedule_switching()
     gains = [(1.0, 0.5, -0.5), (1.0, 1.0, -0.5), (0.0, 0.0, 0.0), (-2.0, 0.25, 3.0)]
-    systems = [
-        System(sched, clus, ClusterOffsets(clus, g), example_signal()) for g in gains
-    ]
+    systems = [System(sched, clus, g, example_signal()) for g in gains]
     x0 = np.random.default_rng(4).uniform(-1.0, 1.0, size=(len(systems), clus.n))
     seen = []
     advance = dynamics._advance
@@ -265,12 +295,12 @@ def test_the_kernel_stops_once_the_state_repeats(monkeypatch):
     (out,) = run([sys], scenario.x0[None], [report], 2000)
     assert len(steps) <= 100
     want = _stepped(sys.coupling.matrices, dynamics._drive(
-        sys.offsets.vector()[None], [sys.signal], 2000), scenario.x0[None], 2000)
+        sys.gain_vector()[None], [sys.signal], 2000), scenario.x0[None], 2000)
     assert out.traj.states.tobytes() == want[:, 0].tobytes()
 
     # The second instance of the claim-2 ensemble at seed 1.
     inst_seed = int(np.random.default_rng(1).integers(2**62, size=2)[1])
-    inst = ensemble_instance(2, inst_seed, 2000)
+    inst = ensemble_instance(2, inst_seed)
     first = limit_window_start(2001, inst.system.signal.period)
     steps.clear()
     (out,) = run([inst.system], inst.x0[None], [inst.report], 2000, first=first)
@@ -286,9 +316,9 @@ def test_a_divergence_step_holds_across_the_repeat_stop(monkeypatch):
     clus = Clustering.from_sizes((1, 1, 1))
     a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]])
     sig = PeriodicInput(4, (0.5, 1.0, -3.5))  # u = 2, 0.5, 1, -3.5
-    sys = System(a, clus, ClusterOffsets(clus, (1e307, -1e307, 0.0)), sig)
+    sys = System(a, clus, (1e307, -1e307, 0.0), sig)
     x0 = np.array([1.45e308, -1.45e308, 0.0])
-    want = _stepped((a,), dynamics._drive(sys.offsets.vector()[None], [sig], 200), x0[None], 200)
+    want = _stepped((a,), dynamics._drive(sys.gain_vector()[None], [sig], 200), x0[None], 200)
     t = int((~np.isfinite(want[:, 0])).any(axis=1).argmax())
     assert t == 3 and np.isnan(want[-1, 0, 2])
     report, _ = check_claim(sys, 1, horizon=200)
@@ -334,9 +364,8 @@ def test_consensus_subspace_is_invariant():
         )
         a = random_common_influence(rng, clus)
         gaps = np.cumsum(rng.uniform(0.3, 1.0, size=k))
-        offs = ClusterOffsets(clus, tuple(gaps))
         sig = PeriodicInput(3, (0.6, -0.2))
-        sys = System(coupling=a, clustering=clus, offsets=offs, signal=sig)
+        sys = System(coupling=a, clustering=clus, alphas=gaps, signal=sig)
         y0 = rng.uniform(-1, 1, size=k)
         x0 = y0[clus.labels()]
         traj = simulate(sys, x0, 300)
@@ -352,7 +381,7 @@ def test_full_and_quotient_simulations_agree_on_cluster_means():
     traj = simulate(sys, x0, 2000)
     # The reduced recursion is the quotient system on singleton clusters.
     singles = Clustering.from_sizes((1,) * clus.k)
-    quotient = System(b, singles, ClusterOffsets(singles, sys.offsets.alphas), sys.signal)
+    quotient = System(b, singles, sys.alphas, sys.signal)
     qtraj = simulate(quotient, y0, 2000)
     means = np.stack(
         [traj.states[:, list(members)].mean(axis=1) for members in clus.clusters],
@@ -374,7 +403,7 @@ def test_periodic_limit_matches_closed_form():
     assert limit is not None
     assert limit.residual < 1e-8
     (a,) = sys.coupling.matrices
-    sigma = sys.offsets.vector()
+    sigma = sys.gain_vector()
     a_inf = power_limit(a).limit
     x1 = a @ X0 + sigma  # u(0) = +1
     series = np.zeros_like(sigma)
@@ -573,7 +602,7 @@ def test_bound_holds_exactly_where_it_applies(seed, kind):
     sys = System(
         coupling=coupling,
         clustering=clus,
-        offsets=ClusterOffsets(clus, tuple(rng.uniform(-2.0, 2.0, k))),
+        alphas=tuple(rng.uniform(-2.0, 2.0, k)),
         signal=signal,
     )
     x0 = rng.uniform(-1.0, 1.0, clus.n)
@@ -600,12 +629,11 @@ def test_bound_needs_a_quotient_power_limit_not_a_coupling_one():
     """A zero diagonal in the coupling is fine when the quotient has none
     (here B = I); a quotient that cycles makes the bound inapplicable."""
     clus = Clustering.from_sizes((2, 2))
-    offsets = ClusterOffsets(clus, (1.0, -1.0))
     swap_within = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], float)
     swap_across = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], float)
     x0 = np.array([0.5, -0.25, 0.125, 1.0])
     for a, applicable in ((swap_within, True), (swap_across, False)):
-        sys = System(coupling=a, clustering=clus, offsets=offsets, signal=PeriodicInput(2, (-1.0,)))
+        sys = System(a, clus, (1.0, -1.0), PeriodicInput(2, (-1.0,)))
         traj = simulate(sys, x0, 40)
         peak = np.abs(traj.states).max()
         report = _bound(sys, x0, traj)
@@ -622,7 +650,7 @@ def test_bound_reads_an_aperiodic_signal_only_where_the_run_used_it():
     sys = example_system_static()
     horizon = 30
     values = tuple(0.5 if t % 2 else -0.5 for t in range(horizon))
-    sys = System(sys.coupling, sys.clustering, sys.offsets, SequenceInput(values))
+    sys = System(sys.coupling, sys.clustering, sys.alphas, SequenceInput(values))
     traj = simulate(sys, X0, horizon)
     peak = np.abs(traj.states).max()
     report = _bound(sys, X0, traj)

@@ -21,12 +21,12 @@ from cclab.learning import (
     ValidityLog,
     learn_simulate,
 )
-from cclab.signals import ClusterOffsets, SequenceInput
+from cclab.signals import SequenceInput
 
 
 def undriven(coupling=None, clustering=None, signal=None):
     """A system that learning drives by its flags: the example's coupling,
-    clustering and signal unless given, and no offsets."""
+    clustering and signal unless given, and no gains."""
     return System(
         coupling=example_matrix_static() if coupling is None else coupling,
         clustering=clustering or example_clustering(),
@@ -44,12 +44,9 @@ def example_learning(strength=0.01, horizon=2000, profile0=None, slack=0.1):
 def test_belief_profile_rows_must_sum_to_one():
     with pytest.raises(ValueError):
         BeliefProfile(np.array([[0.5, 0.4], [0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        BeliefProfile(np.ones((2, 2)), labels=("a",))
     prof = BeliefProfile.uniform(3, 4)
     assert prof.n == 3
     assert prof.m == 4
-    assert prof.labels == ("theta_1", "theta_2", "theta_3", "theta_4")
     assert np.all(prof.beliefs == 0.25)
 
 
@@ -105,7 +102,7 @@ def test_per_state_paths_match_the_scalar_engine_bit_for_bit():
         sys = System(
             coupling=example_matrix_static(),
             clustering=clus,
-            offsets=ClusterOffsets(clus, gains),
+            alphas=gains,
             signal=example_signal(),
         )
         traj = simulate(sys, prof.beliefs[:, s], 500)
@@ -133,9 +130,9 @@ def test_zeta_separates_driven_clusters_and_collapses_undriven():
 def test_zeta_metric_matches_hand_means():
     clus = Clustering.from_sizes((2, 2))
     beliefs = np.array([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8], [0.4, 0.6]])
-    flags = CulturalFlags(np.zeros((2, 2)), strength=0.0)
     valid = ValidityLog(ok=True, count=0, worst_low=0.0, worst_high=1.0)
-    run = LearningRun(beliefs[None], clus, flags, valid, ("theta_1", "theta_2"))
+    run = LearningRun(beliefs[None], clus, valid)
+    assert run.labels == ("theta_1", "theta_2")
     # cluster means for state 0: 0.8 vs 0.3
     assert run.zeta_series(0, 1, 0)[0] == pytest.approx(0.5)
     assert run.zeta_series(0, 1, 1)[0] == pytest.approx(0.5)

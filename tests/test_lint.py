@@ -1,12 +1,12 @@
 """Static checks on the package source: no module-level import goes unused,
 every name in an ``__all__`` is bound in its module, every public name of
-the package has a user in the package or the benchmark, one place tells a
-bare coupling matrix from a schedule, one pipeline detects the limit and
-reconciles, the CLI reads the run's rows only to write them, one kernel
-entry steps every run, one check computes the quotient and the input bound,
-the generators draw into the support array, the schedule validates every
-coupling, one generator entry hands back every coupling, and every private
-helper has a caller."""
+the package and every public method of a public class has a user in the
+package or the benchmark, one place tells a bare coupling matrix from a
+schedule, one pipeline detects the limit and reconciles, the CLI reads the
+run's rows only to write them, one kernel entry steps every run, one check
+computes the quotient and the input bound, the generators draw into the
+support array, the schedule validates every coupling, one generator entry
+hands back every coupling, and every private helper has a caller."""
 
 import ast
 import pathlib
@@ -18,7 +18,8 @@ import cclab
 SOURCES = sorted(pathlib.Path(cclab.__file__).parent.glob("*.py"))
 BENCH = sorted((pathlib.Path(__file__).resolve().parents[1] / "bench").rglob("*.py"))
 
-# Public names with no user yet, each with the ROADMAP item that adopts it.
+# Public names, and public methods as ``module.Class.method``, with no user
+# yet, each with the ROADMAP item that adopts it.
 AWAITING = {
     "ergodicity_coefficient": "item 4",
     "hajnal_diameter": "item 4",
@@ -140,6 +141,19 @@ def attribute_sites(source: str, name: str) -> list[str]:
     return _sites(source, lambda n: isinstance(n, ast.Attribute) and n.attr == name)
 
 
+def public_methods(source: str) -> list[tuple[str, str]]:
+    """``(Class.name, name)`` for every public method and property of the
+    module's public classes."""
+    return [
+        (f"{node.name}.{item.name}", item.name)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
 def private_functions(source: str) -> list[str]:
     """Names of the module-level functions whose names start with ``_``."""
     return [
@@ -166,12 +180,20 @@ def test_every_exported_name_resolves(path):
 
 
 def test_every_public_name_has_a_user_or_awaits_its_roadmap_item():
+    """So does every public method and property of a public class: one
+    that only tests call is dead code in the package."""
     users = [p for p in SOURCES if p.name != "__init__.py"] + BENCH
     used = set().union(*(used_names(p.read_text(encoding="utf-8")) for p in users))
+    methods = {
+        f"{p.stem}.{qualified}": name
+        for p in SOURCES
+        for qualified, name in public_methods(p.read_text(encoding="utf-8"))
+    }
     assert sorted(set(cclab.__all__) - used - set(AWAITING)) == []
+    assert sorted(q for q, name in methods.items() if name not in used and q not in AWAITING) == []
     # an adopted or deleted name leaves the list
-    assert sorted(set(AWAITING) & used) == []
-    assert sorted(set(AWAITING) - set(cclab.__all__)) == []
+    assert sorted(key for key in AWAITING if key.rsplit(".", 1)[-1] in used) == []
+    assert sorted(set(AWAITING) - set(cclab.__all__) - set(methods)) == []
 
 
 def test_every_private_helper_has_a_caller():
@@ -322,6 +344,19 @@ def test_the_checks_catch_what_they_look_for():
     assert {"g", "h", "signals", "SequenceInput", "value"} <= used
     assert not {"f", "C", "path"} & used
     assert private_functions("def _f(): pass\nclass _C: pass\n_g = 1\ndef h(): pass\n") == ["_f"]
+    methods = public_methods(
+        "class C:\n"
+        "    x = 1\n"
+        "    def f(self): pass\n"
+        "    @property\n"
+        "    def p(self): pass\n"
+        "    def _g(self): pass\n"
+        "    def __len__(self): pass\n"
+        "class _D:\n"
+        "    def h(self): pass\n"
+        "def k(): pass\n"
+    )
+    assert methods == [("C.f", "f"), ("C.p", "p")]
     sites = isinstance_sites(
         "isinstance(a, S)\n"
         "class C:\n"

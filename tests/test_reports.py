@@ -37,11 +37,11 @@ def reference_zeta(zeta):
     return "t,zeta\n" + "".join(f"{t},{_fmt(z)}\n" for t, z in enumerate(zeta))
 
 
-def reference_beliefs(beliefs, labels):
+def reference_beliefs(beliefs):
     lines = ["t,agent,state,belief"]
     for t, profile in enumerate(beliefs):
         for i, row in enumerate(profile):
-            lines += [f"{t},{i + 1},{label},{_fmt(v)}" for label, v in zip(labels, row)]
+            lines += [f"{t},{i + 1},theta_{s + 1},{_fmt(v)}" for s, v in enumerate(row)]
     return "\n".join(lines) + "\n"
 
 
@@ -104,10 +104,7 @@ def belief_runs(draw):
     cycle = draw(st.lists(profile, min_size=1, max_size=reports._ROW_MEMO + 3))
     repeats = draw(st.integers(0, 3))
     rows = transient + cycle * repeats
-    labels = draw(
-        st.lists(st.text(alphabet="%ds(x)_0θ,", min_size=1, max_size=4), min_size=m, max_size=m)
-    )
-    return np.array(rows or cycle[:1], dtype=float).reshape(-1, n, m), tuple(labels)
+    return np.array(rows or cycle[:1], dtype=float).reshape(-1, n, m)
 
 
 @st.composite
@@ -115,21 +112,17 @@ def long_belief_runs(draw):
     """Belief histories longer than one block, as :func:`long_rows` draws
     them."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    labels = draw(
-        st.lists(st.text(alphabet="%ds(x)_0θ,", min_size=1, max_size=4), min_size=m, max_size=m)
-    )
-    return draw(long_rows(n * m)).reshape(-1, n, m), tuple(labels)
+    return draw(long_rows(n * m)).reshape(-1, n, m)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(belief_runs(), long_belief_runs()))
-@example((np.array([[[0.0, -0.0]], [[5e-324, -1e308]]]), ("%d", "100%")))
-@example((np.array([[[0.25, 0.75]]] * 5), ("%%", "%s")))  # settled from t = 0
-@example((np.arange(51.0).reshape(-1, 1, 1) % (reports._ROW_MEMO + 1), ("%",)))
-def test_belief_csv_matches_per_value_formatting(drawn):
-    beliefs, labels = drawn
-    run = LearningRun(beliefs=beliefs, clustering=None, flags=None, validity=None, labels=labels)
-    assert written(reports.write_belief_csv, run) == reference_beliefs(beliefs, labels).encode()
+@example(np.array([[[0.0, -0.0]], [[5e-324, -1e308]]]))
+@example(np.array([[[0.25, 0.75]]] * 5))  # settled from t = 0
+@example(np.arange(51.0).reshape(-1, 1, 1) % (reports._ROW_MEMO + 1))
+def test_belief_csv_matches_per_value_formatting(beliefs):
+    run = LearningRun(beliefs=beliefs, clustering=None, validity=None)
+    assert written(reports.write_belief_csv, run) == reference_beliefs(beliefs).encode()
 
 
 @settings(max_examples=100, deadline=None)

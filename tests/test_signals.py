@@ -1,16 +1,11 @@
-"""Periodic zero-sum signals and per-cluster offset gains."""
+"""Periodic zero-sum signals and the cluster-constant drive they feed."""
 
 import numpy as np
 import pytest
 
+from cclab.dynamics import System
 from cclab.graph import Clustering
-from cclab.signals import (
-    ClusterOffsets,
-    PeriodicInput,
-    SequenceInput,
-    eval_u,
-    partial_sum_bound,
-)
+from cclab.signals import PeriodicInput, SequenceInput, eval_u, partial_sum_bound
 
 
 def test_phase_zero_balances_the_free_values():
@@ -68,25 +63,13 @@ def test_zero_sum_signal_has_bounded_partials():
     assert many_periods == pytest.approx(one_period, abs=1e-12)
 
 
-def test_cluster_offsets_take_one_gain_per_cluster():
-    """Gains may repeat: distinctness is the ``distinct-inputs`` hypothesis
-    of cluster consensus, not a rule of the input."""
-    clus = Clustering.from_sizes((2, 2))
-    with pytest.raises(ValueError):
-        ClusterOffsets(clus, (0.5,))
-    assert ClusterOffsets(clus, (0.5, 0.5)).vector().tolist() == [0.5] * 4
-    offs = ClusterOffsets(clus, (1.0, -0.25))
-    assert offs.vector().tolist() == [1.0, 1.0, -0.25, -0.25]
-    assert offs.reduced().tolist() == [1.0, -0.25]
-
-
 def test_input_vector_is_cluster_constant():
     clus = Clustering(5, ((0, 2), (1, 3, 4)))
-    offs = ClusterOffsets(clus, (2.0, -1.0))
     sig = PeriodicInput(2, (-1.0,))
+    sys = System(np.eye(5), clus, (2.0, -1.0), sig)
     for t in range(4):
-        vec = offs.vector() * eval_u(sig, t)
+        vec = sys.gain_vector() * eval_u(sig, t)
         for members in clus.clusters:
             vals = vec[list(members)]
             assert float(vals.max() - vals.min()) == 0.0
-    assert (offs.vector() * eval_u(sig, 0)).tolist() == [2.0, -1.0, 2.0, -1.0, -1.0]
+    assert (sys.gain_vector() * eval_u(sig, 0)).tolist() == [2.0, -1.0, 2.0, -1.0, -1.0]

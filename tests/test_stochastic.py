@@ -184,8 +184,8 @@ def test_matrix_schedule_cycles_and_reports_floor():
 
     def floor_rows(floor):
         sys = System(coupling=MatrixSchedule((a, b), floor=floor), clustering=Clustering.from_sizes((2,)))
-        report = check_switching(sys)
-        return report.condition("entry-floor-b1"), report.condition("diagonal-floor-b2")
+        rows = {c.name: c for c in check_switching(sys).conditions}
+        return rows["entry-floor-b1"], rows["diagonal-floor-b2"]
 
     entry, diagonal = floor_rows(0.3)
     assert entry.detail == "min positive entry 0.1 vs floor 0.3"

@@ -26,7 +26,7 @@ from cclab import generate, verifier
 from cclab.config import build_scenario, example_config
 from cclab.generate import EXAMPLE_WINDOW
 from cclab.graph import Clustering, cluster_spanning_tree_roots
-from cclab.signals import ClusterOffsets, PeriodicInput, SequenceInput
+from cclab.signals import PeriodicInput, SequenceInput
 from cclab.stochastic import MatrixSchedule
 from cclab.verifier import (
     PERIOD_SUM_NOTE,
@@ -42,6 +42,11 @@ from cclab.verifier import (
 )
 
 STATIC, SWITCHING = (build_scenario(example_config(which)).system for which in "AB")
+
+
+def _row(report, name):
+    """The condition row ``name`` of a hypothesis report."""
+    return next(c for c in report.conditions if c.name == name)
 
 
 def test_sync_threshold_scales_with_initial_norm():
@@ -87,8 +92,8 @@ def test_missing_trees_are_called_out():
     clus = Clustering.from_sizes((2,))
     sys = System(coupling=np.eye(2), clustering=clus)
     report = check_claim(sys, 1)[0]
-    assert not report.condition("window-union-spanning-trees").passed
-    assert report.condition("common-influence-b3").passed
+    assert not _row(report, "window-union-spanning-trees").passed
+    assert _row(report, "common-influence-b3").passed
     assert report.predicted == "no-guarantee"
 
 
@@ -103,15 +108,15 @@ def test_broken_common_influence_is_called_out():
         ]
     )
     report = check_claim(System(coupling=a, clustering=clus), 1)[0]
-    assert not report.condition("common-influence-b3").passed
+    assert not _row(report, "common-influence-b3").passed
 
 
 def test_zero_diagonal_is_called_out():
     clus = Clustering.from_sizes((2,))
     a = np.array([[0.0, 1.0], [0.0, 1.0]])
     report = check_claim(System(coupling=a, clustering=clus), 1)[0]
-    assert not report.condition("diagonal-floor-b2").passed
-    assert report.condition("window-union-spanning-trees").passed
+    assert not _row(report, "diagonal-floor-b2").passed
+    assert _row(report, "window-union-spanning-trees").passed
 
 
 def test_missing_self_links_and_partial_cross_links_are_called_out():
@@ -125,15 +130,15 @@ def test_missing_self_links_and_partial_cross_links_are_called_out():
         ]
     )
     report = check_claim(System(coupling=a, clustering=clus), 2)[0]
-    assert not report.condition("diagonal-floor-b2").passed
-    assert "(1-based) [3]" in report.condition("diagonal-floor-b2").detail
-    assert not report.condition("property-a-uniform-links").passed
+    assert not _row(report, "diagonal-floor-b2").passed
+    assert "(1-based) [3]" in _row(report, "diagonal-floor-b2").detail
+    assert not _row(report, "property-a-uniform-links").passed
 
 
 def test_undriven_system_fails_the_zero_sum_input_condition():
     clus = Clustering.from_sizes((3,))
     report = check_claim(System(coupling=np.full((3, 3), 1.0 / 3.0), clustering=clus), 2)[0]
-    assert not report.condition("periodic-zero-sum-input").passed
+    assert not _row(report, "periodic-zero-sum-input").passed
     assert report.predicted == "no-guarantee"
 
 
@@ -144,10 +149,9 @@ def test_distinct_inputs_gate_consensus_only():
 
     def row(sys):
         report = check_switching(sys)
-        return report.condition("distinct-inputs"), report
+        return _row(report, "distinct-inputs"), report
 
-    clus = STATIC.clustering
-    equal = dataclasses.replace(STATIC, offsets=ClusterOffsets(clus, (1.0, 1.0, -0.5)))
+    equal = dataclasses.replace(STATIC, alphas=(1.0, 1.0, -0.5))
     check, report = row(equal)
     assert not check.passed
     assert check.detail == "smallest gain gap 0; equal gains at cluster pairs (1, 2)"
@@ -161,7 +165,7 @@ def test_distinct_inputs_gate_consensus_only():
     assert report.consensus_ok
 
     # Equal infinite gains are equal, and comparing them raises no warning.
-    inf = dataclasses.replace(STATIC, offsets=ClusterOffsets(clus, (np.inf, -1.0, np.inf)))
+    inf = dataclasses.replace(STATIC, alphas=(np.inf, -1.0, np.inf))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check, _ = row(inf)
@@ -171,14 +175,14 @@ def test_distinct_inputs_gate_consensus_only():
     single = System(
         coupling=np.full((3, 3), 1.0 / 3.0),
         clustering=one,
-        offsets=ClusterOffsets(one, (2.0,)),
+        alphas=(2.0,),
         signal=PeriodicInput(2, (-1.0,)),
     )
     check, report = row(single)
     assert check.passed and check.detail == "single cluster: no pair to separate"
     assert report.consensus_ok
 
-    check, report = row(dataclasses.replace(STATIC, offsets=None))
+    check, report = row(dataclasses.replace(STATIC, alphas=None))
     assert not check.passed and check.detail == "system is undriven; no separating input"
     assert report.sync_ok and not report.consensus_ok
 
@@ -188,13 +192,13 @@ def test_aperiodic_signal_is_not_accepted_as_zero_sum():
     sys = System(
         coupling=np.eye(2),
         clustering=clus,
-        offsets=ClusterOffsets(clus, (1.0, -1.0)),
+        alphas=(1.0, -1.0),
         signal=SequenceInput(tuple(np.zeros(1200))),
     )
     report = check_claim(sys, 2)[0]
-    assert not report.condition("periodic-zero-sum-input").passed
+    assert not _row(report, "periodic-zero-sum-input").passed
     sync = check_claim(sys, 1)[0]
-    assert sync.condition("input-bounded").passed  # bounded, just not periodic
+    assert _row(sync, "input-bounded").passed  # bounded, just not periodic
 
 
 def test_a_growing_signal_breaks_every_claim():
@@ -202,12 +206,12 @@ def test_a_growing_signal_breaks_every_claim():
     sys = System(
         coupling=np.eye(2),
         clustering=clus,
-        offsets=ClusterOffsets(clus, (1.0, -1.0)),
+        alphas=(1.0, -1.0),
         signal=SequenceInput(tuple(np.ones(1200))),
     )
     for theorem in (1, 2, 3, 4):
         report, ok = check_claim(sys, theorem, horizon=1000)
-        assert not report.condition("input-bounded").passed
+        assert not _row(report, "input-bounded").passed
         assert not ok and not report.sync_ok
         assert report.predicted == "no-guarantee"
 
@@ -221,7 +225,7 @@ def test_a_signal_of_exactly_the_run_length_is_bounded_and_bounds_the_run():
     values = tuple(0.5 if t % 2 else -0.5 for t in range(horizon))
     sys = dataclasses.replace(STATIC, signal=SequenceInput(values))
     report, ok = check_claim(sys, 1, horizon=horizon)
-    check = report.condition("input-bounded")
+    check = _row(report, "input-bounded")
     assert ok and check.passed
     assert check.detail == "empirical over 0..29: |u| <= 0.5, |partial sums| <= 0.5"
     assert (report.inputs.max_u, report.inputs.max_partial) == (0.5, 0.5)
@@ -231,7 +235,7 @@ def test_a_signal_of_exactly_the_run_length_is_bounded_and_bounds_the_run():
     assert bound.applicable and out.peak <= bound.bound
     with pytest.raises(IndexError):
         simulate(sys, x0, horizon + 1)
-    assert check_claim(sys, 1, horizon=horizon + 1)[0].condition("input-bounded") == (
+    assert _row(check_claim(sys, 1, horizon=horizon + 1)[0], "input-bounded") == (
         verifier.ConditionCheck("input-bounded", False, "signal undefined across horizon 31")
     )
 
@@ -247,7 +251,7 @@ def test_a_signal_of_exactly_the_run_length_is_bounded_and_bounds_the_run():
 def test_a_non_finite_input_is_not_bounded(signal):
     sys = dataclasses.replace(STATIC, signal=signal)
     report, ok = check_claim(sys, 1, horizon=30)
-    check = report.condition("input-bounded")
+    check = _row(report, "input-bounded")
     assert not ok and not check.passed
     assert check.detail.endswith("|partial sums| <= inf; not finite")
     assert report.predicted == "no-guarantee"
@@ -260,7 +264,7 @@ def test_the_report_carries_the_quotient_and_input_bound_outside_its_document():
     report = check_switching(STATIC)
     assert report.quotient.static and report.quotient.deviation == 0.0
     assert report.inputs.bounded
-    assert check_switching(dataclasses.replace(STATIC, offsets=None)).inputs is None
+    assert check_switching(dataclasses.replace(STATIC, alphas=None)).inputs is None
     bare = dataclasses.replace(report, quotient=None, inputs=None)
     assert bare == report and bare.to_dict() == report.to_dict()
     claim = check_claim(STATIC, 1)[0]
@@ -272,7 +276,7 @@ def _edge_system(a, sizes):
     return System(
         coupling=np.array(a),
         clustering=clus,
-        offsets=ClusterOffsets(clus, (1.0, -1.0)),
+        alphas=(1.0, -1.0),
         signal=PeriodicInput(2, (-1.0,)),
     )
 
@@ -285,7 +289,7 @@ def test_a_diagonal_entry_at_most_the_zero_threshold_breaks_every_claim(theorem)
     report, ok = check_claim(sys, theorem, window=1)
     failed = [c.name for c in report.conditions if not c.passed]
     assert failed == ["diagonal-floor-b2"]
-    assert "(1-based) [1]" in report.condition("diagonal-floor-b2").detail
+    assert "(1-based) [1]" in _row(report, "diagonal-floor-b2").detail
     assert not ok and report.predicted == "no-guarantee"
 
 
@@ -297,7 +301,7 @@ def test_a_partial_cover_within_the_common_influence_tolerance_breaks_every_clai
     report, ok = check_claim(sys, theorem, window=1)
     failed = [c.name for c in report.conditions if not c.passed]
     assert failed == ["property-a-uniform-links"]
-    assert report.condition("property-a-uniform-links").detail == (
+    assert _row(report, "property-a-uniform-links").detail == (
         "graph 1: cluster pair (1, 2) partially covered"
     )
     assert not ok and report.predicted == "no-guarantee"
@@ -314,7 +318,7 @@ def test_switching_hypotheses_pass_on_the_example():
 def test_switching_window_matters():
     """No single graph has the trees, so a length-1 window must fail."""
     report = check_switching(SWITCHING, window=1)
-    assert not report.condition("window-union-spanning-trees").passed
+    assert not _row(report, "window-union-spanning-trees").passed
     assert report.predicted == "no-guarantee"
     assert check_switching(SWITCHING, window=3).consensus_ok
 
@@ -337,7 +341,7 @@ def _root_searches(monkeypatch):
 def test_windows_holding_every_graph_share_one_root_search(monkeypatch, window):
     calls = _root_searches(monkeypatch)
     report = check_switching(SWITCHING, window=window)
-    assert report.condition("window-union-spanning-trees").passed
+    assert _row(report, "window-union-spanning-trees").passed
     assert len(calls) == 1
 
 
@@ -355,21 +359,21 @@ def test_short_windows_are_each_searched_and_named(monkeypatch, window, searches
     mixed = MatrixSchedule(SWITCHING.coupling.matrices + STATIC.coupling.matrices)
     calls = _root_searches(monkeypatch)
     report = check_switching(dataclasses.replace(SWITCHING, coupling=mixed), window=window)
-    assert report.condition("window-union-spanning-trees").detail == detail
+    assert _row(report, "window-union-spanning-trees").detail == detail
     assert len(calls) == searches
 
 
 def test_switching_check_accepts_fixed_matrices():
     report = check_switching(STATIC)
-    assert report.condition("window-union-spanning-trees").passed
-    assert report.condition("property-a-uniform-links").passed
+    assert _row(report, "window-union-spanning-trees").passed
+    assert _row(report, "property-a-uniform-links").passed
     assert report.consensus_ok
 
 
 def test_switching_floor_override_flags_violations():
     strict = MatrixSchedule(SWITCHING.coupling.matrices, floor=0.3)
     report = check_switching(dataclasses.replace(SWITCHING, coupling=strict), window=3)
-    assert not report.condition("entry-floor-b1").passed
+    assert not _row(report, "entry-floor-b1").passed
 
 
 def test_quotient_drift_breaks_b3star_only():
@@ -387,12 +391,12 @@ def test_quotient_drift_breaks_b3star_only():
     sys = System(
         coupling=sched,
         clustering=clus,
-        offsets=ClusterOffsets(clus, (1.0, -1.0)),
+        alphas=(1.0, -1.0),
         signal=PeriodicInput(2, (-1.0,)),
     )
     report = check_switching(sys, window=2)
-    assert report.condition("common-influence-b3").passed
-    assert not report.condition("static-quotient-b3star").passed
+    assert _row(report, "common-influence-b3").passed
+    assert not _row(report, "static-quotient-b3star").passed
     assert report.sync_ok
     assert not report.consensus_ok
     assert report.predicted == "intra-sync"
@@ -567,8 +571,6 @@ def test_report_to_dict_structure():
     assert doc["claim"] == "static-sync"
     assert doc["sync_hypotheses_ok"] is True
     assert {c["name"] for c in doc["conditions"]} >= {"common-influence-b3"}
-    with pytest.raises(KeyError):
-        report.condition("no-such-condition")
 
 
 @pytest.mark.parametrize(
@@ -623,8 +625,7 @@ def _reproducer():
     in cluster 1. The run never synchronizes (final diameter 0.28)."""
     clus = Clustering.from_sizes((2, 1))
     a = np.array([[0.5, 0.0, 0.5], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]])
-    offsets = ClusterOffsets(clus, (1.0, -1.0))
-    sys = System(coupling=a, clustering=clus, offsets=offsets, signal=PeriodicInput(2, (-1.0,)))
+    sys = System(a, clus, (1.0, -1.0), PeriodicInput(2, (-1.0,)))
     return (sys,), np.zeros(3)
 
 
@@ -635,8 +636,7 @@ def _relabelled(sys, perm):
     clus = Clustering(sys.n, tuple(tuple(inv[list(c)].tolist()) for c in sys.clustering.clusters))
     mats = tuple(m[np.ix_(perm, perm)] for m in sys.coupling.matrices)
     coupling = MatrixSchedule(mats, floor=sys.coupling.floor)
-    offsets = ClusterOffsets(clus, sys.offsets.alphas)
-    return System(coupling=coupling, clustering=clus, offsets=offsets, signal=sys.signal)
+    return System(coupling, clus, sys.alphas, sys.signal)
 
 
 def _flags(report):
@@ -718,12 +718,12 @@ def test_ensemble_with_a_short_horizon_reports_in_seed_order():
         )
 
 
-def _batches(theorem, seed, count, horizon):
+def _batches(theorem, seed, count):
     """Seeded ensemble instances grouped by agent count."""
     seeds = np.random.default_rng(seed).integers(2**62, size=count)
     groups = {}
     for s in seeds:
-        inst = ensemble_instance(theorem, int(s), horizon)
+        inst = ensemble_instance(theorem, int(s))
         groups.setdefault(inst.system.n, []).append(inst)
     assert max(len(g) for g in groups.values()) >= 2
     return list(groups.values())
@@ -751,14 +751,14 @@ def _first(group, horizon):
 def test_batched_rows_equal_simulate(theorem, seed):
     horizon = 5000 if theorem in (3, 4) else 2000
     first = limit_window_start(horizon + 1, 4)
-    for group in _batches(theorem, seed, 12, horizon):
+    for group in _batches(theorem, seed, 12):
         for inst, out in zip(group, _run(group, horizon, first)):
             ref = simulate(inst.system, inst.x0, horizon).states
             assert np.array_equal(out.traj.states, ref[first:])
 
 
 def _undriven(inst):
-    return dataclasses.replace(inst, system=dataclasses.replace(inst.system, offsets=None))
+    return dataclasses.replace(inst, system=dataclasses.replace(inst.system, alphas=None))
 
 
 def _same_outcome(batched, alone):
@@ -780,7 +780,7 @@ def test_a_batch_gives_each_system_the_outcome_of_its_batch_of_one(theorem, seed
     """One instance per batch diverges; the rest keep only their limit
     window, where a batch of one keeps every row."""
     horizon = 5000 if theorem in (3, 4) else 2000
-    for group in _batches(theorem, seed, 12, horizon):
+    for group in _batches(theorem, seed, 12):
         first = _first(group, horizon)
         group[-1] = _break_signal(group[-1], horizon)
         with warnings.catch_warnings():
@@ -793,13 +793,13 @@ def test_a_batch_gives_each_system_the_outcome_of_its_batch_of_one(theorem, seed
 
 def test_an_undriven_batch_runs_and_a_mixed_one_is_refused():
     horizon = 300
-    group = [_undriven(inst) for inst in max(_batches(2, 5, 12, horizon), key=len)]
+    group = [_undriven(inst) for inst in max(_batches(2, 5, 12), key=len)]
     outcomes = _run(group, horizon, _first(group, horizon))
     for inst, batched in zip(group, outcomes):
         alone = _run([inst], horizon)[0]
         _same_outcome(batched, alone)
         assert np.array_equal(alone.traj.states, simulate(inst.system, inst.x0, horizon).states)
-    mixed = group[:1] + max(_batches(2, 5, 12, horizon), key=len)[1:]
+    mixed = group[:1] + max(_batches(2, 5, 12), key=len)[1:]
     with pytest.raises(ValueError, match="all driven or all undriven"):
         simulate_batch([inst.system for inst in mixed], np.stack([i.x0 for i in mixed]), horizon)
 
@@ -824,7 +824,7 @@ def _break_x0(inst, horizon):
 )
 def test_non_finite_instance_in_a_batch(theorem, breaker, message):
     horizon = 200
-    group = max(_batches(theorem, 8, 30, horizon), key=len)
+    group = max(_batches(theorem, 8, 30), key=len)
     assert len(group) >= 3
     first = _first(group, horizon)
     group[1] = breaker(group[1], horizon)
@@ -878,7 +878,7 @@ def _example_records(which):
 
 def _diverging_batch_records():
     horizon = 200
-    group = max(_batches(1, 8, 30, horizon), key=len)
+    group = max(_batches(1, 8, 30), key=len)
     first = _first(group, horizon)
     group[1] = _break_signal(group[1], horizon)
     return _run(group, horizon, first)
@@ -886,7 +886,7 @@ def _diverging_batch_records():
 
 def _claim_2_batch_records():
     horizon = 2000
-    group = max(_batches(2, 5, 12, horizon), key=len)
+    group = max(_batches(2, 5, 12), key=len)
     return _run(group, horizon, _first(group, horizon))
 
 
@@ -1000,7 +1000,7 @@ def test_a_run_of_negative_zeros_peaks_at_positive_zero(monkeypatch):
     -0.0 it is 0.0, as the absolute value gives, so ``metrics.json`` never
     reads -0.0. The matrix-vector kernel writes +0.0, so the all -0.0 rows
     are handed to :func:`run` directly."""
-    sys = dataclasses.replace(STATIC, offsets=None)
+    sys = dataclasses.replace(STATIC, alphas=None)
     x0 = np.full((1, sys.n), -0.0)
     (out,) = run([sys], x0, [check_switching(sys)], 30)
     assert repr(out.peak) == "0.0"
@@ -1014,14 +1014,14 @@ def test_a_run_of_negative_zeros_peaks_at_positive_zero(monkeypatch):
     assert repr(out.peak) == "0.0"
 
 
-def _instance_digest(theorem: int, seeds, horizon: int) -> str:
+def _instance_digest(theorem: int, seeds) -> str:
     h = hashlib.sha256()
     for seed in seeds:
-        inst = ensemble_instance(theorem, seed, horizon)
+        inst = ensemble_instance(theorem, seed)
         for a in inst.system.coupling.matrices:
             h.update(a.tobytes())
         h.update(inst.x0.tobytes())
-        h.update(inst.system.offsets.reduced().tobytes())
+        h.update(np.array(inst.system.alphas).tobytes())
         h.update(inst.report.predicted.encode())
         for c in inst.report.conditions:
             h.update(f"{c.name}|{c.passed}|{c.detail}\n".encode())
@@ -1036,12 +1036,12 @@ def _instance_digest(theorem: int, seeds, horizon: int) -> str:
         (3, "86a8db533773e6310c71a924be7a80899bce914b4bbdf066864e2b889f188689"),
         (4, "532dc6d4ae168608adb05701b0805dbae03b0982f52058d5ad934b5cc168eb09"),
     ],
+    ids=["1", "2", "3", "4"],
 )
 def test_ensemble_instance_bytes_are_pinned(theorem, digest):
     """Guards the ensemble builder's draws: every matrix, initial state,
     gain vector and condition detail of 40 seeded instances."""
-    horizon = 5000 if theorem in (3, 4) else 2000
-    assert _instance_digest(theorem, range(40), horizon) == digest
+    assert _instance_digest(theorem, range(40)) == digest
 
 
 @pytest.mark.parametrize("theorem", [2, 4])
@@ -1062,5 +1062,5 @@ def test_an_ensemble_instance_builds_its_spec_once(theorem, monkeypatch):
     monkeypatch.setattr(Clustering, "__post_init__", counted("clustering", Clustering.__post_init__))
     for seed in range(10):
         calls.clear()
-        ensemble_instance(theorem, seed, 100)
+        ensemble_instance(theorem, seed)
         assert calls == {"streams": 1, "quotient": 1, "clustering": 1}
