@@ -42,7 +42,7 @@ from .dynamics import (
     Trajectory,
     boundedness_report,
 )
-from .generate import InfeasibleError
+from .generate import GeneratorSpec, InfeasibleError
 from .learning import BeliefRangeError, learn_simulate
 from .reports import (
     _json_text,
@@ -76,18 +76,16 @@ class _OutOfRange(ArithmeticError):
     float64's range: a sum, a gap or the bound overflowed."""
 
 
-def _load(args: argparse.Namespace) -> Scenario:
-    doc = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "horizon", None) is not None:
-        doc["horizon"] = args.horizon
+def _load(args: argparse.Namespace) -> tuple[Scenario, str]:
+    """The run's scenario and its ``config_sha256``."""
+    overrides = {key: v for key in ("seed", "horizon") if (v := getattr(args, key)) is not None}
+    doc, digest = load_config(args.config, overrides)
     scenario = build_scenario(doc)
-    if getattr(args, "theorem", None):
+    if args.theorem:
         # The claim picks what is checked, not what is run, so it stays out
         # of the config digest.
         scenario = replace(scenario, theorem=args.theorem)
-    return scenario
+    return scenario, digest
 
 
 def _outdir(args: argparse.Namespace) -> str:
@@ -97,7 +95,7 @@ def _outdir(args: argparse.Namespace) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    scenario, digest = _load(args)
     report, ok = check_claim(
         scenario.system,
         scenario.theorem,
@@ -110,7 +108,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             args.out,
             {
                 "label": scenario.label,
-                "config_sha256": scenario.digest,
+                "config_sha256": digest,
                 "seed": scenario.seed,
                 "theorem": scenario.theorem,
                 "overall": ok,
@@ -128,7 +126,7 @@ def _run_ensemble(args: argparse.Namespace) -> int:
     seed = args.seed
     horizon = args.horizon
     if args.config:
-        fields = run_fields(load_config(args.config))
+        fields = run_fields(load_config(args.config)[0])
         theorem = theorem or fields.get("theorem")
         seed = seed if seed is not None else fields.get("seed")
         horizon = horizon if horizon is not None else fields.get("horizon")
@@ -195,7 +193,7 @@ def _run_config(args: argparse.Namespace) -> _Run:
     :class:`_OutOfRange` before anything is printed or written. numpy's
     warnings are silenced: that check catches every number they warn of.
     """
-    scenario = _load(args)
+    scenario, digest = _load(args)
     sys_ = scenario.system
     report, ok = check_claim(
         sys_,
@@ -216,7 +214,7 @@ def _run_config(args: argparse.Namespace) -> _Run:
         print(f"error: {out}", file=sys.stderr)
         metrics = {
             "label": scenario.label,
-            "config_sha256": scenario.digest,
+            "config_sha256": digest,
             "seed": scenario.seed,
             "diverged_at": out.t,
             "note": str(out),
@@ -227,7 +225,7 @@ def _run_config(args: argparse.Namespace) -> _Run:
     bound = boundedness_report(
         sys_, scenario.x0, scenario.horizon, out.peak, report.quotient, report.inputs
     )
-    metrics = metrics_document(scenario.digest, scenario.seed, scenario.label, out, bound, report)
+    metrics = metrics_document(digest, scenario.seed, scenario.label, out, bound, report)
     try:
         text = _json_text(metrics)
     except ValueError:
@@ -297,7 +295,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    scenario, digest = _load(args)
     if scenario.learning is None:
         raise ConfigError("config has no learning section")
     setup = scenario.learning
@@ -313,7 +311,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         os.path.join(outdir, "validity.json"),
         {
             "label": scenario.label,
-            "config_sha256": scenario.digest,
+            "config_sha256": digest,
             "seed": scenario.seed,
             "strength": setup.flags.strength,
             "zeta_clusters": [p + 1, q + 1],
@@ -400,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--switching", type=int, default=1, metavar="M", help="schedule length"
     )
     p.add_argument("--window", type=int, help="union window (default M)")
-    p.add_argument("--entry-floor", type=float, default=0.05, dest="entry_floor")
-    p.add_argument("--density", type=float, default=0.3)
+    p.add_argument("--entry-floor", type=float, default=GeneratorSpec.entry_floor)
+    p.add_argument("--density", type=float, default=GeneratorSpec.density)
     p.add_argument("--mode", choices=("random", "equal"), default="random")
     p.add_argument("--horizon", type=int)
     p.add_argument("--out", help="config file to write (default: stdout)")

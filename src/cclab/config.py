@@ -374,30 +374,28 @@ class Scenario:
     label: str
     learning: Optional[LearningSetup]
     thresholds: Thresholds
-    raw: dict
-
-    @property
-    def digest(self) -> str:
-        """:func:`config_digest` of ``raw``, computed on each access."""
-        return config_digest(self.raw)
 
 
-def config_digest(doc: dict) -> str:
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: Optional[dict] = None) -> tuple[dict, str]:
+    """The document at ``path`` with ``overrides`` applied, and the SHA-256
+    of the file's bytes followed by the overrides' compact sorted JSON, if
+    any: with none, what ``sha256sum`` prints for the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer literal too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise _invalid((), f"{doc!r} is not of type 'object'")
-    return doc
+    digest = hashlib.sha256(data)
+    if overrides:
+        doc.update(overrides)
+        digest.update(json.dumps(overrides, sort_keys=True, separators=(",", ":")).encode())
+    return doc, digest.hexdigest()
 
 
 def emit_config(doc: dict, path: Optional[str] = None) -> str:
@@ -667,7 +665,6 @@ def build_scenario(doc: dict) -> Scenario:
         label=doc.get("label", "scenario"),
         learning=learning,
         thresholds=thresholds,
-        raw=doc,
     )
 
 

@@ -142,8 +142,9 @@ def successors(s: np.ndarray) -> list[list[int]]:
     """``[j]`` lists, in ascending order, the vertices a link from ``j``
     reaches: column ``j`` of ``s``."""
     src, dst = np.nonzero(s.T)
-    cuts = np.cumsum(np.bincount(src, minlength=len(s)))[:-1]
-    return [part.tolist() for part in np.split(dst, cuts)]
+    ends = np.cumsum(np.bincount(src, minlength=len(s))).tolist()
+    dst = dst.tolist()
+    return [dst[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _bfs(succ: list[list[int]], v: int) -> set[int]:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -19,10 +20,10 @@ from hypothesis import strategies as st
 
 import cclab
 from cclab import cli as cli_module
-from cclab import config as config_module
 from cclab import stochastic
 from cclab.cli import main
 from cclab.config import emit_config, example_config, generated_config
+from cclab.generate import GeneratorSpec
 
 
 @pytest.fixture
@@ -392,6 +393,30 @@ def test_gen_argument_errors(capsys):
     capsys.readouterr()
 
 
+def test_gen_defaults_are_the_generator_spec_defaults():
+    args = cli_module.build_parser().parse_args(["gen", "--sizes", "3,3", "--seed", "1"])
+    assert args.entry_floor == GeneratorSpec.entry_floor
+    assert args.density == GeneratorSpec.density
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff{}", "is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"\xef\xbb\xbf{}", "is not valid JSON: Unexpected UTF-8 BOM"),
+    ],
+    ids=["0xff", "bom"],
+)
+def test_a_config_that_is_not_utf8_json_exits_1_with_one_line(tmp_path, data, message):
+    config = tmp_path / "bad.json"
+    config.write_bytes(data)
+    done = _python("-m", "cclab.cli", "check", "--config", str(config))
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: config {config} ") and done.stderr.count("\n") == 1
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_gen_infeasible_request_is_an_input_error(tmp_path, capsys):
     # singleton-only clusterings leave no in-cluster tree edges to withhold
     code = main(["gen", "--sizes", "1,1", "--seed", "5", "--switching", "2"])
@@ -675,18 +700,53 @@ def test_power_limits_run_on_the_quotient_only(command, m, tmp_path, monkeypatch
     assert shapes and set(shapes) == {(3, 3)}
 
 
-def test_check_without_out_hashes_no_config(config_a, tmp_path, monkeypatch):
-    calls = []
-    original = config_module.config_digest
-    monkeypatch.setattr(
-        config_module, "config_digest", lambda doc: calls.append(1) or original(doc)
-    )
-    assert main(["check", "--config", config_a]) == 0
-    assert not calls
-    out = tmp_path / "check.json"
-    assert main(["check", "--config", config_a, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["config_sha256"] == original(example_config("A"))
+def _stamps(tmp_path, config, *flags):
+    """``config_sha256`` of ``check --out``, ``simulate``, ``report`` and
+    ``learn`` on ``config``, one run each with ``flags``."""
+    stamps = []
+    for command in ("check", "simulate", "report", "learn"):
+        out = tmp_path / "-".join((pathlib.Path(config).stem, command, *flags))
+        target = out / "check.json" if command == "check" else out
+        out.mkdir()
+        argv = [command, "--config", config, "--out", str(target), *flags]
+        assert _in_process(argv)[0] == 0
+        (record,) = [p for p in out.iterdir() if p.suffix == ".json"]
+        stamps.append(json.loads(record.read_text())["config_sha256"])
+    return stamps
 
+
+def test_every_artifact_stamps_the_sha256_of_the_config_file(config_a, tmp_path):
+    """With no override the stamp is ``sha256sum`` of the file; ``--seed``
+    and ``--horizon`` append their sorted compact JSON to the bytes hashed,
+    ``--theorem`` is left out, and an edit of whitespace alone moves it."""
+    data = pathlib.Path(config_a).read_bytes()
+    plain = hashlib.sha256(data).hexdigest()
+    assert _stamps(tmp_path, config_a) == [plain] * 4
+    assert _stamps(tmp_path, config_a, "--theorem", "1") == [plain] * 4
+    overridden = hashlib.sha256(data + b'{"horizon":50,"seed":7}').hexdigest()
+    assert _stamps(tmp_path, config_a, "--horizon", "50", "--seed", "7") == [overridden] * 4
+    seeded = hashlib.sha256(data + b'{"seed":7}').hexdigest()
+    assert _stamps(tmp_path, config_a, "--seed", "7") == [seeded] * 4
+    spaced = tmp_path / "spaced.json"
+    spaced.write_bytes(data + b"\n")
+    assert _stamps(tmp_path, str(spaced)) == [hashlib.sha256(data + b"\n").hexdigest()] * 4
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "report", "learn"])
+def test_each_command_opens_its_config_once(config_a, tmp_path, monkeypatch, command):
+    opened = []
+    original = open
+
+    def recording(file, *args, **kwargs):
+        opened.append(file)
+        return original(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording)
+    out = tmp_path / "out"
+    target = out / "check.json" if command == "check" else out
+    out.mkdir()
+    assert main([command, "--config", config_a, "--out", str(target)]) == 0
+    assert opened.count(config_a) == 1
 
 
 def _triplets(rows):
@@ -821,7 +881,7 @@ def _outputs(tmp_path, capsys, command, doc, name):
     for p in sorted(out.iterdir()):
         if p.suffix == ".json":
             record = json.loads(p.read_text())
-            record.pop("config_sha256")  # the hash of the document text, 2.0 or 2
+            record.pop("config_sha256")  # the hash of the file's bytes, which spell 2.0 or 2
             files[p.name] = record
         else:
             files[p.name] = p.read_bytes()

@@ -14,7 +14,6 @@ from cclab.config import (
     SPARSE_FROM,
     ConfigError,
     build_scenario,
-    config_digest,
     emit_config,
     example_config,
     generated_config,
@@ -60,21 +59,28 @@ def test_seeded_initial_state_is_reproducible():
     assert not np.array_equal(build_scenario(other).x0, a.x0)
 
 
-def test_digest_ignores_key_order():
-    doc = example_config("A")
-    scrambled = json.loads(json.dumps(doc, sort_keys=True))
-    assert config_digest(doc) == config_digest(scrambled)
-    assert build_scenario(doc).digest == config_digest(doc)
-    assert config_digest(dict(doc, seed=1)) != config_digest(doc)
+def test_the_digest_hashes_the_file_bytes_then_the_overrides(tmp_path):
+    path = tmp_path / "a.json"
+    emit_config(example_config("A"), str(path))
+    data = path.read_bytes()
+    doc, digest = load_config(str(path))
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert load_config(str(path), {}) == (doc, digest)
+    edited, moved = load_config(str(path), {"seed": 7, "horizon": 50})
+    assert edited == dict(doc, seed=7, horizon=50)
+    assert moved == hashlib.sha256(data + b'{"horizon":50,"seed":7}').hexdigest()
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+    same_doc, other = load_config(str(path))
+    assert same_doc == doc and other != digest
 
 
 def test_emit_and_load_round_trip(tmp_path):
     doc = example_config("B")
     path = tmp_path / "b.json"
     emit_config(doc, str(path))
-    assert load_config(str(path)) == doc
-    scenario = build_scenario(load_config(str(path)))
-    assert scenario.label == "paper-example-B"
+    loaded, _ = load_config(str(path))
+    assert loaded == doc
+    assert build_scenario(loaded).label == "paper-example-B"
 
 
 def test_load_config_failures(tmp_path):
@@ -207,7 +213,6 @@ def test_generator_topology_builds_from_seed():
     scenario = build_scenario(doc)
     (a,) = scenario.system.coupling.matrices
     assert a.shape == (5, 5)
-    assert build_scenario(doc).digest == scenario.digest
     assert np.array_equal(build_scenario(doc).system.coupling.matrices[0], a)
 
 

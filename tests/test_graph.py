@@ -277,6 +277,19 @@ def test_support_lays_links_out_as_the_coupling():
     assert successors(s) == [[], [0, 1]]
 
 
+@pytest.mark.parametrize("n, density", [(1, 0.5), (8, 0.0), (8, 0.3), (40, 0.05), (300, 0.05)])
+def test_successors_match_the_split_of_the_transposed_support(n, density):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        s = rng.random((n, n)) < density
+        src, dst = np.nonzero(s.T)
+        cuts = np.cumsum(np.bincount(src, minlength=n))[:-1]
+        expected = [part.tolist() for part in np.split(dst, cuts)]
+        got = successors(s)
+        assert got == expected
+        assert all(type(v) is int for row in got for v in row)
+
+
 def test_support_rejects_an_out_of_range_edge():
     with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range for n=2"):
         support(2, {(0, 0), (0, 2)})
